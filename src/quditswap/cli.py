@@ -9,7 +9,7 @@ Three subcommands:
   collude   exact first-dit posteriors for colluding subsets, with an
             optional exhaustive dense-engine confirmation
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 usage or cap error.
+Exit codes: 0 all checks passed, 1 a check failed, 2 usage, cap or I/O error.
 `--json PATH` (or `-` for stdout) writes a machine report; identical flags
 plus seed reproduce it byte for byte, so no timings go into the JSON.
 """
@@ -46,17 +46,25 @@ def chi_square_critical(dof: int, alpha: float) -> float:
     return dof * (1.0 - c + z * math.sqrt(c)) ** 3
 
 
-def _emit(report: dict, json_target: str | None, human_lines: list[str]) -> None:
-    """Print the human table unless JSON goes to stdout; write JSON if asked."""
+def _emit(report: dict, json_target: str | None, human_lines: list[str]) -> int:
+    """Print the human table unless JSON goes to stdout; write JSON if asked.
+
+    Returns the exit code: 2 when the JSON file cannot be written, else 0
+    when the report is ok and 1 when it is not.
+    """
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if json_target == "-":
         sys.stdout.write(text)
-        return
-    for line in human_lines:
-        print(line)
-    if json_target:
-        with open(json_target, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    else:
+        for line in human_lines:
+            print(line)
+        if json_target:
+            try:
+                with open(json_target, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                return _usage_fail(f"cannot write --json {json_target}: {exc}")
+    return 0 if report["ok"] else 1
 
 
 def _pick_seed(args) -> int:
@@ -80,6 +88,8 @@ def cmd_verify(args) -> int:
     if any(r in ("black", "white") for r in rules) and n < 3:
         return _usage_fail("cat rules need --n of at least 3")
 
+    if args.samples is not None and args.samples < 1:
+        return _usage_fail("--samples must be positive")
     needed = max(d**4 if r == "bell" else d ** (n + 2) for r in rules)
     if needed > MAX_AMPLITUDES:
         return _usage_fail(
@@ -137,8 +147,7 @@ def cmd_verify(args) -> int:
                      f"(tol {check['tol']:.1e})   {status}")
     lines.append(f"{'all checks passed' if ok else 'CHECKS FAILED'} "
                  f"({elapsed:.2f}s)")
-    _emit(report, args.json, lines)
-    return 0 if ok else 1
+    return _emit(report, args.json, lines)
 
 
 def _load_labels(args, d: int, n: int, rng):
@@ -188,9 +197,9 @@ def cmd_protocol(args) -> int:
         return _usage_fail("the protocol needs --n of at least 2")
     if args.rounds < 0:
         return _usage_fail("--rounds must be nonnegative")
-    if args.engine == "statevector" and d ** (3 * n) > MAX_AMPLITUDES:
+    if args.engine == "statevector" and d ** (n + 2) > MAX_AMPLITUDES:
         return _usage_fail(
-            f"refusing: the statevector engine needs d^(3n) = {d ** (3 * n)} "
+            f"refusing: the statevector engine needs d^(n+2) = {d ** (n + 2)} "
             f"amplitudes (cap {MAX_AMPLITUDES}); use --engine symbolic")
 
     seed = _pick_seed(args)
@@ -254,8 +263,7 @@ def cmd_protocol(args) -> int:
         lines.append("  no rounds requested")
     lines.append(f"{'all checks passed' if ok else 'CHECKS FAILED'} "
                  f"({elapsed:.2f}s)")
-    _emit(report, args.json, lines)
-    return 0 if ok else 1
+    return _emit(report, args.json, lines)
 
 
 def cmd_collude(args) -> int:
@@ -274,6 +282,16 @@ def cmd_collude(args) -> int:
         return _usage_fail("--missing must name at least one party")
     if not all(2 <= i <= n for i in missing):
         return _usage_fail(f"--missing parties must lie in 2..{n}")
+    if args.rounds < 0:
+        return _usage_fail("--rounds must be nonnegative")
+    if args.oracle:
+        size = d ** (n + 2)
+        branch_count = (d * d) ** n
+        if size > MAX_AMPLITUDES or branch_count > MAX_ORACLE_BRANCHES:
+            return _usage_fail(
+                f"refusing oracle enumeration: {size} amplitudes / "
+                f"{branch_count} branches exceed the caps "
+                f"({MAX_AMPLITUDES} / {MAX_ORACLE_BRANCHES})")
     known = sorted(set(range(2, n + 1)) - set(missing))
 
     seed = _pick_seed(args)
@@ -294,13 +312,6 @@ def cmd_collude(args) -> int:
 
     oracle = None
     if args.oracle:
-        size = d ** (3 * n)
-        branch_count = (d * d) ** n
-        if size > MAX_AMPLITUDES or branch_count > MAX_ORACLE_BRANCHES:
-            return _usage_fail(
-                f"refusing oracle enumeration: {size} amplitudes / "
-                f"{branch_count} branches exceed the caps "
-                f"({MAX_AMPLITUDES} / {MAX_ORACLE_BRANCHES})")
         cat = tuple(int(x) for x in rng.integers(0, d, n))
         bells = tuple((int(v), int(vp)) for v, vp in rng.integers(0, d, (n, 2)))
         config = ProtocolConfig(d, n, cat, bells, seed=seed)
@@ -338,8 +349,7 @@ def cmd_collude(args) -> int:
                      f"dit: {'PASS' if oracle['balanced'] else 'FAIL'}")
     lines.append(f"{'all checks passed' if ok else 'CHECKS FAILED'} "
                  f"({elapsed:.2f}s)")
-    _emit(report, args.json, lines)
-    return 0 if ok else 1
+    return _emit(report, args.json, lines)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,15 +24,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import NamedTuple
 
 import numpy as np
 
 from .catbell import cat_state
-from .core import MAX_AMPLITUDES, phase_exponent, validate_dimension
-from .statevec import StateVector, inner_product, project_onto
-from .swapcalc import CatFragment, Register, SwapOutcome, bell_measure, to_statevector
+from .core import phase_exponent, validate_dimension
+from .statevec import StateVector, bell_overlaps, inner_product, tensor
+from .swapcalc import CatFragment, Register, bell_measure
 
 ENGINES = ("symbolic", "statevector")
 
@@ -43,10 +43,6 @@ class InsufficientSharesError(ValueError):
 
 class FullCollusionSignal(Exception):
     """All parties 2..n colluded: that is pooled recovery, not collusion."""
-
-
-def cat_particle(i: int) -> int:
-    return i
 
 
 def bell_particles(n: int, i: int) -> tuple[int, int]:
@@ -117,23 +113,19 @@ def initial_register(config: ProtocolConfig) -> Register:
     return Register(config.d, tuple(fragments))
 
 
-def initial_state(config: ProtocolConfig) -> StateVector:
-    size = config.d ** (3 * config.n)
-    if size > MAX_AMPLITUDES:
-        raise ValueError(
-            f"dense protocol state needs {size} amplitudes, above the "
-            f"{MAX_AMPLITUDES} cap; use the symbolic engine")
-    return to_statevector(initial_register(config))
+def initial_state(config: ProtocolConfig) -> tuple[StateVector, ...]:
+    """Dense oracle of a round: one state factor per initial fragment."""
+    return tuple(f.to_state() for f in initial_register(config).fragments)
 
 
 def measurement_pair(n: int, i: int) -> tuple[int, int]:
     """Party i's measured (black node, white node) pair."""
     if i == 1:
-        return cat_particle(1), bell_particles(n, 1)[1]
-    return bell_particles(n, i)[0], cat_particle(i)
+        return 1, bell_particles(n, 1)[1]
+    return bell_particles(n, i)[0], i
 
 
-def _convention_map(n: int, i: int, k: int, l: int, d: int) -> SwapOutcome:
+def _convention_map(n: int, i: int, k: int, l: int, d: int) -> tuple[int, int]:
     """Translate party i's (k_i, l_i) to/from the raw swap-rule outcome.
 
     At n = 2 every fragment is a Bell pair, so each step runs under the
@@ -145,9 +137,65 @@ def _convention_map(n: int, i: int, k: int, l: int, d: int) -> SwapOutcome:
     """
     if n == 2:
         if i == 1:
-            return SwapOutcome((-k) % d, l % d)
-        return SwapOutcome((-k) % d, (-l) % d)
-    return SwapOutcome(k % d, l % d)
+            return (-k) % d, l % d
+        return (-k) % d, (-l) % d
+    return k % d, l % d
+
+
+def _dense_step(register: Register, factors, n: int, i: int):
+    """Every outcome of party i's Bell measurement on the factored oracle.
+
+    Only the two factors holding the measured pair are tensored; one
+    bell_overlaps pass gives all d^2 residuals, whose Bell labels come from
+    the symbolic register. Each probability is checked to be 1/d^2 from the
+    amplitudes. Returns d^2 candidates ((k, l), register, probability,
+    factors) in (k, l) order.
+    """
+    d = register.d
+    black, white = pair = measurement_pair(n, i)
+    a = next(f for f in factors if black in f.particles)
+    b = next(f for f in factors if white in f.particles)
+    untouched = tuple(f for f in factors if f is not a and f is not b)
+    rest, overlaps = bell_overlaps(tensor(a, b), black, white)
+    probabilities = np.sum(np.abs(overlaps) ** 2, axis=2)
+
+    candidates = []
+    for k, l in product(range(d), repeat=2):
+        _, reg_kl = bell_measure(register, pair,
+                                 outcome=_convention_map(n, i, k, l, d))
+        u1, u2 = reg_kl.fragment_of(black).labels
+        probability = float(probabilities[u1, u2])
+        if abs(probability - 1.0 / d**2) > 1e-9:
+            raise RuntimeError(f"party {i} outcome ({k},{l}) has probability "
+                               f"{probability}, not 1/d^2")
+        post = StateVector(d, rest, overlaps[u1, u2] / np.sqrt(probability))
+        candidates.append(((k, l), reg_kl, probability, untouched + (post,)))
+    return candidates
+
+
+def _finish(register: Register, factors, n: int) -> dict:
+    """Read a finished round off the register, as Transcript/OracleBranch fields.
+
+    With dense factors (None on the symbolic engine), first match the dense
+    end state to the announced cat state, phase included.
+    """
+    d = register.d
+    final_cat = register.fragment_of(bell_particles(n, 1)[0])
+    if factors is not None:
+        if len(factors) != 1:
+            raise RuntimeError(f"dense end state holds {len(factors)} factors, "
+                               f"not one cat state")
+        amp = inner_product(cat_state(d, final_cat.particles, final_cat.labels),
+                            factors[0])
+        if abs(abs(amp) - 1.0) > 1e-9:
+            raise RuntimeError("dense end state is not the announced cat state")
+        if phase_exponent(d, amp) != register.phase_power:
+            raise RuntimeError("dense global phase disagrees with the register")
+    return {"announced": final_cat.labels, "key": register.fragment_of(1).labels,
+            "final_bells": tuple(register.fragment_of(bell_particles(n, i)[0]).labels
+                                 for i in range(2, n + 1)),
+            "phase_power": register.phase_power,
+            "probability": register.branch_probability()}
 
 
 def run_round(config: ProtocolConfig, engine: str = "symbolic",
@@ -156,8 +204,8 @@ def run_round(config: ProtocolConfig, engine: str = "symbolic",
 
     forced_outcomes, when given, is a length-n list of (k_i, l_i) pairs;
     otherwise outcomes are drawn from rng (falling back to config.seed).
-    The statevector engine Born-samples each outcome from the dense state
-    and certifies the symbolic register against it, phase included.
+    The statevector engine Born-samples each outcome from the factored dense
+    oracle and certifies the symbolic register against it, phase included.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
@@ -169,67 +217,31 @@ def run_round(config: ProtocolConfig, engine: str = "symbolic",
     rng = np.random.default_rng(config.seed if rng is None else rng)
 
     register = initial_register(config)
-    oracle = initial_state(config) if engine == "statevector" else None
+    factors = initial_state(config) if engine == "statevector" else None
     outcomes: list[tuple[int, int]] = []
 
     for i in range(1, n + 1):
-        pair = measurement_pair(n, i)
         if engine == "symbolic":
-            if forced_outcomes is None:
-                raw, register = bell_measure(register, pair, rng=rng)
-                kl = _convention_map(n, i, raw.k, raw.l, d)
-            else:
-                kl = SwapOutcome(*forced_outcomes[i - 1])
-                _, register = bell_measure(
-                    register, pair, outcome=_convention_map(n, i, kl.k, kl.l, d))
-            outcomes.append((kl.k, kl.l))
+            forced = (None if forced_outcomes is None
+                      else _convention_map(n, i, *forced_outcomes[i - 1], d))
+            raw, register = bell_measure(register, measurement_pair(n, i),
+                                         outcome=forced, rng=rng)
+            outcomes.append(_convention_map(n, i, raw.k, raw.l, d))
             continue
 
-        candidates = []
-        for k, l in product(range(d), repeat=2):
-            raw = _convention_map(n, i, k, l, d)
-            _, reg_kl = bell_measure(register, pair, outcome=raw)
-            reference = reg_kl.fragment_of(pair[0]).to_state()
-            probability, post = project_onto(oracle, reference)
-            if abs(probability - 1.0 / d**2) > 1e-9:
-                raise RuntimeError(
-                    f"outcome ({k},{l}) probability {probability}, not 1/d^2")
-            candidates.append(((k, l), reg_kl, probability, post))
+        candidates = _dense_step(register, factors, n, i)
         if forced_outcomes is not None:
-            kl = tuple(forced_outcomes[i - 1])
-            chosen = next(c for c in candidates if c[0] == kl)
+            k, l = forced_outcomes[i - 1]
+            chosen = candidates[k * d + l]
         else:
             r = rng.random() * sum(c[2] for c in candidates)
-            acc = 0.0
-            chosen = candidates[-1]
-            for candidate in candidates:
-                acc += candidate[2]
-                if r < acc:
-                    chosen = candidate
-                    break
-        outcomes.append(chosen[0])
-        register = chosen[1]
-        oracle = chosen[3]
-
-    final_cat = register.fragment_of(bell_particles(n, 1)[0])
-    announced = final_cat.labels
-    key = register.fragment_of(cat_particle(1)).labels
-    final_bells = tuple(register.fragment_of(bell_particles(n, i)[0]).labels
-                        for i in range(2, n + 1))
-
-    if engine == "statevector":
-        reference = cat_state(d, final_cat.particles, announced)
-        amp = inner_product(reference, oracle)
-        if abs(abs(amp) - 1.0) > 1e-9:
-            raise RuntimeError("dense final state is not the announced cat state")
-        if phase_exponent(d, amp) != register.phase_power:
-            raise RuntimeError("dense global phase disagrees with the register")
+            chosen = next((c for c, acc in zip(candidates, accumulate(
+                c[2] for c in candidates)) if r < acc), candidates[-1])
+        kl, register, _, factors = chosen
+        outcomes.append(kl)
 
     return Transcript(config=config, engine=engine, outcomes=tuple(outcomes),
-                      announced=announced, key=(key[0], key[1]),
-                      final_bells=final_bells,
-                      phase_power=register.phase_power,
-                      probability=register.branch_probability())
+                      **_finish(register, factors, n))
 
 
 def make_party_views(transcript: Transcript) -> tuple[PartyView, ...]:
@@ -287,6 +299,8 @@ def collusion_posterior(d: int, transcript: Transcript, known_parties):
     """
     config = transcript.config
     n = config.n
+    if d != config.d:
+        raise ValueError(f"dimension {d} differs from the transcript's {config.d}")
     known = set(int(i) for i in known_parties)
     others = set(range(2, n + 1))
     if not known <= others:
@@ -319,42 +333,20 @@ class OracleBranch(NamedTuple):
 def enumerate_oracle_branches(config: ProtocolConfig) -> list[OracleBranch]:
     """Walk every outcome branch of one round on the dense engine.
 
-    Each branch pairs the dense projections with the symbolic register and
-    asserts 1/d^2 per-step probabilities plus the final cat state and phase,
-    so the returned set doubles as an exhaustive cross-engine certificate.
+    Each step runs the same dense step as run_round, so every branch is
+    checked for 1/d^2 per-step probabilities plus the final cat state and
+    phase: the returned set doubles as an exhaustive cross-engine certificate.
     """
-    d, n = config.d, config.n
+    n = config.n
     branches: list[OracleBranch] = []
 
-    def walk(i, register, oracle, outcomes):
+    def walk(i, register, factors, outcomes):
         if i > n:
-            final_cat = register.fragment_of(bell_particles(n, 1)[0])
-            reference = cat_state(d, final_cat.particles, final_cat.labels)
-            amp = inner_product(reference, oracle)
-            if abs(abs(amp) - 1.0) > 1e-9:
-                raise RuntimeError("dense branch state is not a cat state")
-            if phase_exponent(d, amp) != register.phase_power:
-                raise RuntimeError("dense branch phase disagrees with register")
-            key = register.fragment_of(cat_particle(1)).labels
-            final_bells = tuple(
-                register.fragment_of(bell_particles(n, j)[0]).labels
-                for j in range(2, n + 1))
-            branches.append(OracleBranch(
-                outcomes=tuple(outcomes), announced=final_cat.labels,
-                key=(key[0], key[1]), final_bells=final_bells,
-                probability=register.branch_probability(),
-                phase_power=register.phase_power))
+            branches.append(OracleBranch(tuple(outcomes),
+                                         **_finish(register, factors, n)))
             return
-        pair = measurement_pair(n, i)
-        for k, l in product(range(d), repeat=2):
-            raw = _convention_map(n, i, k, l, d)
-            _, reg_kl = bell_measure(register, pair, outcome=raw)
-            reference = reg_kl.fragment_of(pair[0]).to_state()
-            probability, post = project_onto(oracle, reference)
-            if abs(probability - 1.0 / d**2) > 1e-9:
-                raise RuntimeError(
-                    f"branch ({k},{l}) at party {i} has probability {probability}")
-            walk(i + 1, reg_kl, post, outcomes + [(k, l)])
+        for kl, reg_kl, _, factors_kl in _dense_step(register, factors, n, i):
+            walk(i + 1, reg_kl, factors_kl, outcomes + [kl])
 
     walk(1, initial_register(config), initial_state(config), [])
     return branches

@@ -128,6 +128,10 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     overlap = set(a.particles) & set(b.particles)
     if overlap:
         raise ValueError(f"particle sets overlap: {sorted(overlap)}")
+    size = a.amps.size * b.amps.size
+    if size > MAX_AMPLITUDES:
+        raise ValueError(f"tensor product needs {size} amplitudes, above the "
+                         f"{MAX_AMPLITUDES} cap")
     return StateVector(a.d, a.particles + b.particles, np.kron(a.amps, b.amps))
 
 
@@ -175,7 +179,29 @@ def project_onto(state: StateVector, reference: StateVector):
     return probability, post
 
 
-def _basis_family(d: int, particles, kind: str):
+def bell_overlaps(state: StateVector, black: int, white: int):
+    """Overlaps of `state` with all d^2 Bell states on (black, white) at once.
+
+    Returns (rest, overlaps): rest lists the other particles in state order,
+    and overlaps, of shape (d, d, d**len(rest)), holds at [u1, u2] the
+    unnormalized residual <Psi(u1, u2)|state> over them. One gather and one
+    length-d DFT over j give every outcome, since
+
+        <Psi(u1, u2)|psi> = (1/sqrt(d)) sum_j zeta^(-j*u1) psi[j, j+u2, ...]
+    """
+    if black == white:
+        raise ValueError("black and white must be distinct particles")
+    d = state.d
+    t = np.moveaxis(state.tensorized(), (state.axis_of(black), state.axis_of(white)),
+                    (0, 1)).reshape(d, d, -1)
+    j = np.arange(d)
+    gathered = t[j, (j + j[:, None]) % d]  # [u2, j, rest]
+    overlaps = np.tensordot(hadamard_matrix(d).conj(), gathered, axes=(1, 1))
+    rest = tuple(p for p in state.particles if p not in (black, white))
+    return rest, overlaps
+
+
+def _basis_family(d: int, particles):
     """Yield (labels, reference StateVector) over a measurement basis."""
     from .catbell import cat_state  # local import: catbell builds on this module
 
@@ -206,7 +232,7 @@ def measure_in_basis(state: StateVector, particles, basis: str, rng):
     rng = np.random.default_rng(rng)
     outcomes = []
     total = 0.0
-    for labels, reference in _basis_family(state.d, particles, basis):
+    for labels, reference in _basis_family(state.d, particles):
         probability, post = project_onto(state, reference)
         total += probability
         if post is not None:

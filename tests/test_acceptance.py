@@ -291,7 +291,7 @@ def test_acceptance_9_cli_reproducibility(tmp_path, capsys):
         run_cli(["verify", "--d", "2", "--rule", "bell", "--tol", "1e-30",
                  "--seed", "1"]),
         run_cli(["verify", "--d", "9", "--n", "6", "--exhaustive"]),
-        run_cli(["protocol", "--d", "5", "--n", "4", "--rounds", "1",
+        run_cli(["protocol", "--d", "16", "--n", "5", "--rounds", "1",
                  "--engine", "statevector"]),
         run_cli(["collude", "--d", "2", "--n", "3", "--missing", "2",
                  "--oracle", "--seed", "2"]),

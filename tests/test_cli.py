@@ -73,7 +73,8 @@ def test_protocol_zero_rounds(capsys):
 
 
 def test_protocol_statevector_cap(capsys):
-    code = run_cli(["protocol", "--d", "5", "--n", "4", "--rounds", "1",
+    # 16^(5+2) = 2^28 amplitudes for the largest dense step, over the 2^24 cap
+    code = run_cli(["protocol", "--d", "16", "--n", "5", "--rounds", "1",
                     "--engine", "statevector"])
     assert code == 2
     assert "symbolic" in capsys.readouterr().err
@@ -168,3 +169,28 @@ def test_chi_square_critical_close_to_exact():
     # Wilson-Hilferty vs the exact inverse CDF values
     assert chi_square_critical(8, 0.001) == pytest.approx(26.1245, abs=0.3)
     assert chi_square_critical(3, 0.001) == pytest.approx(16.2662, abs=0.3)
+
+
+def test_verify_rejects_nonpositive_samples(capsys):
+    assert run_cli(["verify", "--d", "2", "--samples", "0"]) == 2
+    assert run_cli(["verify", "--d", "2", "--samples", "-5"]) == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+def test_collude_rejects_negative_rounds(capsys):
+    assert run_cli(["collude", "--d", "2", "--n", "3", "--missing", "2",
+                    "--rounds", "-3"]) == 2
+    assert "--rounds" in capsys.readouterr().err
+
+
+def test_unwritable_json_path_is_a_usage_error(tmp_path, capsys):
+    target = str(tmp_path / "absent" / "report.json")
+    assert run_cli(["verify", "--d", "2", "--rule", "bell", "--seed", "1",
+                    "--json", target]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert run_cli(["protocol", "--d", "2", "--rounds", "2", "--seed", "1",
+                    "--json", target]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert run_cli(["collude", "--d", "2", "--n", "3", "--missing", "2",
+                    "--seed", "1", "--json", target]) == 2
+    assert "error:" in capsys.readouterr().err

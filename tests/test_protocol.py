@@ -157,6 +157,22 @@ def test_collusion_posterior_uniform_for_strict_subsets():
                 assert posterior == (Fraction(1, d),) * d
 
 
+def test_collusion_posterior_rejects_mismatched_dimension():
+    transcript = run_round(zero_config(3, 3), forced_outcomes=[(1, 2)] * 3)
+    with pytest.raises(ValueError, match="dimension"):
+        collusion_posterior(2, transcript, {2})
+
+
+def test_statevector_rounds_beyond_the_old_cap():
+    # d=7 n=5 held 7^15 amplitudes as one state; factored, the largest is 7^7
+    rng = np.random.default_rng(75)
+    for _ in range(2):
+        transcript = run_round(random_config(7, 5, rng), engine="statevector",
+                               rng=rng)
+        check_transcript(transcript)
+        assert transcript.probability == Fraction(1, 7 ** 10)
+
+
 def test_collusion_posterior_signals_full_set():
     transcript = run_round(zero_config(3, 3), forced_outcomes=[(1, 2)] * 3)
     with pytest.raises(FullCollusionSignal):

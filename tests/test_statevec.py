@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from quditswap.catbell import bell_state
+from quditswap import statevec
 from quditswap.statevec import (StateVector, apply_controlled_shift,
                                 apply_hadamard, apply_shift, basis_state,
-                                hadamard_matrix, inner_product,
+                                bell_overlaps, hadamard_matrix, inner_product,
                                 measure_in_basis, permute_to, project_onto,
                                 tensor)
 
@@ -132,6 +133,19 @@ def test_tensor_rejects_overlap():
         tensor(basis_state(2, (0,), (0,)), basis_state(2, (0,), (1,)))
 
 
+def test_tensor_checks_cap_before_allocating(monkeypatch):
+    a = basis_state(2, (0, 1), (0, 0))
+    b = basis_state(2, (2, 3), (1, 1))
+    monkeypatch.setattr(statevec, "MAX_AMPLITUDES", 8)
+
+    def no_kron(*args):
+        raise AssertionError("np.kron ran before the cap check")
+
+    monkeypatch.setattr(statevec.np, "kron", no_kron)
+    with pytest.raises(ValueError, match="cap"):
+        tensor(a, b)
+
+
 def test_permute_round_trip():
     state = random_state(3, (4, 5, 6), np.random.default_rng(3))
     back = permute_to(permute_to(state, (6, 4, 5)), (4, 5, 6))
@@ -175,6 +189,27 @@ def test_project_requires_subset_and_unit_reference():
     bad = StateVector(2, (0,), np.array([2.0, 0.0]))
     with pytest.raises(ValueError):
         project_onto(state, bad)
+
+
+def test_bell_overlaps_match_projections():
+    rng = np.random.default_rng(17)
+    for d in range(2, 6):
+        state = random_state(d, (3, 7, 1, 5), rng)
+        # white node listed before the black node, neither on a leading axis
+        rest, overlaps = bell_overlaps(state, 1, 3)
+        assert rest == (7, 5)
+        assert overlaps.shape == (d, d, d * d)
+        for u1, u2 in itertools.product(range(d), repeat=2):
+            probability, post = project_onto(state, bell_state(d, (1, 3), (u1, u2)))
+            assert post.particles == rest
+            residual = overlaps[u1, u2]
+            assert abs(probability - np.vdot(residual, residual).real) < 1e-12
+            assert np.max(np.abs(post.amps * np.sqrt(probability) - residual)) < 1e-12
+
+
+def test_bell_overlaps_rejects_same_particle():
+    with pytest.raises(ValueError):
+        bell_overlaps(basis_state(2, (0, 1), (0, 0)), 0, 0)
 
 
 def test_measure_eigenstate_is_deterministic():
