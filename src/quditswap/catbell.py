@@ -18,8 +18,7 @@ import numpy as np
 
 from .core import pack_index, unpack_index, validate_dimension, zeta
 from .statevec import (StateVector, apply_controlled_shift, apply_hadamard,
-                       basis_state, inner_product, permute_to, project_onto,
-                       tensor)
+                       basis_state, born_sample, cat_overlaps, tensor)
 
 
 def cat_state(d: int, particles, labels) -> StateVector:
@@ -94,16 +93,12 @@ def identify_cat(state: StateVector, tol: float = 1e-9):
     Returns (labels, overlap) for the unique basis state with unit fidelity.
     Raises ValueError when the state is not a cat state up to global phase.
     """
-    d, n = state.d, state.n
-    hits = []
-    for index in range(d**n):
-        labels = unpack_index(d, n, index)
-        amp = inner_product(cat_state(d, state.particles, labels), state)
-        if abs(amp) ** 2 > 0.5:
-            hits.append((labels, amp))
-    if len(hits) != 1 or abs(abs(hits[0][1]) - 1.0) > tol:
+    _, overlaps = cat_overlaps(state, state.particles)
+    amps = overlaps.reshape(-1)
+    hits = np.flatnonzero(np.abs(amps) ** 2 > 0.5)
+    if len(hits) != 1 or abs(abs(amps[hits[0]]) - 1.0) > tol:
         raise ValueError("state does not match a single cat basis state")
-    return hits[0]
+    return unpack_index(state.d, state.n, int(hits[0])), complex(amps[hits[0]])
 
 
 def grow_cat(cat: StateVector, bell: StateVector, measured: int | None = None,
@@ -113,12 +108,10 @@ def grow_cat(cat: StateVector, bell: StateVector, measured: int | None = None,
     A controlled shift runs from the cat's last particle onto the Bell
     particle that is kept; the other Bell particle (`measured`, default the
     second) is then read out in the computational basis. The survivors form
-    an n-particle cat whose labels are found by exhaustive projection.
+    an n-particle cat whose labels identify_cat reads off.
 
     Returns (observed digit, post StateVector, cat labels).
     """
-    if cat.d != bell.d:
-        raise ValueError(f"dimension mismatch: {cat.d} vs {bell.d}")
     if len(bell.particles) != 2:
         raise ValueError("bell argument must hold exactly 2 particles")
     if measured is None:
@@ -130,27 +123,15 @@ def grow_cat(cat: StateVector, bell: StateVector, measured: int | None = None,
     joint = tensor(cat, bell)
     joint = apply_controlled_shift(joint, cat.particles[-1], kept)
 
-    d = joint.d
-    rng = np.random.default_rng(rng)
-    branches = []
-    for y in range(d):
-        probability, post = project_onto(joint, basis_state(d, (measured,), (y,)))
-        if post is not None:
-            branches.append((y, probability, post))
-    total = sum(p for _, p, _ in branches)
+    # readout of `measured`: one slice per digit over cat.particles + (kept,)
+    slices = np.moveaxis(joint.tensorized(), joint.axis_of(measured), 0).reshape(cat.d, -1)
+    probabilities = np.sum(np.abs(slices) ** 2, axis=1).tolist()
+    total = sum(probabilities)
     if abs(total - 1.0) > 1e-9:
         raise RuntimeError(f"readout probabilities sum to {total}, not 1")
 
-    r = rng.random() * total
-    acc = 0.0
-    chosen = branches[-1]
-    for branch in branches:
-        acc += branch[1]
-        if r < acc:
-            chosen = branch
-            break
-    y, _, post = chosen
-
-    post = permute_to(post, cat.particles + (kept,))
+    y = born_sample(probabilities, np.random.default_rng(rng))
+    post = StateVector(cat.d, cat.particles + (kept,),
+                       slices[y] / np.sqrt(probabilities[y]))
     labels, _ = identify_cat(post)
     return y, post, labels

@@ -24,7 +24,6 @@ import sys
 import time
 from fractions import Fraction
 from itertools import product
-from statistics import NormalDist
 
 import numpy as np
 
@@ -39,11 +38,27 @@ MAX_ORACLE_BRANCHES = 1 << 16
 RULES = ("bell", "black", "white")
 
 
+def chi_square_survival(x: float, dof: int) -> float:
+    """Exact upper tail Q = P(X > x), x > 0, of chi-square with integer dof.
+
+    Q at dof 1 or 2 (Abramowitz & Stegun 26.4.4-5), stepped up by 2 with
+    Q(k + 2) = Q(k) + (x/2)^(k/2) exp(-x/2) / Gamma(k/2 + 1).
+    """
+    q = math.erfc(math.sqrt(x / 2)) if dof % 2 else math.exp(-x / 2)
+    for k in range(dof % 2 or 2, dof, 2):
+        q += math.exp(k / 2 * math.log(x / 2) - x / 2 - math.lgamma(k / 2 + 1))
+    return q
+
+
 def chi_square_critical(dof: int, alpha: float) -> float:
-    """Upper-tail chi-square critical value (Wilson-Hilferty approximation)."""
-    z = NormalDist().inv_cdf(1.0 - alpha)
-    c = 2.0 / (9.0 * dof)
-    return dof * (1.0 - c + z * math.sqrt(c)) ** 3
+    """Upper-tail chi-square critical value, by bisection on the exact tail."""
+    lo, hi = 0.0, float(dof)
+    while chi_square_survival(hi, dof) > alpha:
+        lo, hi = hi, 2 * hi
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if chi_square_survival(mid, dof) > alpha else (lo, mid)
+    return (lo + hi) / 2
 
 
 def _emit(report: dict, json_target: str | None, human_lines: list[str]) -> int:
@@ -150,18 +165,20 @@ def cmd_verify(args) -> int:
     return _emit(report, args.json, lines)
 
 
+def _random_labels(rng, d: int, n: int):
+    """One uniform draw of (cat labels, Bell label pairs) for an n-party round."""
+    cat = tuple(int(x) for x in rng.integers(0, d, n))
+    bells = tuple((int(v), int(vp)) for v, vp in rng.integers(0, d, (n, 2)))
+    return cat, bells
+
+
 def _load_labels(args, d: int, n: int, rng):
     """Per-round label source for the protocol command."""
     if args.labels == "zero":
         fixed = ((0,) * n, ((0, 0),) * n)
         return lambda: fixed
     if args.labels == "random":
-        def draw():
-            cat = tuple(int(x) for x in rng.integers(0, d, n))
-            bells = tuple((int(v), int(vp))
-                          for v, vp in rng.integers(0, d, (n, 2)))
-            return cat, bells
-        return draw
+        return lambda: _random_labels(rng, d, n)
     with open(args.labels, encoding="utf-8") as handle:
         data = json.load(handle)
     cat = tuple(int(x) for x in data["cat_labels"])
@@ -206,7 +223,7 @@ def cmd_protocol(args) -> int:
     rng = np.random.default_rng(seed)
     try:
         next_labels = _load_labels(args, d, n, rng)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         return _usage_fail(f"bad labels source: {exc}")
 
     start = time.perf_counter()
@@ -302,9 +319,7 @@ def cmd_collude(args) -> int:
     rounds_ok = True
     posterior = [str(f) for f in uniform]
     for _ in range(args.rounds):
-        cat = tuple(int(x) for x in rng.integers(0, d, n))
-        bells = tuple((int(v), int(vp)) for v, vp in rng.integers(0, d, (n, 2)))
-        config = ProtocolConfig(d, n, cat, bells, seed=seed)
+        config = ProtocolConfig(d, n, *_random_labels(rng, d, n), seed=seed)
         transcript = run_round(config, engine="symbolic", rng=rng)
         result = collusion_posterior(d, transcript, known)
         posterior = [str(f) for f in result]
@@ -312,9 +327,7 @@ def cmd_collude(args) -> int:
 
     oracle = None
     if args.oracle:
-        cat = tuple(int(x) for x in rng.integers(0, d, n))
-        bells = tuple((int(v), int(vp)) for v, vp in rng.integers(0, d, (n, 2)))
-        config = ProtocolConfig(d, n, cat, bells, seed=seed)
+        config = ProtocolConfig(d, n, *_random_labels(rng, d, n), seed=seed)
         branches = enumerate_oracle_branches(config)
         classes: dict[tuple, list[int]] = {}
         for branch in branches:

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
 from .catbell import cat_state
 from .core import phase_exponent, validate_dimension
-from .statevec import StateVector, bell_overlaps, inner_product, tensor
+from .statevec import StateVector, born_sample, cat_overlaps, inner_product, tensor
 from .swapcalc import CatFragment, Register, bell_measure
 
 ENGINES = ("symbolic", "statevector")
@@ -146,7 +146,7 @@ def _dense_step(register: Register, factors, n: int, i: int):
     """Every outcome of party i's Bell measurement on the factored oracle.
 
     Only the two factors holding the measured pair are tensored; one
-    bell_overlaps pass gives all d^2 residuals, whose Bell labels come from
+    cat_overlaps pass gives all d^2 residuals, whose Bell labels come from
     the symbolic register. Each probability is checked to be 1/d^2 from the
     amplitudes. Returns d^2 candidates ((k, l), register, probability,
     factors) in (k, l) order.
@@ -156,7 +156,7 @@ def _dense_step(register: Register, factors, n: int, i: int):
     a = next(f for f in factors if black in f.particles)
     b = next(f for f in factors if white in f.particles)
     untouched = tuple(f for f in factors if f is not a and f is not b)
-    rest, overlaps = bell_overlaps(tensor(a, b), black, white)
+    rest, overlaps = cat_overlaps(tensor(a, b), pair)
     probabilities = np.sum(np.abs(overlaps) ** 2, axis=2)
 
     candidates = []
@@ -232,12 +232,10 @@ def run_round(config: ProtocolConfig, engine: str = "symbolic",
         candidates = _dense_step(register, factors, n, i)
         if forced_outcomes is not None:
             k, l = forced_outcomes[i - 1]
-            chosen = candidates[k * d + l]
+            index = k * d + l
         else:
-            r = rng.random() * sum(c[2] for c in candidates)
-            chosen = next((c for c, acc in zip(candidates, accumulate(
-                c[2] for c in candidates)) if r < acc), candidates[-1])
-        kl, register, _, factors = chosen
+            index = born_sample([c[2] for c in candidates], rng)
+        kl, register, _, factors = candidates[index]
         outcomes.append(kl)
 
     return Transcript(config=config, engine=engine, outcomes=tuple(outcomes),

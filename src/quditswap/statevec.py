@@ -4,6 +4,9 @@ States are flat complex arrays over an explicit ordered tuple of particle
 ids, big-endian (the first listed particle is the most significant base-d
 digit, matching left-to-right ket notation). All operations are pure; input
 states are never mutated.
+
+Every dense measurement runs on cat_overlaps, one pass over the whole cat
+(or Bell) basis of a particle subset, and born_sample, the one Born sampler.
 """
 
 from __future__ import annotations
@@ -179,72 +182,73 @@ def project_onto(state: StateVector, reference: StateVector):
     return probability, post
 
 
-def bell_overlaps(state: StateVector, black: int, white: int):
-    """Overlaps of `state` with all d^2 Bell states on (black, white) at once.
+def cat_overlaps(state: StateVector, particles):
+    """Overlaps of `state` with all d^m cat states on `particles` at once.
 
-    Returns (rest, overlaps): rest lists the other particles in state order,
-    and overlaps, of shape (d, d, d**len(rest)), holds at [u1, u2] the
-    unnormalized residual <Psi(u1, u2)|state> over them. One gather and one
-    length-d DFT over j give every outcome, since
+    particles lists m >= 2 distinct particles, black node first. Returns
+    (rest, overlaps): rest lists the other particles in state order, and
+    overlaps[u1, ..., um], of shape (d,)*m + (d**len(rest),), is the
+    unnormalized residual <Psi(u1, ..., um)|state> over them. One gather and
+    one length-d DFT over j (a matmul) give every outcome, since
 
-        <Psi(u1, u2)|psi> = (1/sqrt(d)) sum_j zeta^(-j*u1) psi[j, j+u2, ...]
+        <Psi(u1, ..., um)|psi> = (1/sqrt(d)) sum_j zeta^(-j*u1) psi[j, j+u2, ..., j+um, ...]
     """
-    if black == white:
-        raise ValueError("black and white must be distinct particles")
+    particles = tuple(particles)
+    m = len(particles)
+    if m < 2 or len(set(particles)) != m:
+        raise ValueError(f"a cat basis needs 2 or more distinct particles, got {particles}")
     d = state.d
-    t = np.moveaxis(state.tensorized(), (state.axis_of(black), state.axis_of(white)),
-                    (0, 1)).reshape(d, d, -1)
+    t = np.moveaxis(state.tensorized(), [state.axis_of(p) for p in particles],
+                    range(m)).reshape((d,) * m + (-1,))
     j = np.arange(d)
-    gathered = t[j, (j + j[:, None]) % d]  # [u2, j, rest]
-    overlaps = np.tensordot(hadamard_matrix(d).conj(), gathered, axes=(1, 1))
-    rest = tuple(p for p in state.particles if p not in (black, white))
+    shift = (j + j[:, None]) % d  # [u, j] -> j + u
+    gathered = t[(j,) + tuple(shift.reshape((1,) * a + (d,) + (1,) * (m - 2 - a) + (d,))
+                              for a in range(m - 1))]  # [u2, ..., um, j, rest]
+    overlaps = np.tensordot(hadamard_matrix(d).conj(), gathered, axes=(1, m - 1))
+    rest = tuple(p for p in state.particles if p not in particles)
     return rest, overlaps
 
 
-def _basis_family(d: int, particles):
-    """Yield (labels, reference StateVector) over a measurement basis."""
-    from .catbell import cat_state  # local import: catbell builds on this module
+def born_sample(probabilities, rng) -> int:
+    """Index of one Born-sampled outcome, from a single rng.random() draw.
 
-    n = len(particles)
-    for index in range(d**n):
-        labels = unpack_index(d, n, index)
-        yield labels, cat_state(d, particles, labels)
+    The draw times the sequential sum of the weights picks the first index
+    whose running sum exceeds it. No outcome below PROB_FLOOR is returned.
+    """
+    r = rng.random() * sum(probabilities)
+    acc = 0.0
+    for index, probability in enumerate(probabilities):
+        acc += probability
+        if probability >= PROB_FLOOR:
+            chosen = index
+            if r < acc:
+                break
+    return chosen
 
 
 def measure_in_basis(state: StateVector, particles, basis: str, rng):
     """Projective measurement of a particle subset in the Bell or cat basis.
 
-    Enumerates every basis state, Born-samples an outcome with the seeded
-    generator, and returns (MeasurementOutcome, post). The subset ordering
-    fixes the basis: its first particle is the black node.
+    One cat_overlaps pass gives every outcome; born_sample picks one with
+    the seeded generator. Returns (MeasurementOutcome, post). The subset
+    ordering fixes the basis: its first particle is the black node.
     """
     particles = tuple(particles)
     basis = basis.lower()
-    if basis == "bell":
-        if len(particles) != 2:
-            raise ValueError("bell basis requires exactly 2 particles")
-    elif basis == "cat":
-        if len(particles) < 2:
-            raise ValueError("cat basis requires at least 2 particles")
-    else:
+    if basis not in ("bell", "cat"):
         raise ValueError(f"unknown basis {basis!r}")
+    if basis == "bell" and len(particles) != 2:
+        raise ValueError("bell basis requires exactly 2 particles")
 
-    rng = np.random.default_rng(rng)
-    outcomes = []
-    total = 0.0
-    for labels, reference in _basis_family(state.d, particles):
-        probability, post = project_onto(state, reference)
-        total += probability
-        if post is not None:
-            outcomes.append((labels, probability, post))
+    rest, overlaps = cat_overlaps(state, particles)
+    residuals = overlaps.reshape(state.d ** len(particles), -1)
+    probabilities = np.sum(np.abs(residuals) ** 2, axis=1).tolist()
+    total = sum(probabilities)
     if abs(total - 1.0) > 1e-9:
         raise RuntimeError(f"basis probabilities sum to {total}, not 1")
 
-    r = rng.random() * total
-    acc = 0.0
-    for labels, probability, post in outcomes:
-        acc += probability
-        if r < acc:
-            return MeasurementOutcome(labels, probability), post
-    labels, probability, post = outcomes[-1]
+    index = born_sample(probabilities, np.random.default_rng(rng))
+    probability = probabilities[index]
+    post = StateVector(state.d, rest, residuals[index] / np.sqrt(probability))
+    labels = unpack_index(state.d, len(particles), index)
     return MeasurementOutcome(labels, probability), post

@@ -225,13 +225,15 @@ def verify_swap_identity(rule: str, d: int, labels, m: int | None = None) -> flo
     maximum absolute amplitude deviation.
 
     labels is a pair of label tuples: (bell, bell) for rule "bell" (alias
-    "i"), (cat, bell) for rules "black"/"white" (aliases "ii"/"iii"). Rule
-    "white" also needs the measured white-node position m in 2..n.
+    "i"), (cat, bell) for rules "black"/"white" (aliases "ii"/"iii"). Only
+    rule "white" takes m, the measured white-node position in 2..n.
     """
     try:
         rule = _RULE_ALIASES[str(rule).lower()]
     except KeyError:
         raise ValueError(f"unknown rule {rule!r}") from None
+    if rule != "white" and m is not None:
+        raise ValueError(f"rule {rule} measures no white-node position; got m={m}")
     labels_a, labels_b = labels
 
     if rule == "bell":

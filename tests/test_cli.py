@@ -121,6 +121,17 @@ def test_protocol_labels_file(tmp_path, capsys):
                     "--labels", str(tmp_path / "absent.json")]) == 2
 
 
+def test_protocol_malformed_labels_file_is_a_usage_error(tmp_path, capsys):
+    labels = tmp_path / "labels.json"
+    for data in ([[1, 2, 0], [[0, 0]] * 3],
+                 {"cat_labels": [1, 2, 0], "bell_labels": [1, 2, 3]},
+                 {"cat_labels": 5, "bell_labels": [[0, 0]] * 3}):
+        labels.write_text(json.dumps(data))
+        assert run_cli(["protocol", "--d", "3", "--n", "3", "--rounds", "1",
+                        "--labels", str(labels)]) == 2
+        assert "bad labels source" in capsys.readouterr().err
+
+
 def test_protocol_prints_derived_seed(capsys):
     assert run_cli(["protocol", "--d", "2", "--rounds", "2"]) == 0
     assert "seed=" in capsys.readouterr().out
@@ -166,9 +177,10 @@ def test_collude_oracle_cap(capsys):
 
 
 def test_chi_square_critical_close_to_exact():
-    # Wilson-Hilferty vs the exact inverse CDF values
-    assert chi_square_critical(8, 0.001) == pytest.approx(26.1245, abs=0.3)
-    assert chi_square_critical(3, 0.001) == pytest.approx(16.2662, abs=0.3)
+    # exact inverse CDF values
+    assert chi_square_critical(8, 0.001) == pytest.approx(26.124482, abs=1e-4)
+    assert chi_square_critical(3, 0.001) == pytest.approx(16.2662, abs=1e-4)
+    assert chi_square_critical(48, 0.001) == pytest.approx(84.037134, abs=1e-4)
 
 
 def test_verify_rejects_nonpositive_samples(capsys):

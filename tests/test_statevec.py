@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from quditswap.catbell import bell_state
+from quditswap.catbell import bell_state, cat_state
 from quditswap import statevec
 from quditswap.statevec import (StateVector, apply_controlled_shift,
                                 apply_hadamard, apply_shift, basis_state,
-                                bell_overlaps, hadamard_matrix, inner_product,
-                                measure_in_basis, permute_to, project_onto,
-                                tensor)
+                                born_sample, cat_overlaps, hadamard_matrix,
+                                inner_product, measure_in_basis, permute_to,
+                                project_onto, tensor)
 
 
 def random_state(d, particles, rng):
@@ -191,25 +191,56 @@ def test_project_requires_subset_and_unit_reference():
         project_onto(state, bad)
 
 
-def test_bell_overlaps_match_projections():
+def test_cat_overlaps_match_projections():
     rng = np.random.default_rng(17)
+    # the subsets are listed out of state order, the black node never leading
+    subsets = {2: (1, 3), 3: (5, 3, 8), 4: (8, 1, 3, 5)}
     for d in range(2, 6):
-        state = random_state(d, (3, 7, 1, 5), rng)
-        # white node listed before the black node, neither on a leading axis
-        rest, overlaps = bell_overlaps(state, 1, 3)
-        assert rest == (7, 5)
-        assert overlaps.shape == (d, d, d * d)
-        for u1, u2 in itertools.product(range(d), repeat=2):
-            probability, post = project_onto(state, bell_state(d, (1, 3), (u1, u2)))
-            assert post.particles == rest
-            residual = overlaps[u1, u2]
-            assert abs(probability - np.vdot(residual, residual).real) < 1e-12
-            assert np.max(np.abs(post.amps * np.sqrt(probability) - residual)) < 1e-12
+        state = random_state(d, (3, 7, 1, 5, 8), rng)
+        for m, subset in subsets.items():
+            rest, overlaps = cat_overlaps(state, subset)
+            assert rest == tuple(p for p in state.particles if p not in subset)
+            assert overlaps.shape == (d,) * m + (d ** len(rest),)
+            for labels in itertools.product(range(d), repeat=m):
+                probability, post = project_onto(state, cat_state(d, subset, labels))
+                assert post.particles == rest
+                residual = overlaps[labels]
+                assert abs(probability - np.vdot(residual, residual).real) < 1e-12
+                assert np.max(np.abs(post.amps * np.sqrt(probability) - residual)) < 1e-12
 
 
-def test_bell_overlaps_rejects_same_particle():
-    with pytest.raises(ValueError):
-        bell_overlaps(basis_state(2, (0, 1), (0, 0)), 0, 0)
+def test_cat_overlaps_rejects_bad_subsets():
+    state = basis_state(2, (0, 1, 2), (0, 0, 0))
+    for subset in ((0,), (0, 0), (1, 2, 1), (0, 9)):
+        with pytest.raises(ValueError):
+            cat_overlaps(state, subset)
+
+
+class StubRng:
+    def __init__(self, draw):
+        self.draw = draw
+
+    def random(self):
+        return self.draw
+
+
+def test_born_sample_skips_outcomes_below_floor():
+    weights = [0.0, 1e-13, 1.0, 0.0]
+    # a stub draw of 1.0 runs the loop past its end
+    for draw in (0.0, 1e-14, 0.5, 1 - 1e-16, np.nextafter(1.0, 0.0), 1.0):
+        assert born_sample(weights, StubRng(draw)) == 2
+
+
+def test_born_sample_matches_accumulate_loop():
+    # the running-sum loop the dense protocol round used before born_sample;
+    # quarters are exact in binary, so draws of k/4 land on the boundaries
+    draws = list(np.linspace(0.0, np.nextafter(1.0, 0.0), 1001)) + [0.25, 0.5, 0.75]
+    for weights in ([1.0 / 9] * 9, [0.25] * 4):
+        for draw in draws:
+            r = draw * sum(weights)
+            expected = next((i for i, acc in enumerate(itertools.accumulate(weights))
+                             if r < acc), len(weights) - 1)
+            assert born_sample(weights, StubRng(draw)) == expected
 
 
 def test_measure_eigenstate_is_deterministic():

@@ -123,6 +123,9 @@ def test_verify_identity_rule_aliases():
         verify_swap_identity("iv", 2, ((0, 0), (0, 0)))
     with pytest.raises(ValueError):
         verify_swap_identity("white", 2, ((0, 0, 0), (0, 0)))  # missing m
+    for rule, labels in (("bell", ((0, 0), (0, 0))), ("black", ((0, 0, 0), (0, 0)))):
+        with pytest.raises(ValueError):
+            verify_swap_identity(rule, 2, labels, m=3)  # m only fits rule white
 
 
 @settings(max_examples=40, deadline=None)
