@@ -18,7 +18,8 @@ import numpy as np
 
 from .core import pack_index, unpack_index, validate_dimension, zeta
 from .statevec import (StateVector, apply_controlled_shift, apply_hadamard,
-                       basis_state, born_sample, cat_overlaps, tensor)
+                       basis_state, born_sample, cat_overlaps, checked_size,
+                       tensor)
 
 
 def cat_state(d: int, particles, labels) -> StateVector:
@@ -31,7 +32,7 @@ def cat_state(d: int, particles, labels) -> StateVector:
         raise ValueError("a cat state needs at least 2 particles")
     if len(labels) != n:
         raise ValueError(f"{n} particles but {len(labels)} labels")
-    amps = np.zeros(d**n, dtype=complex)
+    amps = np.zeros(checked_size(d, n), dtype=complex)
     scale = 1.0 / math.sqrt(d)
     for j in range(d):
         digits = (j,) + tuple((j + u) % d for u in labels[1:])
@@ -67,12 +68,11 @@ def cat_via_circuit(d: int, particles, digits) -> StateVector:
 def expand_basis_in_bell(d: int, digits) -> list[tuple[complex, tuple[int, int]]]:
     """Expand |j, k> = (1/sqrt(d)) sum_u zeta^(-j*u) |Psi(u, k-j)>.
 
-    Returns the d (coefficient, (u1, u2)) terms.
+    Returns the d (coefficient, (u1, u2)) terms: the two-digit case of
+    expand_basis_in_cat.
     """
-    validate_dimension(d)
-    j, k = (int(x) % d for x in digits)
-    scale = 1.0 / math.sqrt(d)
-    return [(scale * zeta(d, -j * u), (u, (k - j) % d)) for u in range(d)]
+    j, k = digits
+    return expand_basis_in_cat(d, (j, k))
 
 
 def expand_basis_in_cat(d: int, digits) -> list[tuple[complex, tuple[int, ...]]]:

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import NamedTuple
 
 import numpy as np
 
@@ -72,9 +71,9 @@ class ProtocolConfig:
         object.__setattr__(self, "bell_labels", bells)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transcript:
-    """Everything one round produces; outcomes are listed for parties 1..n."""
+    """One round or oracle branch; outcomes are listed for parties 1..n."""
 
     config: ProtocolConfig
     engine: str
@@ -174,7 +173,7 @@ def _dense_step(register: Register, factors, n: int, i: int):
 
 
 def _finish(register: Register, factors, n: int) -> dict:
-    """Read a finished round off the register, as Transcript/OracleBranch fields.
+    """Read a finished round off the register, as Transcript fields.
 
     With dense factors (None on the symbolic engine), first match the dense
     end state to the announced cat state, phase included.
@@ -319,16 +318,7 @@ def collusion_posterior(d: int, transcript: Transcript, known_parties):
     return tuple(dist)
 
 
-class OracleBranch(NamedTuple):
-    outcomes: tuple[tuple[int, int], ...]
-    announced: tuple[int, ...]
-    key: tuple[int, int]
-    final_bells: tuple[tuple[int, int], ...]
-    probability: Fraction
-    phase_power: int
-
-
-def enumerate_oracle_branches(config: ProtocolConfig) -> list[OracleBranch]:
+def enumerate_oracle_branches(config: ProtocolConfig) -> list[Transcript]:
     """Walk every outcome branch of one round on the dense engine.
 
     Each step runs the same dense step as run_round, so every branch is
@@ -336,12 +326,12 @@ def enumerate_oracle_branches(config: ProtocolConfig) -> list[OracleBranch]:
     phase: the returned set doubles as an exhaustive cross-engine certificate.
     """
     n = config.n
-    branches: list[OracleBranch] = []
+    branches: list[Transcript] = []
 
     def walk(i, register, factors, outcomes):
         if i > n:
-            branches.append(OracleBranch(tuple(outcomes),
-                                         **_finish(register, factors, n)))
+            branches.append(Transcript(config, "statevector", tuple(outcomes),
+                                       **_finish(register, factors, n)))
             return
         for kl, reg_kl, _, factors_kl in _dense_step(register, factors, n, i):
             walk(i + 1, reg_kl, factors_kl, outcomes + [kl])
@@ -351,12 +341,21 @@ def enumerate_oracle_branches(config: ProtocolConfig) -> list[OracleBranch]:
 
 
 def transcript_to_json_dict(transcript: Transcript) -> dict:
-    """Flat JSON form of one round, recovery results included."""
+    """Flat JSON form of one round, recovery results included.
+
+    ok holds when every recovery gives the key and the announcement is
+    (v1 + k1 + ... + kn, v'2 + l2, ..., v'n + ln).
+    """
     config = transcript.config
+    d, outcomes = config.d, transcript.outcomes
     views = make_party_views(transcript)
     second = [recover_second_dit(view) for view in views]
     first = recover_first_dit_pooled(views, transcript.announced)
-    ok = first == transcript.key[0] and all(s == transcript.key[1] for s in second)
+    k_total = sum(k for k, _ in outcomes)
+    announced = ((config.bell_labels[0][0] + k_total) % d,) + tuple(
+        (vp + l) % d for (_, vp), (_, l) in zip(config.bell_labels[1:], outcomes[1:]))
+    ok = (first == transcript.key[0] and all(s == transcript.key[1] for s in second)
+          and transcript.announced == announced)
     return {
         "d": config.d,
         "n": config.n,

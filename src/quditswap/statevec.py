@@ -23,6 +23,18 @@ from .core import MAX_AMPLITUDES, pack_index, unpack_index, validate_dimension
 PROB_FLOOR = 1e-12
 
 
+def checked_size(d: int, n: int) -> int:
+    """Amplitude count d**n of n qudits, checked against MAX_AMPLITUDES.
+
+    Builders call it before allocating, so nothing over the cap is allocated.
+    """
+    size = d**n
+    if size > MAX_AMPLITUDES:
+        raise ValueError(f"state of {n} dimension-{d} qudits needs {size} "
+                         f"amplitudes, above the {MAX_AMPLITUDES} cap")
+    return size
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Pure state of len(particles) qudits, each of dimension d.
@@ -40,12 +52,7 @@ class StateVector:
         object.__setattr__(self, "particles", tuple(self.particles))
         if len(set(self.particles)) != len(self.particles):
             raise ValueError(f"duplicate particle ids in {self.particles}")
-        size = self.d ** len(self.particles)
-        if size > MAX_AMPLITUDES:
-            raise ValueError(
-                f"state of {len(self.particles)} dimension-{self.d} qudits needs "
-                f"{size} amplitudes, above the {MAX_AMPLITUDES} cap"
-            )
+        size = checked_size(self.d, len(self.particles))
         amps = np.asarray(self.amps, dtype=complex)
         if amps.shape != (size,):
             raise ValueError(f"expected {size} amplitudes, got shape {amps.shape}")
@@ -80,7 +87,7 @@ def basis_state(d: int, particles, digits) -> StateVector:
     digits = tuple(digits)
     if len(digits) != len(particles):
         raise ValueError(f"{len(particles)} particles but {len(digits)} digits")
-    amps = np.zeros(d ** len(particles), dtype=complex)
+    amps = np.zeros(checked_size(d, len(particles)), dtype=complex)
     amps[pack_index(d, digits)] = 1.0
     return StateVector(d, particles, amps)
 
@@ -131,10 +138,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     overlap = set(a.particles) & set(b.particles)
     if overlap:
         raise ValueError(f"particle sets overlap: {sorted(overlap)}")
-    size = a.amps.size * b.amps.size
-    if size > MAX_AMPLITUDES:
-        raise ValueError(f"tensor product needs {size} amplitudes, above the "
-                         f"{MAX_AMPLITUDES} cap")
+    checked_size(a.d, a.n + b.n)
     return StateVector(a.d, a.particles + b.particles, np.kron(a.amps, b.amps))
 
 

@@ -16,6 +16,12 @@ each a closed-form rewrite certified against the dense engine:
                keeps its ordering with s' in slot m and labels
                (u1+k, ..., v'+l at m, ...), phase zeta^(+kl).
 
+The three rows are one rewrite, black-node, with (k, l) read as (-k, l)
+for bell-bell and as (k, -l) for white-node: the pair (p, q) is measured
+as (a1-k, bm+l), and q's fragment (b1..bn) keeps its ordering, with b1+k on
+its black node and p's survivors (labels a2-l, ...) in q's slot m, under
+phase zeta^(-kl).
+
 The measured pair is always (black node, white node) of two distinct
 fragments. Amplitudes stay (1/sqrt(d))^scale * zeta^phase exactly, so the
 engine tracks both as integers and never touches floating point.
@@ -123,6 +129,11 @@ class Register:
         return Fraction(1, self.d**self.scale_exponent)
 
 
+# Signs that read (k, l) into the black-node rewrite, keyed by whether the
+# fragments of p and of q are Bell pairs; a missing key is cat-cat.
+_RULE_SIGNS = {(True, True): (-1, 1), (False, True): (1, 1), (True, False): (1, -1)}
+
+
 def sample_outcome(d: int, rng=None) -> SwapOutcome:
     """Uniform draw of (k, l) from Z_d x Z_d; deterministic given a seed."""
     validate_dimension(d)
@@ -137,8 +148,8 @@ def bell_measure(register: Register, pair, outcome: SwapOutcome | None = None,
 
     Returns (outcome, new register): the measured pair becomes a Bell
     fragment, the survivors one rewritten fragment, and the register phase
-    and scale advance per the matching rule. The outcome is forced when
-    given, otherwise drawn uniformly.
+    and scale advance, all by the one rewrite of the module docstring. The
+    outcome is forced when given, otherwise drawn uniformly.
     """
     p, q = pair
     frag_p = register.fragment_of(p)
@@ -159,42 +170,25 @@ def bell_measure(register: Register, pair, outcome: SwapOutcome | None = None,
     k, l = int(outcome[0]) % d, int(outcome[1]) % d
     outcome = SwapOutcome(k, l)
 
-    if frag_p.is_bell and frag_q.is_bell:
-        u1, u2 = frag_p.labels
-        v1, v2 = frag_q.labels
-        measured = CatFragment(d, (p, q), (u1 + k, v2 + l))
-        residual = CatFragment(d, (frag_q.particles[0], frag_p.particles[1]),
-                               (v1 - k, u2 - l))
-        phase = k * l
-    elif not frag_p.is_bell and frag_q.is_bell:
-        u = frag_p.labels
-        v, vp = frag_q.labels
-        s = frag_q.particles[0]
-        measured = CatFragment(d, (p, q), (u[0] - k, vp + l))
-        residual = CatFragment(d, (s,) + frag_p.particles[1:],
-                               (v + k,) + tuple(ui - l for ui in u[1:]))
-        phase = -k * l
-    elif frag_p.is_bell and not frag_q.is_bell:
-        v, vp = frag_p.labels
-        sp = frag_p.particles[1]
-        u = frag_q.labels
-        m = frag_q.particles.index(q)
-        measured = CatFragment(d, (p, q), (v - k, u[m] - l))
-        parts = list(frag_q.particles)
-        labels = list(u)
-        parts[m] = sp
-        labels[0] = u[0] + k
-        labels[m] = vp + l
-        residual = CatFragment(d, tuple(parts), tuple(labels))
-        phase = k * l
-    else:
+    try:
+        sk, sl = _RULE_SIGNS[frag_p.is_bell, frag_q.is_bell]
+    except KeyError:
         raise UnsupportedConfigurationError(
-            "measuring across two fragments of 3+ particles is not supported")
+            "measuring across two fragments of 3+ particles is not supported") from None
+    k, l = sk * k, sl * l
+    a, b = frag_p.labels, frag_q.labels
+    m = frag_q.particles.index(q)
+    measured = CatFragment(d, (p, q), (a[0] - k, b[m] + l))
+    parts, labels = list(frag_q.particles), list(b)
+    parts[m:m + 1] = frag_p.particles[1:]
+    labels[0] += k
+    labels[m:m + 1] = [u - l for u in a[1:]]
+    residual = CatFragment(d, parts, labels)
 
     rest = tuple(f for f in register.fragments
                  if f is not frag_p and f is not frag_q)
     after = Register(d, rest + (measured, residual),
-                     register.phase_power + phase,
+                     register.phase_power - k * l,
                      register.scale_exponent + 2)
     return outcome, after
 

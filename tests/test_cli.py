@@ -195,6 +195,18 @@ def test_collude_rejects_negative_rounds(capsys):
     assert "--rounds" in capsys.readouterr().err
 
 
+def test_out_of_range_arguments_name_their_flag(capsys):
+    for argv, flag in ((["protocol", "--n", "1"], "--n"),
+                       (["collude", "--n", "1", "--missing", "2"], "--n"),
+                       (["protocol", "--rounds", "-1"], "--rounds"),
+                       (["collude", "--d", "17", "--missing", "2"], "--d")):
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "usage:" in err
+    assert run_cli(["protocol", "--d", "17"]) == 2
+    assert "dimension" in capsys.readouterr().err
+
+
 def test_unwritable_json_path_is_a_usage_error(tmp_path, capsys):
     target = str(tmp_path / "absent" / "report.json")
     assert run_cli(["verify", "--d", "2", "--rule", "bell", "--seed", "1",

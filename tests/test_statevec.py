@@ -146,6 +146,19 @@ def test_tensor_checks_cap_before_allocating(monkeypatch):
         tensor(a, b)
 
 
+def test_state_builders_check_cap_before_allocating(monkeypatch):
+    monkeypatch.setattr(statevec, "MAX_AMPLITUDES", 8)
+
+    def no_zeros(*args, **kwargs):
+        raise AssertionError("np.zeros ran before the cap check")
+
+    monkeypatch.setattr(statevec.np, "zeros", no_zeros)
+    with pytest.raises(ValueError, match="cap"):
+        basis_state(2, (0, 1, 2, 3), (0, 0, 0, 0))
+    with pytest.raises(ValueError, match="cap"):
+        cat_state(2, (0, 1, 2, 3), (0, 0, 0, 0))
+
+
 def test_permute_round_trip():
     state = random_state(3, (4, 5, 6), np.random.default_rng(3))
     back = permute_to(permute_to(state, (6, 4, 5)), (4, 5, 6))

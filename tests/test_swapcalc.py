@@ -88,6 +88,43 @@ def test_white_node_worked_example():
     assert after.phase_power == 0
 
 
+def test_swap_rules_match_readme_table():
+    # the README's three rows written out literally, every labels and (k, l)
+    def check(d, register, pair, k, l, rows, phase):
+        _, after = bell_measure(register, pair, outcome=SwapOutcome(k, l))
+        assert {f.particles: f.labels for f in after.fragments} == {
+            parts: tuple(x % d for x in labels) for parts, labels in rows.items()}
+        assert after.phase_power == phase % d
+
+    for d in (2, 3):
+        outcomes = list(itertools.product(range(d), repeat=2))
+        for u, v in itertools.product(outcomes, repeat=2):
+            register = two_bell_register(d, u, v)
+            for k, l in outcomes:
+                check(d, register, (1, 4), k, l,
+                      {(1, 4): (u[0] + k, v[1] + l), (3, 2): (v[0] - k, u[1] - l)},
+                      k * l)
+        for n in (3, 4):
+            s, sp = n + 1, n + 2
+            for u in itertools.product(range(d), repeat=n):
+                for v, vp in outcomes:
+                    register = cat_bell_register(d, u, (v, vp))
+                    for k, l in outcomes:
+                        check(d, register, (1, sp), k, l,
+                              {(1, sp): (u[0] - k, vp + l),
+                               (s,) + tuple(range(2, n + 1)):
+                                   (v + k,) + tuple(x - l for x in u[1:])},
+                              -k * l)
+                        for m in range(2, n + 1):
+                            parts = list(range(1, n + 1))
+                            labels = [u[0] + k] + list(u[1:])
+                            parts[m - 1], labels[m - 1] = sp, vp + l
+                            check(d, register, (s, m), k, l,
+                                  {(s, m): (v - k, u[m - 1] - l),
+                                   tuple(parts): tuple(labels)},
+                                  k * l)
+
+
 def test_unsupported_configurations():
     register = two_bell_register(2, (0, 0), (1, 1))
     with pytest.raises(UnsupportedConfigurationError):
