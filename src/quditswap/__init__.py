@@ -2,7 +2,7 @@
 symbolic label-algebra engine certified by a dense state-vector oracle,
 and an n-party secret-sharing protocol."""
 
-from .catbell import (bell_state, cat_state, cat_via_circuit,
+from .catbell import (bell_state, cat_amplitudes, cat_state, cat_via_circuit,
                       expand_basis_in_bell, expand_basis_in_cat, grow_cat,
                       identify_cat)
 from .core import (MAX_AMPLITUDES, MAX_DIMENSION, pack_index, phase_exponent,
@@ -18,7 +18,8 @@ from .statevec import (StateVector, apply_controlled_shift, apply_hadamard,
                        project_onto, tensor)
 from .swapcalc import (CatFragment, Register, SwapOutcome,
                        UnsupportedConfigurationError, bell_measure,
-                       sample_outcome, to_statevector, verify_swap_identity)
+                       sample_outcome, to_statevector, verify_swap_block,
+                       verify_swap_identity)
 
 __version__ = "1.0.0"
 
@@ -27,13 +28,13 @@ __all__ = [
     "CatFragment", "Register", "SwapOutcome", "UnsupportedConfigurationError",
     "FullCollusionSignal", "InsufficientSharesError", "PartyView",
     "ProtocolConfig", "Transcript", "apply_controlled_shift", "apply_hadamard",
-    "apply_shift", "basis_state", "bell_measure", "bell_state", "cat_state",
-    "cat_via_circuit", "collusion_posterior",
+    "apply_shift", "basis_state", "bell_measure", "bell_state",
+    "cat_amplitudes", "cat_state", "cat_via_circuit", "collusion_posterior",
     "enumerate_oracle_branches", "expand_basis_in_bell", "expand_basis_in_cat",
     "grow_cat", "hadamard_matrix", "identify_cat", "inner_product",
     "make_party_views", "measure_in_basis", "pack_index", "permute_to",
     "phase_exponent", "project_onto", "recover_first_dit_pooled",
     "recover_second_dit", "run_round", "sample_outcome", "tensor",
     "to_statevector", "transcript_to_json_dict", "unpack_index",
-    "validate_dimension", "verify_swap_identity", "zeta",
+    "validate_dimension", "verify_swap_block", "verify_swap_identity", "zeta",
 ]

@@ -23,7 +23,7 @@ import secrets
 import sys
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -31,9 +31,15 @@ from .core import MAX_AMPLITUDES, validate_dimension
 from .protocol import (ProtocolConfig, collusion_posterior,
                        enumerate_oracle_branches, run_round,
                        transcript_to_json_dict)
-from .swapcalc import verify_swap_identity
+from .swapcalc import verify_swap_block
 
 MAX_ORACLE_BRANCHES = 1 << 16
+
+# verify checks label tuples in blocks of about this many amplitudes per
+# block array (at least one tuple per block). Larger blocks save little
+# time, since the scalar rewrites dominate, and each block holds about
+# five such arrays at once, which shows in peak memory.
+VERIFY_BLOCK_AMPLITUDES = 1 << 12
 
 RULES = ("bell", "black", "white")
 
@@ -93,11 +99,23 @@ def _usage_fail(message: str) -> int:
     return 2
 
 
+def _sampled_blocks(rng, d: int, width: int, positions, samples: int,
+                    per_block: int):
+    """Yield (m, rows) blocks of random label tuples, drawn in the order of
+    one tuple then its white-node m (when the rule takes one) per case."""
+    for start in range(0, samples, per_block):
+        groups: dict = {}
+        for _ in range(min(per_block, samples - start)):
+            flat = rng.integers(0, d, width)
+            m = (None if positions[0] is None
+                 else int(rng.integers(2, positions[-1] + 1)))
+            groups.setdefault(m, []).append(flat)
+        yield from groups.items()
+
+
 def cmd_verify(args) -> int:
     d, n = args.d, args.n
     rules = RULES if args.rule == "all" else (args.rule,)
-    if any(r in ("black", "white") for r in rules) and n < 3:
-        return _usage_fail("cat rules need --n of at least 3")
     needed = max(d**4 if r == "bell" else d ** (n + 2) for r in rules)
     if needed > MAX_AMPLITUDES:
         return _usage_fail(
@@ -111,29 +129,21 @@ def cmd_verify(args) -> int:
     for rule in rules:
         worst = 0.0
         cases = 0
-        if rule == "bell":
-            shapes = [2, 2]
-        else:
-            shapes = [n, 2]
+        width = 4 if rule == "bell" else n + 2
+        positions = tuple(range(2, n + 1)) if rule == "white" else (None,)
+        per_block = max(1, VERIFY_BLOCK_AMPLITUDES // d**width)
         if args.samples is None:
-            space = [range(d)] * sum(shapes)
-            tuples = product(*space)
+            tuples = product(range(d), repeat=width)
+            blocks = ((m, block)
+                      for block in iter(lambda: list(islice(tuples, per_block)), [])
+                      for m in positions)
         else:
-            tuples = (tuple(int(x) for x in rng.integers(0, d, sum(shapes)))
-                      for _ in range(args.samples))
-        for flat in tuples:
-            labels = (tuple(flat[:shapes[0]]), tuple(flat[shapes[0]:]))
-            if rule == "white":
-                if args.samples is None:
-                    positions = range(2, n + 1)
-                else:
-                    positions = (int(rng.integers(2, n + 1)),)
-                for m in positions:
-                    worst = max(worst, verify_swap_identity(rule, d, labels, m=m))
-                    cases += 1
-            else:
-                worst = max(worst, verify_swap_identity(rule, d, labels))
-                cases += 1
+            blocks = _sampled_blocks(rng, d, width, positions, args.samples,
+                                     per_block)
+        for m, block in blocks:
+            deviations = verify_swap_block(rule, d, block, m=m)
+            worst = max(worst, float(deviations.max()))
+            cases += len(deviations)
         checks.append({"rule": rule, "cases": cases, "max_deviation": worst,
                        "tol": args.tol, "pass": worst < args.tol})
     elapsed = time.perf_counter() - start
@@ -360,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check swap rewrites against the dense engine")
     p.add_argument("--d", type=_DIMENSION, default=2, help="qudit dimension (2..16)")
-    p.add_argument("--n", type=int, default=3, help="cat-state size for cat rules")
+    p.add_argument("--n", type=_at_least(3), default=3,
+                   help="cat-state size for cat rules (>= 3)")
     p.add_argument("--rule", choices=RULES + ("all",), default="all")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--exhaustive", action="store_true",

@@ -6,10 +6,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from quditswap.catbell import (bell_state, cat_state, cat_via_circuit,
-                               expand_basis_in_bell, expand_basis_in_cat,
-                               grow_cat, identify_cat)
+from quditswap.catbell import (bell_state, cat_amplitudes, cat_state,
+                               cat_via_circuit, expand_basis_in_bell,
+                               expand_basis_in_cat, grow_cat, identify_cat)
 from quditswap.statevec import basis_state, inner_product, permute_to, tensor
+
+
+def test_cat_amplitudes_match_cat_state_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for d in range(2, 8):
+        for n in range(2, 6):
+            # all tuples where they are few, else a sample; labels outside 0..d-1 too
+            tuples = (list(itertools.product(range(d), repeat=n)) if d**n <= 256
+                      else rng.integers(-2 * d, 3 * d, (40, n)).tolist())
+            block = cat_amplitudes(d, tuples)
+            assert block.shape == (len(tuples), d**n)
+            for labels, amps in zip(tuples, block):
+                assert amps.tobytes() == cat_state(d, range(n), labels).amps.tobytes()
+
+
+def test_cat_amplitudes_shapes_and_validation():
+    labels = np.arange(24).reshape(2, 4, 3) % 3
+    block = cat_amplitudes(3, labels)
+    assert block.shape == (2, 4, 27)
+    assert block[1, 2].tobytes() == cat_state(3, (0, 1, 2), labels[1, 2]).amps.tobytes()
+    assert cat_amplitudes(2, (0, 1)).shape == (4,)
+    with pytest.raises(ValueError):
+        cat_amplitudes(2, [[0]])
+    with pytest.raises(ValueError):
+        cat_amplitudes(17, [[0, 0]])
 
 
 def test_bell_state_qubit_case():

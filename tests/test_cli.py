@@ -1,7 +1,10 @@
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 
+from quditswap import cli
 from quditswap.cli import chi_square_critical, main
 
 
@@ -36,6 +39,64 @@ def test_verify_impossible_tolerance_fails(capsys):
 def test_verify_cap_refusal(capsys):
     code = run_cli(["verify", "--d", "9", "--n", "6", "--exhaustive"])
     assert code == 2
+    assert "amplitudes" in capsys.readouterr().err
+
+
+def spy_blocks(monkeypatch):
+    """Record every (m, rows) block cmd_verify hands to verify_swap_block."""
+    blocks, original = [], cli.verify_swap_block
+
+    def spy(rule, d, rows, m=None):
+        blocks.append((m, [tuple(int(x) for x in row) for row in rows]))
+        return original(rule, d, rows, m=m)
+
+    monkeypatch.setattr(cli, "verify_swap_block", spy)
+    return blocks
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--d", "2", "--n", "3", "--rule", "all", "--seed", "1"],
+    ["verify", "--d", "3", "--n", "3", "--rule", "all", "--samples", "30",
+     "--seed", "9"],
+])
+def test_verify_report_does_not_depend_on_block_size(monkeypatch, tmp_path, argv):
+    reports = []
+    for cap in (cli.VERIFY_BLOCK_AMPLITUDES, 1):
+        # at 1, every label tuple's d^(n+2) exceeds the constant: blocks of one
+        monkeypatch.setattr(cli, "VERIFY_BLOCK_AMPLITUDES", cap)
+        blocks = spy_blocks(monkeypatch)
+        target = tmp_path / f"verify-{cap}.json"
+        assert run_cli(argv + ["--json", str(target)]) == 0
+        assert (max(len(rows) for _, rows in blocks) == 1) == (cap == 1)
+        reports.append(target.read_bytes())
+        monkeypatch.undo()
+    assert reports[0] == reports[1]
+    cases = [check["cases"] for check in json.loads(reports[0])["checks"]]
+    assert cases == ([16, 32, 64] if "--samples" not in argv else [30, 30, 30])
+
+
+def test_verify_samples_draw_labels_then_m_per_case(monkeypatch):
+    blocks = spy_blocks(monkeypatch)
+    assert run_cli(["verify", "--d", "3", "--n", "4", "--samples", "25",
+                    "--seed", "5"]) == 0
+    rng = np.random.default_rng(5)
+    expected = []
+    for rule, width in (("bell", 4), ("black", 6), ("white", 6)):
+        for _ in range(25):
+            flat = tuple(int(x) for x in rng.integers(0, 3, width))
+            m = int(rng.integers(2, 5)) if rule == "white" else None
+            expected.append((m, flat))
+    assert Counter((m, row) for m, rows in blocks for row in rows) == Counter(expected)
+
+
+def test_verify_refuses_over_cap_before_any_block(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_AMPLITUDES", 3**5)
+
+    def no_block(*args, **kwargs):
+        raise AssertionError("a block ran before the cap check")
+
+    monkeypatch.setattr(cli, "verify_swap_block", no_block)
+    assert run_cli(["verify", "--d", "3", "--n", "4", "--seed", "1"]) == 2
     assert "amplitudes" in capsys.readouterr().err
 
 
@@ -199,7 +260,9 @@ def test_out_of_range_arguments_name_their_flag(capsys):
     for argv, flag in ((["protocol", "--n", "1"], "--n"),
                        (["collude", "--n", "1", "--missing", "2"], "--n"),
                        (["protocol", "--rounds", "-1"], "--rounds"),
-                       (["collude", "--d", "17", "--missing", "2"], "--d")):
+                       (["collude", "--d", "17", "--missing", "2"], "--d"),
+                       (["verify", "--n", "-3", "--rule", "bell"], "--n"),
+                       (["verify", "--n", "2"], "--n")):
         assert run_cli(argv) == 2
         err = capsys.readouterr().err
         assert flag in err and "usage:" in err

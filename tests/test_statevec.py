@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from quditswap.catbell import bell_state, cat_state
+from quditswap.catbell import bell_state, cat_amplitudes, cat_state
 from quditswap import statevec
 from quditswap.statevec import (StateVector, apply_controlled_shift,
                                 apply_hadamard, apply_shift, basis_state,
                                 born_sample, cat_overlaps, hadamard_matrix,
                                 inner_product, measure_in_basis, permute_to,
                                 project_onto, tensor)
+from quditswap.swapcalc import verify_swap_block
 
 
 def random_state(d, particles, rng):
@@ -157,6 +158,10 @@ def test_state_builders_check_cap_before_allocating(monkeypatch):
         basis_state(2, (0, 1, 2, 3), (0, 0, 0, 0))
     with pytest.raises(ValueError, match="cap"):
         cat_state(2, (0, 1, 2, 3), (0, 0, 0, 0))
+    with pytest.raises(ValueError, match="cap"):
+        cat_amplitudes(2, [(0, 0, 0, 0)])
+    with pytest.raises(ValueError, match="cap"):
+        verify_swap_block("black", 2, [(0, 0, 0, 0, 0)])
 
 
 def test_permute_round_trip():

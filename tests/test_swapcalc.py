@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quditswap import swapcalc
 from quditswap.catbell import bell_state
+from quditswap.cli import main
 from quditswap.core import zeta
-from quditswap.statevec import inner_product, project_onto
+from quditswap.statevec import inner_product, permute_to, project_onto
 from quditswap.swapcalc import (CatFragment, Register, SwapOutcome,
                                 UnsupportedConfigurationError, bell_measure,
                                 sample_outcome, to_statevector,
-                                verify_swap_identity)
+                                verify_swap_block, verify_swap_identity)
 
 
 def two_bell_register(d, a_labels, b_labels):
@@ -154,6 +156,7 @@ def test_verify_identity_exhaustive_small():
 
 def test_verify_identity_rule_aliases():
     assert verify_swap_identity("i", 2, ((0, 1), (1, 0))) < 1e-12
+    assert verify_swap_identity("i", 3, ((2**70, 1), (0, -5))) < 1e-12  # past int64
     assert verify_swap_identity("ii", 2, ((0, 1, 1), (1, 0))) < 1e-12
     assert verify_swap_identity("iii", 2, ((0, 1, 1), (1, 0)), m=2) < 1e-12
     with pytest.raises(ValueError):
@@ -163,6 +166,102 @@ def test_verify_identity_rule_aliases():
     for rule, labels in (("bell", ((0, 0), (0, 0))), ("black", ((0, 0, 0), (0, 0)))):
         with pytest.raises(ValueError):
             verify_swap_identity(rule, 2, labels, m=3)  # m only fits rule white
+
+
+def reference_deviation(rule, d, flat, m=None):
+    """The per-case outcome sum, one dense rebuild per (k, l): each branch
+    register through to_statevector, permuted back with permute_to."""
+    if rule == "bell":
+        register, pair = two_bell_register(d, flat[:2], flat[2:]), (1, 4)
+    else:
+        n = len(flat) - 2
+        register = cat_bell_register(d, flat[:n], flat[n:])
+        pair = (1, n + 2) if rule == "black" else (n + 1, m)
+    lhs = to_statevector(register)
+    rhs = np.zeros_like(lhs.amps)
+    for k, l in itertools.product(range(d), repeat=2):
+        _, after = bell_measure(register, pair, outcome=SwapOutcome(k, l))
+        scale = float(d) ** (-(after.scale_exponent - register.scale_exponent) / 2)
+        rhs = rhs + scale * permute_to(to_statevector(after), lhs.particles).amps
+    return float(np.max(np.abs(lhs.amps - rhs)))
+
+
+def rule_cases(n):
+    """(rule, m) for every rule and white-node position at cat size n."""
+    return [("bell", None), ("black", None)] + [("white", m) for m in range(2, n + 1)]
+
+
+def test_verify_block_equals_reference_exhaustive():
+    for d, n in ((2, 3), (3, 3), (2, 4)):
+        for rule, m in rule_cases(n):
+            width = 4 if rule == "bell" else n + 2
+            rows = list(itertools.product(range(d), repeat=width))
+            deviations = verify_swap_block(rule, d, rows, m=m)
+            assert deviations.tolist() == [reference_deviation(rule, d, row, m)
+                                           for row in rows]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 4), min_size=6, max_size=6),
+                min_size=1, max_size=3),
+       st.integers(2, 4))
+def test_verify_block_equals_reference_random_d5_n4(rows, m):
+    for rule, position in (("bell", None), ("black", None), ("white", m)):
+        block = [row[:4] for row in rows] if rule == "bell" else rows
+        assert verify_swap_block(rule, 5, block, m=position).tolist() == [
+            reference_deviation(rule, 5, row, position) for row in block]
+
+
+def test_verify_block_validation():
+    with pytest.raises(ValueError):
+        verify_swap_block("bell", 2, [])  # no case
+    with pytest.raises(ValueError):
+        verify_swap_block("bell", 2, [0, 0, 0, 0])  # not 2-D
+    with pytest.raises(ValueError):
+        verify_swap_block("bell", 2, [[0, 0, 0, 0, 0]])
+    with pytest.raises(ValueError):
+        verify_swap_block("black", 2, [[0, 0, 0, 0]])  # cat of 2
+    with pytest.raises(ValueError):
+        verify_swap_block("white", 2, [[0, 0, 0, 0, 0]], m=4)
+    with pytest.raises(ValueError):
+        verify_swap_identity("black", 2, ((0, 0, 0), (0, 0, 0)))  # not a Bell pair
+
+
+def test_verify_block_rejects_mixed_layouts(monkeypatch):
+    # one axis permutation serves the whole block, so layouts must agree
+    original = swapcalc.bell_measure
+
+    def reordered(register, pair, outcome=None, rng=None):
+        outcome, after = original(register, pair, outcome=outcome)
+        if outcome == (1, 1):
+            after = Register(after.d, after.fragments[::-1], after.phase_power,
+                             after.scale_exponent)
+        return outcome, after
+
+    monkeypatch.setattr(swapcalc, "bell_measure", reordered)
+    with pytest.raises(RuntimeError, match="first outcome"):
+        verify_swap_block("black", 2, [[0, 0, 0, 0, 0]])
+
+
+@pytest.mark.parametrize("keep", ["k", "l"])
+def test_verify_block_fails_on_a_wrong_rewrite(monkeypatch, keep, capsys):
+    # Each rule in turn drops k or l. A sign flip would not do: it only
+    # relabels the outcomes, which the outcome sum cannot see (the README
+    # table test pins the signs).
+    rules = {(True, True): "bell", (False, True): "black", (True, False): "white"}
+    d, n = 3, 3
+    for key, rule in rules.items():
+        sk, sl = swapcalc._RULE_SIGNS[key]
+        wrong = (0, sl) if keep == "l" else (sk, 0)
+        monkeypatch.setitem(swapcalc._RULE_SIGNS, key, wrong)
+        width = 4 if rule == "bell" else n + 2
+        rows = list(itertools.product(range(d), repeat=width))
+        for position in (range(2, n + 1) if rule == "white" else (None,)):
+            assert verify_swap_block(rule, d, rows, m=position).min() > 1e-3
+        assert main(["verify", "--d", str(d), "--n", str(n), "--rule", rule,
+                     "--seed", "1"]) == 1
+        assert "CHECKS FAILED" in capsys.readouterr().out
+        monkeypatch.setitem(swapcalc._RULE_SIGNS, key, (sk, sl))
 
 
 @settings(max_examples=40, deadline=None)
