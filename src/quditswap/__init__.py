@@ -3,22 +3,20 @@ symbolic label-algebra engine certified by a dense state-vector oracle,
 and an n-party secret-sharing protocol."""
 
 from .catbell import (bell_state, cat_amplitudes, cat_state, cat_via_circuit,
-                      expand_basis_in_bell, expand_basis_in_cat, grow_cat,
-                      identify_cat)
+                      expand_basis_in_bell, expand_basis_in_cat)
 from .core import (MAX_AMPLITUDES, MAX_DIMENSION, pack_index, phase_exponent,
-                   unpack_index, validate_dimension, zeta)
-from .protocol import (FullCollusionSignal, InsufficientSharesError,
-                       PartyView, ProtocolConfig, Transcript,
-                       collusion_posterior, enumerate_oracle_branches,
-                       make_party_views, recover_first_dit_pooled,
-                       recover_second_dit, run_round, transcript_to_json_dict)
+                   validate_dimension, zeta)
+from .protocol import (InsufficientSharesError, PartyView, ProtocolConfig,
+                       Transcript, collusion_posterior,
+                       enumerate_oracle_branches, make_party_views,
+                       recover_first_dit_pooled, recover_second_dit,
+                       run_round, transcript_to_json_dict)
 from .statevec import (StateVector, apply_controlled_shift, apply_hadamard,
-                       apply_shift, basis_state, hadamard_matrix,
-                       inner_product, measure_in_basis, permute_to,
-                       project_onto, tensor)
+                       basis_state, hadamard_matrix, inner_product,
+                       permute_to, project_onto, tensor)
 from .swapcalc import (CatFragment, Register, SwapOutcome,
                        UnsupportedConfigurationError, bell_measure,
-                       sample_outcome, to_statevector, verify_swap_block,
+                       to_statevector, verify_swap_block,
                        verify_swap_identity)
 
 __version__ = "1.0.0"
@@ -26,15 +24,14 @@ __version__ = "1.0.0"
 __all__ = [
     "MAX_AMPLITUDES", "MAX_DIMENSION", "StateVector",
     "CatFragment", "Register", "SwapOutcome", "UnsupportedConfigurationError",
-    "FullCollusionSignal", "InsufficientSharesError", "PartyView",
-    "ProtocolConfig", "Transcript", "apply_controlled_shift", "apply_hadamard",
-    "apply_shift", "basis_state", "bell_measure", "bell_state",
-    "cat_amplitudes", "cat_state", "cat_via_circuit", "collusion_posterior",
-    "enumerate_oracle_branches", "expand_basis_in_bell", "expand_basis_in_cat",
-    "grow_cat", "hadamard_matrix", "identify_cat", "inner_product",
-    "make_party_views", "measure_in_basis", "pack_index", "permute_to",
+    "InsufficientSharesError", "PartyView", "ProtocolConfig", "Transcript",
+    "apply_controlled_shift", "apply_hadamard", "basis_state",
+    "bell_measure", "bell_state", "cat_amplitudes", "cat_state",
+    "cat_via_circuit", "collusion_posterior", "enumerate_oracle_branches",
+    "expand_basis_in_bell", "expand_basis_in_cat", "hadamard_matrix",
+    "inner_product", "make_party_views", "pack_index", "permute_to",
     "phase_exponent", "project_onto", "recover_first_dit_pooled",
-    "recover_second_dit", "run_round", "sample_outcome", "tensor",
-    "to_statevector", "transcript_to_json_dict", "unpack_index",
-    "validate_dimension", "verify_swap_block", "verify_swap_identity", "zeta",
+    "recover_second_dit", "run_round", "tensor", "to_statevector",
+    "transcript_to_json_dict", "validate_dimension", "verify_swap_block",
+    "verify_swap_identity", "zeta",
 ]

@@ -22,10 +22,9 @@ import math
 
 import numpy as np
 
-from .core import pack_index, unpack_index, validate_dimension, zeta
+from .core import pack_index, validate_dimension, zeta
 from .statevec import (StateVector, apply_controlled_shift, apply_hadamard,
-                       basis_state, born_sample, cat_overlaps, checked_size,
-                       tensor)
+                       basis_state, checked_size)
 
 
 def cat_state(d: int, particles, labels) -> StateVector:
@@ -116,53 +115,3 @@ def expand_basis_in_cat(d: int, digits) -> list[tuple[complex, tuple[int, ...]]]
     offsets = tuple((u - u1) % d for u in digits[1:])
     scale = 1.0 / math.sqrt(d)
     return [(scale * zeta(d, -j * u1), (j,) + offsets) for j in range(d)]
-
-
-def identify_cat(state: StateVector, tol: float = 1e-9):
-    """Match a state against the cat basis over its own particle ordering.
-
-    Returns (labels, overlap) for the unique basis state with unit fidelity.
-    Raises ValueError when the state is not a cat state up to global phase.
-    """
-    _, overlaps = cat_overlaps(state, state.particles)
-    amps = overlaps.reshape(-1)
-    hits = np.flatnonzero(np.abs(amps) ** 2 > 0.5)
-    if len(hits) != 1 or abs(abs(amps[hits[0]]) - 1.0) > tol:
-        raise ValueError("state does not match a single cat basis state")
-    return unpack_index(state.d, state.n, int(hits[0])), complex(amps[hits[0]])
-
-
-def grow_cat(cat: StateVector, bell: StateVector, measured: int | None = None,
-             rng=None):
-    """Extend an (n-1)-particle cat by one particle using a Bell pair.
-
-    A controlled shift runs from the cat's last particle onto the Bell
-    particle that is kept; the other Bell particle (`measured`, default the
-    second) is then read out in the computational basis. The survivors form
-    an n-particle cat whose labels identify_cat reads off.
-
-    Returns (observed digit, post StateVector, cat labels).
-    """
-    if len(bell.particles) != 2:
-        raise ValueError("bell argument must hold exactly 2 particles")
-    if measured is None:
-        measured = bell.particles[1]
-    if measured not in bell.particles:
-        raise ValueError(f"measured particle {measured} is not in the Bell pair")
-    kept = bell.particles[0] if measured == bell.particles[1] else bell.particles[1]
-
-    joint = tensor(cat, bell)
-    joint = apply_controlled_shift(joint, cat.particles[-1], kept)
-
-    # readout of `measured`: one slice per digit over cat.particles + (kept,)
-    slices = np.moveaxis(joint.tensorized(), joint.axis_of(measured), 0).reshape(cat.d, -1)
-    probabilities = np.sum(np.abs(slices) ** 2, axis=1).tolist()
-    total = sum(probabilities)
-    if abs(total - 1.0) > 1e-9:
-        raise RuntimeError(f"readout probabilities sum to {total}, not 1")
-
-    y = born_sample(probabilities, np.random.default_rng(rng))
-    post = StateVector(cat.d, cat.particles + (kept,),
-                       slices[y] / np.sqrt(probabilities[y]))
-    labels, _ = identify_cat(post)
-    return y, post, labels

@@ -67,8 +67,10 @@ def chi_square_critical(dof: int, alpha: float) -> float:
     return (lo + hi) / 2
 
 
-def _emit(report: dict, json_target: str | None, human_lines: list[str]) -> int:
-    """Print the human table unless JSON goes to stdout; write JSON if asked.
+def _emit(report: dict, json_target: str | None, human_lines: list[str],
+          elapsed: float) -> int:
+    """Print the human table, closed by the verdict and the elapsed time,
+    unless JSON goes to stdout; write JSON if asked.
 
     Returns the exit code: 2 when the JSON file cannot be written, else 0
     when the report is ok and 1 when it is not.
@@ -79,6 +81,8 @@ def _emit(report: dict, json_target: str | None, human_lines: list[str]) -> int:
     else:
         for line in human_lines:
             print(line)
+        print(f"{'all checks passed' if report['ok'] else 'CHECKS FAILED'} "
+              f"({elapsed:.2f}s)")
         if json_target:
             try:
                 with open(json_target, "w", encoding="utf-8") as handle:
@@ -163,9 +167,7 @@ def cmd_verify(args) -> int:
         lines.append(f"  rule {check['rule']:<5} {check['cases']:>6} cases   "
                      f"max deviation {check['max_deviation']:.3e} "
                      f"(tol {check['tol']:.1e})   {status}")
-    lines.append(f"{'all checks passed' if ok else 'CHECKS FAILED'} "
-                 f"({elapsed:.2f}s)")
-    return _emit(report, args.json, lines)
+    return _emit(report, args.json, lines, elapsed)
 
 
 def _random_labels(rng, d: int, n: int):
@@ -258,9 +260,7 @@ def cmd_protocol(args) -> int:
                          f"{'PASS' if chi['pass'] else 'FAIL'}")
     else:
         lines.append("  no rounds requested")
-    lines.append(f"{'all checks passed' if ok else 'CHECKS FAILED'} "
-                 f"({elapsed:.2f}s)")
-    return _emit(report, args.json, lines)
+    return _emit(report, args.json, lines, elapsed)
 
 
 def cmd_collude(args) -> int:
@@ -332,9 +332,7 @@ def cmd_collude(args) -> int:
         lines.append(f"  oracle: {oracle['branches']} branches in "
                      f"{oracle['view_classes']} view classes, balanced first "
                      f"dit: {'PASS' if oracle['balanced'] else 'FAIL'}")
-    lines.append(f"{'all checks passed' if ok else 'CHECKS FAILED'} "
-                 f"({elapsed:.2f}s)")
-    return _emit(report, args.json, lines)
+    return _emit(report, args.json, lines, elapsed)
 
 
 def _int_type(check):

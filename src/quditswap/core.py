@@ -31,16 +31,6 @@ def zeta(d: int, t: int) -> complex:
     return cmath.exp(2j * cmath.pi * (t % d) / d)
 
 
-def delta_sum(d: int, m: int) -> complex:
-    """Numerically evaluate (1/d) * sum_j zeta^(j*m).
-
-    Equals 1 when m = 0 mod d and vanishes otherwise (geometric sum of the
-    d-th roots of unity).
-    """
-    validate_dimension(d)
-    return sum(zeta(d, j * m) for j in range(d)) / d
-
-
 def pack_index(d: int, digits) -> int:
     """Pack base-d digits big-endian: index = sum_i digits[i] * d**(n-1-i)."""
     validate_dimension(d)
@@ -50,19 +40,6 @@ def pack_index(d: int, digits) -> int:
             raise ValueError(f"digit {dig} out of range for dimension {d}")
         index = index * d + dig
     return index
-
-
-def unpack_index(d: int, n: int, index: int) -> tuple[int, ...]:
-    """Inverse of pack_index: split index into n big-endian base-d digits."""
-    validate_dimension(d)
-    if n < 0:
-        raise ValueError(f"digit count must be nonnegative, got {n}")
-    if not 0 <= index < d**n:
-        raise ValueError(f"index {index} out of range for {n} base-{d} digits")
-    digits = [0] * n
-    for i in range(n - 1, -1, -1):
-        index, digits[i] = divmod(index, d)
-    return tuple(digits)
 
 
 def phase_exponent(d: int, z: complex, tol: float = 1e-9) -> int:

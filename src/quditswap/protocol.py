@@ -40,10 +40,6 @@ class InsufficientSharesError(ValueError):
     """Pooled recovery was attempted without every party's share."""
 
 
-class FullCollusionSignal(Exception):
-    """All parties 2..n colluded: that is pooled recovery, not collusion."""
-
-
 def bell_particles(n: int, i: int) -> tuple[int, int]:
     return n + 2 * i - 1, n + 2 * i
 
@@ -303,7 +299,7 @@ def collusion_posterior(d: int, transcript: Transcript, known_parties):
     if not known <= others:
         raise ValueError(f"colluding parties must lie in 2..{n}")
     if known == others:
-        raise FullCollusionSignal(
+        raise ValueError(
             "every party 2..n is colluding; use recover_first_dit_pooled")
 
     u1 = config.cat_labels[0]

@@ -12,11 +12,10 @@ Every dense measurement runs on cat_overlaps, one pass over the whole cat
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .core import MAX_AMPLITUDES, pack_index, unpack_index, validate_dimension
+from .core import MAX_AMPLITUDES, pack_index, validate_dimension
 
 # Outcomes below this probability are excluded from sampling and flagged as
 # absent post-states (avoids renormalizing an orthogonal branch).
@@ -76,11 +75,6 @@ class StateVector:
         return self.amps.reshape([self.d] * self.n)
 
 
-class MeasurementOutcome(NamedTuple):
-    labels: tuple[int, ...]
-    probability: float
-
-
 def basis_state(d: int, particles, digits) -> StateVector:
     """Computational basis vector |digits[0], digits[1], ...>."""
     particles = tuple(particles)
@@ -107,27 +101,18 @@ def apply_hadamard(state: StateVector, particle: int) -> StateVector:
     return StateVector(state.d, state.particles, t.reshape(-1))
 
 
-def apply_shift(state: StateVector, particle: int, power: int = 1) -> StateVector:
-    """Apply the mod-d adder |j> -> |j + power> to one qudit."""
-    axis = state.axis_of(particle)
-    t = np.roll(state.tensorized(), power % state.d, axis=axis)
-    return StateVector(state.d, state.particles, t.reshape(-1))
-
-
-def apply_controlled_shift(state: StateVector, control: int, target: int,
-                           exponent: int = 1) -> StateVector:
-    """Apply |i>|j> -> |i>|j + exponent*i> with the given control/target."""
+def apply_controlled_shift(state: StateVector, control: int, target: int) -> StateVector:
+    """Apply |i>|j> -> |i>|j + i> with the given control/target."""
     if control == target:
         raise ValueError("control and target must be distinct particles")
     caxis = state.axis_of(control)
     taxis = state.axis_of(target)
-    d = state.d
     t = state.tensorized().copy()
     sub_taxis = taxis - 1 if taxis > caxis else taxis
-    for i in range(d):
+    for i in range(state.d):
         sl = [slice(None)] * state.n
         sl[caxis] = i
-        t[tuple(sl)] = np.roll(t[tuple(sl)], (exponent * i) % d, axis=sub_taxis)
+        t[tuple(sl)] = np.roll(t[tuple(sl)], i, axis=sub_taxis)
     return StateVector(state.d, state.particles, t.reshape(-1))
 
 
@@ -228,31 +213,3 @@ def born_sample(probabilities, rng) -> int:
             if r < acc:
                 break
     return chosen
-
-
-def measure_in_basis(state: StateVector, particles, basis: str, rng):
-    """Projective measurement of a particle subset in the Bell or cat basis.
-
-    One cat_overlaps pass gives every outcome; born_sample picks one with
-    the seeded generator. Returns (MeasurementOutcome, post). The subset
-    ordering fixes the basis: its first particle is the black node.
-    """
-    particles = tuple(particles)
-    basis = basis.lower()
-    if basis not in ("bell", "cat"):
-        raise ValueError(f"unknown basis {basis!r}")
-    if basis == "bell" and len(particles) != 2:
-        raise ValueError("bell basis requires exactly 2 particles")
-
-    rest, overlaps = cat_overlaps(state, particles)
-    residuals = overlaps.reshape(state.d ** len(particles), -1)
-    probabilities = np.sum(np.abs(residuals) ** 2, axis=1).tolist()
-    total = sum(probabilities)
-    if abs(total - 1.0) > 1e-9:
-        raise RuntimeError(f"basis probabilities sum to {total}, not 1")
-
-    index = born_sample(probabilities, np.random.default_rng(rng))
-    probability = probabilities[index]
-    post = StateVector(state.d, rest, residuals[index] / np.sqrt(probability))
-    labels = unpack_index(state.d, len(particles), index)
-    return MeasurementOutcome(labels, probability), post

@@ -121,10 +121,6 @@ class Register:
                 raise ValueError(f"fragments share particles {sorted(overlap)}")
             seen |= set(fragment.particles)
 
-    @property
-    def particles(self) -> tuple[int, ...]:
-        return tuple(p for f in self.fragments for p in f.particles)
-
     def fragment_of(self, particle: int) -> CatFragment:
         for fragment in self.fragments:
             if particle in fragment.particles:
@@ -138,14 +134,6 @@ class Register:
 # Signs that read (k, l) into the black-node rewrite, keyed by whether the
 # fragments of p and of q are Bell pairs; a missing key is cat-cat.
 _RULE_SIGNS = {(True, True): (-1, 1), (False, True): (1, 1), (True, False): (1, -1)}
-
-
-def sample_outcome(d: int, rng=None) -> SwapOutcome:
-    """Uniform draw of (k, l) from Z_d x Z_d; deterministic given a seed."""
-    validate_dimension(d)
-    rng = np.random.default_rng(rng)
-    k, l = rng.integers(0, d, size=2)
-    return SwapOutcome(int(k), int(l))
 
 
 def bell_measure(register: Register, pair, outcome: SwapOutcome | None = None,
@@ -172,7 +160,7 @@ def bell_measure(register: Register, pair, outcome: SwapOutcome | None = None,
 
     d = register.d
     if outcome is None:
-        outcome = sample_outcome(d, rng)
+        outcome = np.random.default_rng(rng).integers(0, d, size=2)
     k, l = int(outcome[0]) % d, int(outcome[1]) % d
     outcome = SwapOutcome(k, l)
 
@@ -265,6 +253,11 @@ def verify_swap_block(rule: str, d: int, rows, m: int | None = None) -> np.ndarr
     The sum runs one outcome at a time in (k, l) order, the float operations
     of a per-state rebuild, so a row's deviation does not depend on the
     block it is in; no array larger than R * d**(n + 2) is built.
+
+    The check cannot detect a consistent relabelling of outcomes, such as a
+    flipped sign of k or l in _RULE_SIGNS (the deviation stays about 1e-16):
+    a relabelled outcome is the same measurement. Only the README table
+    test, test_swap_rules_match_readme_table, pins the labels.
     """
     validate_dimension(d)
     rows = np.asarray(rows, dtype=int)

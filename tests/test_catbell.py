@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 
 from quditswap.catbell import (bell_state, cat_amplitudes, cat_state,
                                cat_via_circuit, expand_basis_in_bell,
-                               expand_basis_in_cat, grow_cat, identify_cat)
-from quditswap.statevec import basis_state, inner_product, permute_to, tensor
+                               expand_basis_in_cat)
+from quditswap.statevec import basis_state, inner_product, permute_to
 
 
 def test_cat_amplitudes_match_cat_state_bit_for_bit():
@@ -167,54 +167,3 @@ def test_black_node_is_not_interchangeable():
     swapped = cat_state(3, (1, 0, 2), (2, 1, 0))
     overlap = inner_product(base, permute_to(swapped, base.particles))
     assert abs(abs(overlap) - 1) > 1e-6
-
-
-def test_identify_cat():
-    state = cat_state(3, (4, 5, 6), (2, 1, 0))
-    labels, overlap = identify_cat(state)
-    assert labels == (2, 1, 0)
-    assert overlap == pytest.approx(1)
-    with pytest.raises(ValueError):
-        identify_cat(basis_state(2, (0, 1), (0, 0)))
-
-
-def test_grow_cat_d2():
-    cat = cat_state(2, (0, 1), (0, 0))
-    bell = bell_state(2, (10, 11), (0, 0))
-    for seed in range(6):
-        observed, post, labels = grow_cat(cat, bell, rng=seed)
-        assert post.particles == (0, 1, 10)
-        assert len(labels) == 3
-        reference = cat_state(2, post.particles, labels)
-        assert abs(abs(inner_product(reference, post)) - 1) < 1e-9
-
-
-def test_grow_cat_d3_labels():
-    cat = cat_state(3, (0, 1), (1, 2))
-    bell = bell_state(3, (10, 11), (0, 1))
-    observed, post, labels = grow_cat(cat, bell, rng=2)
-    # appended label is the old last label shifted by the readout minus v'
-    assert labels == (1, 2, (2 + observed - 1) % 3)
-    reference = cat_state(3, post.particles, labels)
-    assert abs(abs(inner_product(reference, post)) - 1) < 1e-9
-
-
-def test_grow_cat_measured_choice_and_errors():
-    cat = cat_state(2, (0, 1), (1, 1))
-    bell = bell_state(2, (10, 11), (1, 0))
-    observed, post, labels = grow_cat(cat, bell, measured=10, rng=0)
-    assert post.particles == (0, 1, 11)
-    with pytest.raises(ValueError):
-        grow_cat(cat, bell_state(2, (1, 5), (0, 0)))
-    with pytest.raises(ValueError):
-        grow_cat(cat, bell, measured=3)
-
-
-def test_grow_cat_outcomes_uniform():
-    cat = cat_state(3, (0, 1, 2), (1, 0, 2))
-    bell = bell_state(3, (10, 11), (2, 1))
-    counts = {y: 0 for y in range(3)}
-    for seed in range(120):
-        observed, _, _ = grow_cat(cat, bell, rng=seed)
-        counts[observed] += 1
-    assert all(count > 20 for count in counts.values())

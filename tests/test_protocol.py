@@ -4,9 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quditswap.protocol import (FullCollusionSignal, InsufficientSharesError,
-                                PartyView, ProtocolConfig,
-                                collusion_posterior, enumerate_oracle_branches,
+from quditswap.protocol import (InsufficientSharesError, PartyView,
+                                ProtocolConfig, collusion_posterior,
+                                enumerate_oracle_branches,
                                 make_party_views, recover_first_dit_pooled,
                                 recover_second_dit, run_round,
                                 transcript_to_json_dict)
@@ -175,7 +175,7 @@ def test_statevector_rounds_beyond_the_old_cap():
 
 def test_collusion_posterior_signals_full_set():
     transcript = run_round(zero_config(3, 3), forced_outcomes=[(1, 2)] * 3)
-    with pytest.raises(FullCollusionSignal):
+    with pytest.raises(ValueError, match="every party 2..n is colluding"):
         collusion_posterior(3, transcript, {2, 3})
     with pytest.raises(ValueError):
         collusion_posterior(3, transcript, {1})

@@ -7,10 +7,9 @@ from numpy.testing import assert_allclose
 from quditswap.catbell import bell_state, cat_amplitudes, cat_state
 from quditswap import statevec
 from quditswap.statevec import (StateVector, apply_controlled_shift,
-                                apply_hadamard, apply_shift, basis_state,
-                                born_sample, cat_overlaps, hadamard_matrix,
-                                inner_product, measure_in_basis, permute_to,
-                                project_onto, tensor)
+                                apply_hadamard, basis_state, born_sample,
+                                cat_overlaps, hadamard_matrix, inner_product,
+                                permute_to, project_onto, tensor)
 from quditswap.swapcalc import verify_swap_block
 
 
@@ -60,28 +59,6 @@ def test_hadamard_squared_is_negation():
             assert abs(inner_product(expected, state) - 1) < 1e-12
 
 
-def test_shift_examples():
-    assert_allclose(apply_shift(basis_state(3, (0,), (2,)), 0).amps, [1, 0, 0])
-    state = random_state(2, (0, 1), np.random.default_rng(0))
-    assert_allclose(apply_shift(apply_shift(state, 1), 1).amps, state.amps)
-
-
-def test_shift_full_cycle_is_identity():
-    for d in (2, 3, 5):
-        state = random_state(d, (0, 1), np.random.default_rng(d))
-        assert_allclose(apply_shift(state, 0, power=d).amps, state.amps, atol=1e-15)
-
-
-def test_shift_powers_add():
-    rng = np.random.default_rng(1)
-    for d in (2, 3, 4):
-        state = random_state(d, (0, 1, 2), rng)
-        for p, q in itertools.product(range(d), repeat=2):
-            once = apply_shift(apply_shift(state, 1, p), 1, q)
-            combined = apply_shift(state, 1, p + q)
-            assert_allclose(once.amps, combined.amps, atol=1e-15)
-
-
 def test_controlled_shift_examples():
     state = apply_controlled_shift(basis_state(3, (0, 1), (2, 2)), 0, 1)
     assert_allclose(state.amps, basis_state(3, (0, 1), (2, 1)).amps)
@@ -113,8 +90,7 @@ def test_gates_preserve_norm():
     rng = np.random.default_rng(7)
     for d in (2, 3, 4):
         state = random_state(d, (0, 1, 2), rng)
-        for out in (apply_hadamard(state, 1), apply_shift(state, 2, 3),
-                    apply_controlled_shift(state, 0, 2)):
+        for out in (apply_hadamard(state, 1), apply_controlled_shift(state, 0, 2)):
             assert out.norm() == pytest.approx(1, abs=1e-12)
 
 
@@ -259,48 +235,3 @@ def test_born_sample_matches_accumulate_loop():
             expected = next((i for i, acc in enumerate(itertools.accumulate(weights))
                              if r < acc), len(weights) - 1)
             assert born_sample(weights, StubRng(draw)) == expected
-
-
-def test_measure_eigenstate_is_deterministic():
-    bell = bell_state(3, (0, 1), (1, 2))
-    outcome, post = measure_in_basis(bell, (0, 1), "bell", rng=5)
-    assert outcome.labels == (1, 2)
-    assert outcome.probability == pytest.approx(1)
-    assert post.particles == ()
-
-
-def test_measure_probabilities_sum_to_one_and_repeat():
-    rng = np.random.default_rng(9)
-    state = random_state(2, (0, 1, 2), rng)
-    first = [measure_in_basis(state, (0, 2), "bell", rng=seed)[0]
-             for seed in range(20)]
-    second = [measure_in_basis(state, (0, 2), "bell", rng=seed)[0]
-              for seed in range(20)]
-    assert first == second
-
-    from quditswap.catbell import cat_state
-    total = sum(project_onto(state, cat_state(2, (0, 2), labels))[0]
-                for labels in itertools.product(range(2), repeat=2))
-    assert total == pytest.approx(1, abs=1e-9)
-
-
-def test_measure_post_state_reprojects():
-    rng = np.random.default_rng(13)
-    state = random_state(2, (0, 1, 2, 3), rng)
-    outcome, post = measure_in_basis(state, (1, 3), "cat", rng=3)
-    from quditswap.catbell import cat_state
-    reference = cat_state(2, (1, 3), outcome.labels)
-    # post excludes the measured pair; re-project the full collapsed state
-    collapsed = tensor(post, reference)
-    probability, _ = project_onto(collapsed, reference)
-    assert probability == pytest.approx(1, abs=1e-9)
-
-
-def test_measure_validates_subset():
-    state = basis_state(2, (0, 1, 2), (0, 0, 0))
-    with pytest.raises(ValueError):
-        measure_in_basis(state, (0, 1, 2), "bell", rng=0)
-    with pytest.raises(ValueError):
-        measure_in_basis(state, (0,), "cat", rng=0)
-    with pytest.raises(ValueError):
-        measure_in_basis(state, (0, 1), "fourier", rng=0)

@@ -12,8 +12,8 @@ from quditswap.core import zeta
 from quditswap.statevec import inner_product, permute_to, project_onto
 from quditswap.swapcalc import (CatFragment, Register, SwapOutcome,
                                 UnsupportedConfigurationError, bell_measure,
-                                sample_outcome, to_statevector,
-                                verify_swap_block, verify_swap_identity)
+                                to_statevector, verify_swap_block,
+                                verify_swap_identity)
 
 
 def two_bell_register(d, a_labels, b_labels):
@@ -315,21 +315,32 @@ def test_black_node_conservation_black_rule(d, cat, bell, outcome):
     assert (measured[0] + residual[0]) % d == (cat[0] + bell[0]) % d
 
 
-def test_sample_outcome_deterministic_and_uniform():
-    first = [sample_outcome(3, rng=seed) for seed in range(10)]
-    second = [sample_outcome(3, rng=seed) for seed in range(10)]
+def test_bell_measure_draw_deterministic_and_uniform():
+    def draw(d, rng):
+        outcome, _ = bell_measure(two_bell_register(d, (0, 0), (0, 0)), (1, 4),
+                                  rng=rng)
+        return outcome
+
+    first = [draw(3, seed) for seed in range(10)]
+    second = [draw(3, seed) for seed in range(10)]
     assert first == second
+    # the draw is one integers(0, d, size=2) call, so same-seed reports keep
+    # their outcome stream
+    for d in (2, 3, 5):
+        for seed in range(10):
+            expected = np.random.default_rng(seed).integers(0, d, size=2)
+            assert draw(d, seed) == tuple(int(x) for x in expected)
 
     rng = np.random.default_rng(123)
     counts = np.zeros((2, 2), dtype=int)
     draws = 40000
     for _ in range(draws):
-        k, l = sample_outcome(2, rng=rng)
+        k, l = draw(2, rng)
         counts[k, l] += 1
     assert np.all(np.abs(counts / draws - 0.25) < 0.01)
 
     rng = np.random.default_rng(7)
-    seen = {sample_outcome(3, rng=rng) for _ in range(10000)}
+    seen = {draw(3, rng) for _ in range(10000)}
     assert len(seen) == 9
 
 
