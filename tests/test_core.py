@@ -1,6 +1,7 @@
 import cmath
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -36,6 +37,23 @@ def test_pack_index_examples():
                       for digits in itertools.product(range(d), repeat=n)]
             assert packed == list(range(d**n))
 
+
+
+def test_pack_unpack_round_trip():
+    # numpy's C-order unravel is the big-endian inverse of pack_index
+    for d in range(2, 6):
+        for n in range(1, 7):
+            for index in range(d**n):
+                digits = np.unravel_index(index, (d,) * n)
+                assert pack_index(d, [int(x) for x in digits]) == index
+
+
+def test_pack_unpack_digit_round_trip():
+    for d in (2, 3, 5):
+        for digits in itertools.product(range(d), repeat=3):
+            index = pack_index(d, digits)
+            assert tuple(int(x) for x in np.unravel_index(index, (d,) * 3)) == digits
+            assert index == np.ravel_multi_index(digits, (d,) * 3)
 
 def test_pack_rejects_bad_digits():
     with pytest.raises(ValueError):
