@@ -28,7 +28,7 @@ from itertools import islice, product
 import numpy as np
 
 from .core import MAX_AMPLITUDES, validate_dimension
-from .protocol import (ProtocolConfig, collusion_posterior,
+from .protocol import (ENGINES, ProtocolConfig, collusion_posterior,
                        enumerate_oracle_branches, run_round,
                        transcript_to_json_dict)
 from .swapcalc import verify_swap_block
@@ -387,8 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_at_least(2), default=3, help="party count (>= 2)")
     p.add_argument("--rounds", type=_at_least(0), default=100)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--engine", choices=("symbolic", "statevector"),
-                   default="symbolic")
+    p.add_argument("--engine", choices=ENGINES, default="symbolic")
     p.add_argument("--labels", default="zero",
                    help="zero, random, or a JSON file with cat_labels/bell_labels")
     p.add_argument("--json", metavar="PATH", default=None,

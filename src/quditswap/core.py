@@ -42,14 +42,14 @@ def pack_index(d: int, digits) -> int:
     return index
 
 
-def phase_exponent(d: int, z: complex, tol: float = 1e-9) -> int:
+def phase_exponent(d: int, z: complex) -> int:
     """Match a unit complex number to the nearest integer power of zeta.
 
-    Raises if z is farther than tol from every zeta^t; used to read an exact
-    phase exponent off a numerically computed amplitude.
+    Raises if z is farther than 1e-9 from every zeta^t; used to read an
+    exact phase exponent off a numerically computed amplitude.
     """
     validate_dimension(d)
     best = min(range(d), key=lambda t: abs(z - zeta(d, t)))
-    if abs(z - zeta(d, best)) > tol:
-        raise ValueError(f"{z!r} is not a power of zeta for d={d} within {tol}")
+    if abs(z - zeta(d, best)) > 1e-9:
+        raise ValueError(f"{z!r} is not a power of zeta for d={d} within 1e-9")
     return best

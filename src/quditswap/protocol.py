@@ -109,7 +109,7 @@ def initial_register(config: ProtocolConfig) -> Register:
 
 
 def initial_state(config: ProtocolConfig) -> tuple[StateVector, ...]:
-    """Dense oracle of a round: one state factor per initial fragment."""
+    """Dense oracle of a round: the cat state, then party 1..n's Bell pairs."""
     return tuple(f.to_state() for f in initial_register(config).fragments)
 
 
@@ -137,51 +137,50 @@ def _convention_map(n: int, i: int, k: int, l: int, d: int) -> tuple[int, int]:
     return k % d, l % d
 
 
-def _dense_step(register: Register, factors, n: int, i: int):
-    """Every outcome of party i's Bell measurement on the factored oracle.
+def _dense_step(register: Register, cat: StateVector, bell: StateVector,
+                n: int, i: int):
+    """Every outcome of party i's Bell measurement on the dense oracle.
 
-    Only the two factors holding the measured pair are tensored; one
-    cat_overlaps pass gives all d^2 residuals, whose Bell labels come from
-    the symbolic register. Each probability is checked to be 1/d^2 from the
-    amplitudes. Returns d^2 candidates ((k, l), register, probability,
-    factors) in (k, l) order.
+    Party i's Bell factor is tensored onto the branch's cat factor, the
+    factor holding the black node first; one cat_overlaps pass gives all
+    d^2 residuals, whose Bell labels come from the symbolic register. Each
+    probability is checked to be 1/d^2 from the amplitudes, and the d^2
+    predicted labels to be distinct. Returns d^2 candidates ((k, l),
+    register, probability, post-measurement cat) in (k, l) order.
     """
     d = register.d
-    black, white = pair = measurement_pair(n, i)
-    a = next(f for f in factors if black in f.particles)
-    b = next(f for f in factors if white in f.particles)
-    untouched = tuple(f for f in factors if f is not a and f is not b)
-    rest, overlaps = cat_overlaps(tensor(a, b), pair)
+    black, _ = pair = measurement_pair(n, i)
+    joint = tensor(cat, bell) if i == 1 else tensor(bell, cat)
+    rest, overlaps = cat_overlaps(joint, pair)
     probabilities = np.sum(np.abs(overlaps) ** 2, axis=2)
 
-    candidates = []
+    candidates, cells = [], set()
     for k, l in product(range(d), repeat=2):
         _, reg_kl = bell_measure(register, pair,
                                  outcome=_convention_map(n, i, k, l, d))
         u1, u2 = reg_kl.fragment_of(black).labels
+        cells.add((u1, u2))
         probability = float(probabilities[u1, u2])
         if abs(probability - 1.0 / d**2) > 1e-9:
             raise RuntimeError(f"party {i} outcome ({k},{l}) has probability "
                                f"{probability}, not 1/d^2")
         post = StateVector(d, rest, overlaps[u1, u2] / np.sqrt(probability))
-        candidates.append(((k, l), reg_kl, probability, untouched + (post,)))
+        candidates.append(((k, l), reg_kl, probability, post))
+    if len(cells) < d**2:
+        raise RuntimeError(f"party {i}'s outcomes name {len(cells)} Bell states, not d^2")
     return candidates
 
 
-def _finish(register: Register, factors, n: int) -> dict:
+def _finish(register: Register, cat: StateVector | None, n: int) -> dict:
     """Read a finished round off the register, as Transcript fields.
 
-    With dense factors (None on the symbolic engine), first match the dense
-    end state to the announced cat state, phase included.
+    With the dense end state's cat (None on the symbolic engine), first
+    match it to the announced cat state, phase included.
     """
     d = register.d
     final_cat = register.fragment_of(bell_particles(n, 1)[0])
-    if factors is not None:
-        if len(factors) != 1:
-            raise RuntimeError(f"dense end state holds {len(factors)} factors, "
-                               f"not one cat state")
-        amp = inner_product(cat_state(d, final_cat.particles, final_cat.labels),
-                            factors[0])
+    if cat is not None:
+        amp = inner_product(cat_state(d, final_cat.particles, final_cat.labels), cat)
         if abs(abs(amp) - 1.0) > 1e-9:
             raise RuntimeError("dense end state is not the announced cat state")
         if phase_exponent(d, amp) != register.phase_power:
@@ -199,8 +198,8 @@ def run_round(config: ProtocolConfig, engine: str = "symbolic",
 
     forced_outcomes, when given, is a length-n list of (k_i, l_i) pairs;
     otherwise outcomes are drawn from rng (falling back to config.seed).
-    The statevector engine Born-samples each outcome from the factored dense
-    oracle and certifies the symbolic register against it, phase included.
+    The statevector engine Born-samples each outcome from the dense oracle
+    and certifies the symbolic register against it, phase included.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
@@ -212,7 +211,7 @@ def run_round(config: ProtocolConfig, engine: str = "symbolic",
     rng = np.random.default_rng(config.seed if rng is None else rng)
 
     register = initial_register(config)
-    factors = initial_state(config) if engine == "statevector" else None
+    cat, *bells = initial_state(config) if engine == "statevector" else (None,)
     outcomes: list[tuple[int, int]] = []
 
     for i in range(1, n + 1):
@@ -224,17 +223,17 @@ def run_round(config: ProtocolConfig, engine: str = "symbolic",
             outcomes.append(_convention_map(n, i, raw.k, raw.l, d))
             continue
 
-        candidates = _dense_step(register, factors, n, i)
+        candidates = _dense_step(register, cat, bells[i - 1], n, i)
         if forced_outcomes is not None:
             k, l = forced_outcomes[i - 1]
             index = k * d + l
         else:
             index = born_sample([c[2] for c in candidates], rng)
-        kl, register, _, factors = candidates[index]
+        kl, register, _, cat = candidates[index]
         outcomes.append(kl)
 
     return Transcript(config=config, engine=engine, outcomes=tuple(outcomes),
-                      **_finish(register, factors, n))
+                      **_finish(register, cat, n))
 
 
 def make_party_views(transcript: Transcript) -> tuple[PartyView, ...]:
@@ -317,22 +316,24 @@ def collusion_posterior(d: int, transcript: Transcript, known_parties):
 def enumerate_oracle_branches(config: ProtocolConfig) -> list[Transcript]:
     """Walk every outcome branch of one round on the dense engine.
 
-    Each step runs the same dense step as run_round, so every branch is
-    checked for 1/d^2 per-step probabilities plus the final cat state and
-    phase: the returned set doubles as an exhaustive cross-engine certificate.
+    A branch is a register and a cat factor; the Bell factors are shared.
+    Each step is run_round's dense step, so every branch is checked for
+    1/d^2 per-step probabilities on d^2 distinct labels plus the final cat
+    state and phase: the set doubles as an exhaustive cross-engine certificate.
     """
     n = config.n
+    cat, *bells = initial_state(config)
     branches: list[Transcript] = []
 
-    def walk(i, register, factors, outcomes):
+    def walk(i, register, cat, outcomes):
         if i > n:
             branches.append(Transcript(config, "statevector", tuple(outcomes),
-                                       **_finish(register, factors, n)))
+                                       **_finish(register, cat, n)))
             return
-        for kl, reg_kl, _, factors_kl in _dense_step(register, factors, n, i):
-            walk(i + 1, reg_kl, factors_kl, outcomes + [kl])
+        for kl, reg_kl, _, cat_kl in _dense_step(register, cat, bells[i - 1], n, i):
+            walk(i + 1, reg_kl, cat_kl, outcomes + [kl])
 
-    walk(1, initial_register(config), initial_state(config), [])
+    walk(1, initial_register(config), cat, [])
     return branches
 
 

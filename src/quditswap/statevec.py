@@ -5,8 +5,9 @@ ids, big-endian (the first listed particle is the most significant base-d
 digit, matching left-to-right ket notation). All operations are pure; input
 states are never mutated.
 
-Every dense measurement runs on cat_overlaps, one pass over the whole cat
-(or Bell) basis of a particle subset, and born_sample, the one Born sampler.
+Every dense measurement runs on cat_overlaps, one pass over the whole Bell
+basis of a measured (black, white) pair, and born_sample, the one Born
+sampler.
 """
 
 from __future__ import annotations
@@ -171,30 +172,25 @@ def project_onto(state: StateVector, reference: StateVector):
     return probability, post
 
 
-def cat_overlaps(state: StateVector, particles):
-    """Overlaps of `state` with all d^m cat states on `particles` at once.
+def cat_overlaps(state: StateVector, pair):
+    """Overlaps of `state` with all d^2 Bell states on a (black, white) pair.
 
-    particles lists m >= 2 distinct particles, black node first. Returns
-    (rest, overlaps): rest lists the other particles in state order, and
-    overlaps[u1, ..., um], of shape (d,)*m + (d**len(rest),), is the
-    unnormalized residual <Psi(u1, ..., um)|state> over them. One gather and
-    one length-d DFT over j (a matmul) give every outcome, since
+    Returns (rest, overlaps): rest lists the other particles in state order,
+    and overlaps[u1, u2], of shape (d, d, d**len(rest)), is the unnormalized
+    residual <Psi(u1, u2)|state> over them. One gather and one length-d DFT
+    over j (a matmul) give every outcome, since
 
-        <Psi(u1, ..., um)|psi> = (1/sqrt(d)) sum_j zeta^(-j*u1) psi[j, j+u2, ..., j+um, ...]
+        <Psi(u1, u2)|psi> = (1/sqrt(d)) sum_j zeta^(-j*u1) psi[j, j+u2, ...]
     """
-    particles = tuple(particles)
-    m = len(particles)
-    if m < 2 or len(set(particles)) != m:
-        raise ValueError(f"a cat basis needs 2 or more distinct particles, got {particles}")
+    if len(pair) != 2 or pair[0] == pair[1]:
+        raise ValueError(f"a Bell basis needs 2 distinct particles, got {pair}")
     d = state.d
-    t = np.moveaxis(state.tensorized(), [state.axis_of(p) for p in particles],
-                    range(m)).reshape((d,) * m + (-1,))
+    t = np.moveaxis(state.tensorized(), [state.axis_of(p) for p in pair],
+                    (0, 1)).reshape(d, d, -1)
     j = np.arange(d)
-    shift = (j + j[:, None]) % d  # [u, j] -> j + u
-    gathered = t[(j,) + tuple(shift.reshape((1,) * a + (d,) + (1,) * (m - 2 - a) + (d,))
-                              for a in range(m - 1))]  # [u2, ..., um, j, rest]
-    overlaps = np.tensordot(hadamard_matrix(d).conj(), gathered, axes=(1, m - 1))
-    rest = tuple(p for p in state.particles if p not in particles)
+    gathered = t[j, (j + j[:, None]) % d]  # [u2, j, rest]
+    overlaps = np.tensordot(hadamard_matrix(d).conj(), gathered, axes=(1, 1))
+    rest = tuple(p for p in state.particles if p not in pair)
     return rest, overlaps
 
 

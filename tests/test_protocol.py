@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from quditswap import swapcalc
 from quditswap.protocol import (InsufficientSharesError, PartyView,
                                 ProtocolConfig, collusion_posterior,
                                 enumerate_oracle_branches,
@@ -211,6 +212,29 @@ def test_oracle_branches_confirm_secrecy():
             classes.setdefault(view, []).append(branch.key[0])
         for firsts in classes.values():
             assert firsts.count(0) == firsts.count(1) == len(firsts) // 2
+
+
+@pytest.mark.parametrize("keep", ["k", "l"])
+def test_dense_engine_rejects_a_rewrite_that_drops_k_or_l(monkeypatch, keep):
+    # Each rule in turn drops k or l, at the first party whose step uses it.
+    # Every predicted Bell state still has probability 1/d^2, so only the
+    # check that the d^2 outcomes name d^2 distinct states sees the fault.
+    # A sign flip only relabels the outcomes and still passes the walk.
+    d = 3
+    for key, n, party in (((True, True), 2, 1), ((False, True), 3, 1),
+                          ((True, False), 3, 2)):
+        sk, sl = swapcalc._RULE_SIGNS[key]
+        config = zero_config(d, n)
+        monkeypatch.setitem(swapcalc._RULE_SIGNS, key,
+                            (0, sl) if keep == "l" else (sk, 0))
+        with pytest.raises(RuntimeError, match=f"party {party}'s outcomes name"):
+            enumerate_oracle_branches(config)
+        with pytest.raises(RuntimeError, match=f"party {party}'s outcomes name"):
+            run_round(config, engine="statevector", forced_outcomes=[(1, 2)] * n)
+        monkeypatch.setitem(swapcalc._RULE_SIGNS, key,
+                            (-sk, sl) if keep == "k" else (sk, -sl))
+        assert len(enumerate_oracle_branches(config)) == d ** (2 * n)
+        monkeypatch.setitem(swapcalc._RULE_SIGNS, key, (sk, sl))
 
 
 def test_transcript_json_dict_schema():
