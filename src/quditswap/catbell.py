@@ -9,11 +9,8 @@ carries the phase label u1; the others (white nodes) carry offsets. A Bell
 state is the n = 2 case. For each n the d^n label tuples form an
 orthonormal basis.
 
-cat_state builds one state with a d-step loop; cat_amplitudes builds a
-whole block of them with one scatter. Both give the same bits. The loop
-stays for single states because the block form's fixed numpy cost makes a
-block of one about twice as slow, and callers such as the oracle walk
-build thousands of single cats.
+cat_amplitudes evaluates the closed form for a whole block of label tuples
+with one scatter; cat_state is its one-row call wrapped as a StateVector.
 """
 
 from __future__ import annotations
@@ -22,34 +19,26 @@ import math
 
 import numpy as np
 
-from .core import pack_index, validate_dimension, zeta
+from .core import validate_dimension, zeta
 from .statevec import (StateVector, apply_controlled_shift, apply_hadamard,
                        basis_state, checked_size)
 
 
 def cat_state(d: int, particles, labels) -> StateVector:
-    """Closed-form cat state |Psi(u1, ..., un)> on the given particles."""
+    """Cat state |Psi(u1, ..., un)> on the given particles: the one-row call
+    of cat_amplitudes, with labels reduced mod d first."""
     validate_dimension(d)
     particles = tuple(particles)
     labels = tuple(int(u) % d for u in labels)
-    n = len(particles)
-    if n < 2:
-        raise ValueError("a cat state needs at least 2 particles")
-    if len(labels) != n:
-        raise ValueError(f"{n} particles but {len(labels)} labels")
-    amps = np.zeros(checked_size(d, n), dtype=complex)
-    scale = 1.0 / math.sqrt(d)
-    for j in range(d):
-        digits = (j,) + tuple((j + u) % d for u in labels[1:])
-        amps[pack_index(d, digits)] = scale * zeta(d, j * labels[0])
-    return StateVector(d, particles, amps)
+    if len(labels) != len(particles):
+        raise ValueError(f"{len(particles)} particles but {len(labels)} labels")
+    return StateVector(d, particles, cat_amplitudes(d, labels))
 
 
 def cat_amplitudes(d: int, labels) -> np.ndarray:
     """Closed-form cat amplitudes for a block of label tuples.
 
-    labels is an int array of shape (..., n); the result has shape
-    (..., d**n), and each row equals cat_state(d, particles, row).amps.
+    labels is an int array of shape (..., n); the result has shape (..., d**n).
     """
     validate_dimension(d)
     labels = np.asarray(labels, dtype=int) % d

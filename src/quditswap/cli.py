@@ -288,8 +288,7 @@ def cmd_collude(args) -> int:
     uniform = (Fraction(1, d),) * d
     start = time.perf_counter()
 
-    rounds_ok = True
-    posterior = [str(f) for f in uniform]
+    rounds_ok, posterior = True, None
     for _ in range(args.rounds):
         config = ProtocolConfig(d, n, *_random_labels(rng, d, n), seed=seed)
         transcript = run_round(config, engine="symbolic", rng=rng)
@@ -320,14 +319,17 @@ def cmd_collude(args) -> int:
                        "rounds": args.rounds, "seed": seed,
                        "oracle": bool(args.oracle)},
         "posterior": posterior,
-        "uniform": rounds_ok,
+        "uniform": rounds_ok if args.rounds else None,
         "oracle": oracle,
         "ok": ok,
     }
     lines = [f"collude: d={d} n={n} missing={missing} known={known} seed={seed}"]
-    lines.append(f"  posterior over first key dit: [{', '.join(posterior)}]")
-    lines.append(f"  exactly uniform across {args.rounds} random rounds: "
-                 f"{'PASS' if rounds_ok else 'FAIL'}")
+    if posterior is None:
+        lines.append("  no rounds requested")
+    else:
+        lines.append(f"  posterior over first key dit: [{', '.join(posterior)}]")
+        lines.append(f"  exactly uniform across {args.rounds} random rounds: "
+                     f"{'PASS' if rounds_ok else 'FAIL'}")
     if oracle:
         lines.append(f"  oracle: {oracle['branches']} branches in "
                      f"{oracle['view_classes']} view classes, balanced first "

@@ -28,9 +28,9 @@ from itertools import product
 
 import numpy as np
 
-from .catbell import cat_state
+from .catbell import cat_amplitudes
 from .core import phase_exponent, validate_dimension
-from .statevec import StateVector, born_sample, cat_overlaps, inner_product, tensor
+from .statevec import StateVector, born_sample, cat_overlaps, permute_to, tensor
 from .swapcalc import CatFragment, Register, bell_measure
 
 ENGINES = ("symbolic", "statevector")
@@ -175,12 +175,13 @@ def _finish(register: Register, cat: StateVector | None, n: int) -> dict:
     """Read a finished round off the register, as Transcript fields.
 
     With the dense end state's cat (None on the symbolic engine), first
-    match it to the announced cat state, phase included.
+    match it to the announced labels' cat_amplitudes, phase included.
     """
     d = register.d
     final_cat = register.fragment_of(bell_particles(n, 1)[0])
     if cat is not None:
-        amp = inner_product(cat_state(d, final_cat.particles, final_cat.labels), cat)
+        amp = complex(np.vdot(cat_amplitudes(d, final_cat.labels),
+                              permute_to(cat, final_cat.particles).amps))
         if abs(abs(amp) - 1.0) > 1e-9:
             raise RuntimeError("dense end state is not the announced cat state")
         if phase_exponent(d, amp) != register.phase_power:

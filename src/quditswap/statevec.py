@@ -7,7 +7,7 @@ states are never mutated.
 
 Every dense measurement runs on cat_overlaps, one pass over the whole Bell
 basis of a measured (black, white) pair, and born_sample, the one Born
-sampler.
+sampler; every Kronecker product, of states or of row blocks, is kron_rows.
 """
 
 from __future__ import annotations
@@ -117,6 +117,11 @@ def apply_controlled_shift(state: StateVector, control: int, target: int) -> Sta
     return StateVector(state.d, state.particles, t.reshape(-1))
 
 
+def kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise np.kron of (..., x) and (..., y) amplitudes, a new (..., x*y)."""
+    return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (-1,))
+
+
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; particle lists concatenate, amplitudes Kronecker."""
     if a.d != b.d:
@@ -125,7 +130,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     if overlap:
         raise ValueError(f"particle sets overlap: {sorted(overlap)}")
     checked_size(a.d, a.n + b.n)
-    return StateVector(a.d, a.particles + b.particles, np.kron(a.amps, b.amps))
+    return StateVector(a.d, a.particles + b.particles, kron_rows(a.amps, b.amps))
 
 
 def permute_to(state: StateVector, particles) -> StateVector:
@@ -202,10 +207,13 @@ def born_sample(probabilities, rng) -> int:
     """
     r = rng.random() * sum(probabilities)
     acc = 0.0
+    chosen = None
     for index, probability in enumerate(probabilities):
         acc += probability
         if probability >= PROB_FLOOR:
             chosen = index
             if r < acc:
                 break
+    if chosen is None:
+        raise ValueError(f"no outcome weight reaches PROB_FLOOR = {PROB_FLOOR}")
     return chosen

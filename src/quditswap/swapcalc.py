@@ -28,9 +28,7 @@ engine tracks both as integers and never touches floating point.
 
 verify_swap_block checks these rewrites against dense amplitudes for a
 block of label tuples: the rewrites stay scalar bell_measure calls, and the
-dense side is built with cat_amplitudes, one scatter per block. A single
-register (to_statevector, CatFragment.to_state) keeps the per-state
-cat_state loop, which is about twice as fast as a block of one.
+dense side is built with block calls of cat_amplitudes and kron_rows.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ import numpy as np
 
 from .catbell import cat_amplitudes, cat_state
 from .core import validate_dimension, zeta
-from .statevec import StateVector, checked_size, tensor
+from .statevec import StateVector, checked_size, kron_rows, tensor
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -235,11 +233,6 @@ def _swap_layout(rule: str, sizes, m: int | None):
     return particles, (n + 1, m)
 
 
-def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise np.kron of (..., x) and (..., y) amplitudes, a new (..., x*y)."""
-    return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (-1,))
-
-
 def verify_swap_block(rule: str, d: int, rows, m: int | None = None) -> np.ndarray:
     """Check one swap rewrite for a block of label tuples against dense amplitudes.
 
@@ -291,7 +284,7 @@ def verify_swap_block(rule: str, d: int, rows, m: int | None = None) -> np.ndarr
     # a maximum over amplitudes, does not depend on that order
     count = len(rows)
     axes = (0,) + tuple(1 + before.index(p) for p in sum(layout, ()))
-    lhs = _kron_rows(cat_amplitudes(d, rows[:, :split]),
+    lhs = kron_rows(cat_amplitudes(d, rows[:, :split]),
                      cat_amplitudes(d, rows[:, split:])).reshape(
         (count,) + (d,) * len(before)).transpose(axes).reshape(count, -1)
     after_labels = np.reshape(after_labels, (count, d * d, -1))
@@ -302,7 +295,7 @@ def verify_swap_block(rule: str, d: int, rows, m: int | None = None) -> np.ndarr
     scales = np.reshape(scales, (count, d * d))
     rhs = np.zeros_like(lhs)
     for i in range(d * d):
-        amps = _kron_rows(measured_amps[:, i], residual_amps[:, i])
+        amps = kron_rows(measured_amps[:, i], residual_amps[:, i])
         amps *= roots[:, i, None]
         amps *= scales[:, i, None]
         rhs += amps

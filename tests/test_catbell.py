@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,19 @@ from numpy.testing import assert_allclose
 from quditswap.catbell import (bell_state, cat_amplitudes, cat_state,
                                cat_via_circuit, expand_basis_in_bell,
                                expand_basis_in_cat)
+from quditswap.core import pack_index, zeta
 from quditswap.statevec import basis_state, inner_product, permute_to
+
+
+def closed_form_loop(d, labels):
+    """The cat closed form as a d-step loop over j, one amplitude per step."""
+    labels = tuple(int(u) % d for u in labels)
+    amps = np.zeros(d ** len(labels), dtype=complex)
+    scale = 1.0 / math.sqrt(d)
+    for j in range(d):
+        digits = (j,) + tuple((j + u) % d for u in labels[1:])
+        amps[pack_index(d, digits)] = scale * zeta(d, j * labels[0])
+    return amps
 
 
 def test_cat_amplitudes_match_cat_state_bit_for_bit():
@@ -22,7 +35,9 @@ def test_cat_amplitudes_match_cat_state_bit_for_bit():
             block = cat_amplitudes(d, tuples)
             assert block.shape == (len(tuples), d**n)
             for labels, amps in zip(tuples, block):
-                assert amps.tobytes() == cat_state(d, range(n), labels).amps.tobytes()
+                expected = closed_form_loop(d, labels).tobytes()
+                assert amps.tobytes() == expected
+                assert cat_state(d, range(n), labels).amps.tobytes() == expected
 
 
 def test_cat_amplitudes_shapes_and_validation():

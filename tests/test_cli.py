@@ -222,6 +222,29 @@ def test_collude_with_oracle(capsys):
     assert "balanced first dit: PASS" in out
 
 
+def test_collude_zero_rounds_reports_no_posterior(capsys):
+    argv = ["collude", "--d", "2", "--n", "3", "--missing", "2",
+            "--rounds", "0", "--seed", "1"]
+    assert run_cli(argv) == 0
+    out = capsys.readouterr().out
+    assert "  no rounds requested" in out.splitlines()
+    assert "posterior" not in out and "uniform" not in out
+    assert run_cli(argv + ["--json", "-"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["posterior"] is None and report["uniform"] is None
+    assert report["oracle"] is None and report["ok"] is True
+
+    assert run_cli(argv + ["--oracle"]) == 0
+    out = capsys.readouterr().out
+    assert "  no rounds requested" in out.splitlines()
+    assert "64 branches" in out and "balanced first dit: PASS" in out
+    assert run_cli(argv + ["--oracle", "--json", "-"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["posterior"] is None and report["uniform"] is None
+    assert report["oracle"]["branches"] == 64 and report["oracle"]["balanced"]
+    assert report["ok"] is True
+
+
 def test_collude_usage_errors():
     assert run_cli(["collude", "--d", "2", "--n", "3", "--missing", ""]) == 2
     assert run_cli(["collude", "--d", "2", "--n", "3", "--missing", "1"]) == 2

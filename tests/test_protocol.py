@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from quditswap import swapcalc
+from quditswap import protocol, swapcalc
 from quditswap.protocol import (InsufficientSharesError, PartyView,
                                 ProtocolConfig, collusion_posterior,
                                 enumerate_oracle_branches,
@@ -235,6 +236,36 @@ def test_dense_engine_rejects_a_rewrite_that_drops_k_or_l(monkeypatch, keep):
                             (-sk, sl) if keep == "k" else (sk, -sl))
         assert len(enumerate_oracle_branches(config)) == d ** (2 * n)
         monkeypatch.setitem(swapcalc._RULE_SIGNS, key, (sk, sl))
+
+
+def test_dense_engine_checks_end_state_and_phase(monkeypatch):
+    # Each wrap shifts the register by one unit per step, so n steps shift it
+    # by n, which is nonzero mod d because d does not divide n.
+    def shift_phase(after):
+        return dataclasses.replace(after, phase_power=after.phase_power + 1)
+
+    def shift_residual(after):
+        residual = after.fragments[-1]
+        labels = (residual.labels[0] + 1,) + residual.labels[1:]
+        return dataclasses.replace(after, fragments=after.fragments[:-1] + (
+            dataclasses.replace(residual, labels=labels),))
+
+    measure = protocol.bell_measure
+    for shift, message in ((shift_phase, "global phase disagrees"),
+                           (shift_residual, "not the announced cat state")):
+        def wrapped(*args, **kwargs):
+            outcome, after = measure(*args, **kwargs)
+            return outcome, shift(after)
+
+        monkeypatch.setattr(protocol, "bell_measure", wrapped)
+        config = random_config(3, 4, np.random.default_rng(8))
+        forced = [(1, 2), (0, 1), (2, 2), (1, 0)]
+        with pytest.raises(RuntimeError, match=message):
+            run_round(config, engine="statevector", forced_outcomes=forced)
+        with pytest.raises(RuntimeError, match=message):
+            enumerate_oracle_branches(zero_config(2, 3))
+        assert run_round(config, engine="symbolic",
+                         forced_outcomes=forced).outcomes == tuple(forced)
 
 
 def test_transcript_json_dict_schema():

@@ -116,11 +116,23 @@ def test_tensor_checks_cap_before_allocating(monkeypatch):
     monkeypatch.setattr(statevec, "MAX_AMPLITUDES", 8)
 
     def no_kron(*args):
-        raise AssertionError("np.kron ran before the cap check")
+        raise AssertionError("kron_rows ran before the cap check")
 
-    monkeypatch.setattr(statevec.np, "kron", no_kron)
+    monkeypatch.setattr(statevec, "kron_rows", no_kron)
     with pytest.raises(ValueError, match="cap"):
         tensor(a, b)
+
+
+def test_tensor_matches_np_kron_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for d in range(2, 6):
+        # plain products, then the dense round's cat (x) Bell and Bell (x) cat
+        shapes = [(1, 1), (1, 2), (2, 1), (3, 2), (2, 3)]
+        shapes += [(n, 2) for n in range(2, 5)] + [(2, n) for n in range(2, 5)]
+        for size_a, size_b in shapes:
+            a = random_state(d, range(size_a), rng)
+            b = random_state(d, range(size_a, size_a + size_b), rng)
+            assert tensor(a, b).amps.tobytes() == np.kron(a.amps, b.amps).tobytes()
 
 
 def test_state_builders_check_cap_before_allocating(monkeypatch):
@@ -234,3 +246,9 @@ def test_born_sample_matches_accumulate_loop():
             expected = next((i for i, acc in enumerate(itertools.accumulate(weights))
                              if r < acc), len(weights) - 1)
             assert born_sample(weights, StubRng(draw)) == expected
+
+
+def test_born_sample_rejects_weights_all_below_floor():
+    for weights in ([], [0.0, 0.0]):
+        with pytest.raises(ValueError, match="PROB_FLOOR"):
+            born_sample(weights, StubRng(0.5))
