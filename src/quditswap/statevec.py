@@ -118,7 +118,7 @@ def apply_controlled_shift(state: StateVector, control: int, target: int) -> Sta
 
 
 def kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise np.kron of (..., x) and (..., y) amplitudes, a new (..., x*y)."""
+    """Row-wise Kronecker product of (..., x) and (..., y) amplitudes, a new (..., x*y)."""
     return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (-1,))
 
 
