@@ -25,23 +25,29 @@ from .statevec import (StateVector, apply_controlled_shift, apply_hadamard,
 
 
 def cat_state(d: int, particles, labels) -> StateVector:
-    """Cat state |Psi(u1, ..., un)> on the given particles: the one-row call
-    of cat_amplitudes, with labels reduced mod d first."""
-    validate_dimension(d)
-    particles = tuple(particles)
-    labels = tuple(int(u) % d for u in labels)
+    """Cat state |Psi(u1..un)> on the particles: the one-row call of cat_amplitudes."""
+    particles, labels = tuple(particles), tuple(labels)
     if len(labels) != len(particles):
         raise ValueError(f"{len(particles)} particles but {len(labels)} labels")
     return StateVector(d, particles, cat_amplitudes(d, labels))
 
 
+def reduce_labels(d: int, labels) -> np.ndarray:
+    """Integer labels mod d as an int array, exact past int64 too (where
+    numpy's own inference may round a list to float64)."""
+    try:
+        return np.asarray(labels, dtype=int) % d
+    except OverflowError:
+        return (np.asarray(labels, dtype=object) % d).astype(int)
+
+
 def cat_amplitudes(d: int, labels) -> np.ndarray:
     """Closed-form cat amplitudes for a block of label tuples.
 
-    labels is an int array of shape (..., n); the result has shape (..., d**n).
+    labels holds integers in shape (..., n); the result has shape (..., d**n).
     """
     validate_dimension(d)
-    labels = np.asarray(labels, dtype=int) % d
+    labels = reduce_labels(d, labels)
     n = labels.shape[-1]
     if n < 2:
         raise ValueError("a cat state needs at least 2 particles")

@@ -29,8 +29,8 @@ from itertools import product
 import numpy as np
 
 from .catbell import cat_amplitudes
-from .core import phase_exponent, validate_dimension
-from .statevec import StateVector, born_sample, cat_overlaps, permute_to, tensor
+from .core import validate_dimension, zeta
+from .statevec import StateVector, cat_overlaps, permute_to, tensor
 from .swapcalc import CatFragment, Register, bell_measure
 
 ENGINES = ("symbolic", "statevector")
@@ -146,7 +146,8 @@ def _dense_step(register: Register, cat: StateVector, bell: StateVector,
     d^2 residuals, whose Bell labels come from the symbolic register. Each
     probability is checked to be 1/d^2 from the amplitudes, and the d^2
     predicted labels to be distinct. Returns d^2 candidates ((k, l),
-    register, probability, post-measurement cat) in (k, l) order.
+    register, post-measurement cat) in (k, l) order, so outcome (k, l) is
+    candidate k * d + l.
     """
     d = register.d
     black, _ = pair = measurement_pair(n, i)
@@ -165,7 +166,7 @@ def _dense_step(register: Register, cat: StateVector, bell: StateVector,
             raise RuntimeError(f"party {i} outcome ({k},{l}) has probability "
                                f"{probability}, not 1/d^2")
         post = StateVector(d, rest, overlaps[u1, u2] / np.sqrt(probability))
-        candidates.append(((k, l), reg_kl, probability, post))
+        candidates.append(((k, l), reg_kl, post))
     if len(cells) < d**2:
         raise RuntimeError(f"party {i}'s outcomes name {len(cells)} Bell states, not d^2")
     return candidates
@@ -184,7 +185,7 @@ def _finish(register: Register, cat: StateVector | None, n: int) -> dict:
                               permute_to(cat, final_cat.particles).amps))
         if abs(abs(amp) - 1.0) > 1e-9:
             raise RuntimeError("dense end state is not the announced cat state")
-        if phase_exponent(d, amp) != register.phase_power:
+        if abs(amp - zeta(d, register.phase_power)) > 1e-9:
             raise RuntimeError("dense global phase disagrees with the register")
     return {"announced": final_cat.labels, "key": register.fragment_of(1).labels,
             "final_bells": tuple(register.fragment_of(bell_particles(n, i)[0]).labels
@@ -197,10 +198,11 @@ def run_round(config: ProtocolConfig, engine: str = "symbolic",
               forced_outcomes=None, rng=None) -> Transcript:
     """Execute one round: n Bell measurements, then read off key/announcement.
 
-    forced_outcomes, when given, is a length-n list of (k_i, l_i) pairs;
-    otherwise outcomes are drawn from rng (falling back to config.seed).
-    The statevector engine Born-samples each outcome from the dense oracle
-    and certifies the symbolic register against it, phase included.
+    Each step takes forced_outcomes[i - 1], a (k_i, l_i) pair, or else one
+    draw from rng (falling back to config.seed), so a seed gives the same
+    transcript on both engines. The statevector engine takes that outcome's
+    candidate of the dense step, which certifies the symbolic register
+    against the amplitudes, phase included.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
@@ -216,21 +218,14 @@ def run_round(config: ProtocolConfig, engine: str = "symbolic",
     outcomes: list[tuple[int, int]] = []
 
     for i in range(1, n + 1):
+        raw = (rng.integers(0, d, size=2) if forced_outcomes is None
+               else _convention_map(n, i, *forced_outcomes[i - 1], d))
+        kl = _convention_map(n, i, int(raw[0]), int(raw[1]), d)
         if engine == "symbolic":
-            forced = (None if forced_outcomes is None
-                      else _convention_map(n, i, *forced_outcomes[i - 1], d))
-            raw, register = bell_measure(register, measurement_pair(n, i),
-                                         outcome=forced, rng=rng)
-            outcomes.append(_convention_map(n, i, raw.k, raw.l, d))
-            continue
-
-        candidates = _dense_step(register, cat, bells[i - 1], n, i)
-        if forced_outcomes is not None:
-            k, l = forced_outcomes[i - 1]
-            index = k * d + l
+            _, register = bell_measure(register, measurement_pair(n, i), outcome=raw)
         else:
-            index = born_sample([c[2] for c in candidates], rng)
-        kl, register, _, cat = candidates[index]
+            candidates = _dense_step(register, cat, bells[i - 1], n, i)
+            _, register, cat = candidates[kl[0] * d + kl[1]]
         outcomes.append(kl)
 
     return Transcript(config=config, engine=engine, outcomes=tuple(outcomes),
@@ -331,7 +326,7 @@ def enumerate_oracle_branches(config: ProtocolConfig) -> list[Transcript]:
             branches.append(Transcript(config, "statevector", tuple(outcomes),
                                        **_finish(register, cat, n)))
             return
-        for kl, reg_kl, _, cat_kl in _dense_step(register, cat, bells[i - 1], n, i):
+        for kl, reg_kl, cat_kl in _dense_step(register, cat, bells[i - 1], n, i):
             walk(i + 1, reg_kl, cat_kl, outcomes + [kl])
 
     walk(1, initial_register(config), cat, [])

@@ -6,8 +6,8 @@ digit, matching left-to-right ket notation). All operations are pure; input
 states are never mutated.
 
 Every dense measurement runs on cat_overlaps, one pass over the whole Bell
-basis of a measured (black, white) pair, and born_sample, the one Born
-sampler; every Kronecker product, of states or of row blocks, is kron_rows.
+basis of a measured (black, white) pair; every Kronecker product, of states
+or of row blocks, is kron_rows. Nothing here samples outcomes.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 
 from .core import MAX_AMPLITUDES, pack_index, validate_dimension
 
-# Outcomes below this probability are excluded from sampling and flagged as
-# absent post-states (avoids renormalizing an orthogonal branch).
+# project_onto flags outcomes below this probability as absent post-states
+# (avoids renormalizing an orthogonal branch).
 PROB_FLOOR = 1e-12
 
 
@@ -197,23 +197,3 @@ def cat_overlaps(state: StateVector, pair):
     overlaps = np.tensordot(hadamard_matrix(d).conj(), gathered, axes=(1, 1))
     rest = tuple(p for p in state.particles if p not in pair)
     return rest, overlaps
-
-
-def born_sample(probabilities, rng) -> int:
-    """Index of one Born-sampled outcome, from a single rng.random() draw.
-
-    The draw times the sequential sum of the weights picks the first index
-    whose running sum exceeds it. No outcome below PROB_FLOOR is returned.
-    """
-    r = rng.random() * sum(probabilities)
-    acc = 0.0
-    chosen = None
-    for index, probability in enumerate(probabilities):
-        acc += probability
-        if probability >= PROB_FLOOR:
-            chosen = index
-            if r < acc:
-                break
-    if chosen is None:
-        raise ValueError(f"no outcome weight reaches PROB_FLOOR = {PROB_FLOOR}")
-    return chosen

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catbell import cat_amplitudes, cat_state
+from .catbell import cat_amplitudes, cat_state, reduce_labels
 from .core import validate_dimension, zeta
 from .statevec import StateVector, checked_size, kron_rows, tensor
 
@@ -253,7 +253,7 @@ def verify_swap_block(rule: str, d: int, rows, m: int | None = None) -> np.ndarr
     test, test_swap_rules_match_readme_table, pins the labels.
     """
     validate_dimension(d)
-    rows = np.asarray(rows, dtype=int)
+    rows = reduce_labels(d, rows)
     if rows.ndim != 2 or len(rows) == 0:
         raise ValueError("rows must be a non-empty 2-D label array, "
                          f"got shape {rows.shape}")
@@ -312,7 +312,6 @@ def verify_swap_identity(rule: str, d: int, labels, m: int | None = None) -> flo
     rule "white" takes m, the measured white-node position in 2..n.
     Returns the maximum absolute amplitude deviation.
     """
-    validate_dimension(d)
-    labels_a, labels_b = (tuple(int(u) % d for u in x) for x in labels)
+    labels_a, labels_b = map(tuple, labels)
     _swap_layout(rule, (len(labels_a), len(labels_b)), m)
     return float(verify_swap_block(rule, d, [labels_a + labels_b], m=m)[0])

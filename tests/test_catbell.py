@@ -52,6 +52,16 @@ def test_cat_amplitudes_shapes_and_validation():
         cat_amplitudes(17, [[0, 0]])
 
 
+def test_labels_past_int64_reduce_exactly():
+    # numpy's own inference would make [2**63 + 1, -1] a float64 array and
+    # round the first label, so the reduction mod d must stay in integers
+    for d, labels in ((2, [2**70, 0]), (3, [-2**70, 2**70, 1]),
+                      (3, [2**63 + 1, -1, 0])):
+        expected = cat_amplitudes(d, [[u % d for u in labels]]).tobytes()
+        assert cat_amplitudes(d, [labels]).tobytes() == expected
+        assert cat_state(d, range(len(labels)), labels).amps.tobytes() == expected
+
+
 def test_bell_state_qubit_case():
     assert_allclose(bell_state(2, (0, 1), (0, 0)).amps,
                     np.array([1, 0, 0, 1]) / np.sqrt(2), atol=1e-15)

@@ -159,6 +159,23 @@ def test_protocol_json_byte_identical(tmp_path):
     assert sum(sum(row) for row in report["key_counts"]) == 40
 
 
+@pytest.mark.parametrize("d, n", [(2, 2), (3, 2), (3, 4)])
+def test_protocol_engines_give_the_same_transcripts(tmp_path, d, n):
+    # both engines take one outcome draw per step, so seed and flags fix the
+    # report; only the engine fields differ
+    reports = {}
+    for engine in ("symbolic", "statevector"):
+        target = tmp_path / f"{engine}.json"
+        assert run_cli(["protocol", "--d", str(d), "--n", str(n), "--rounds", "30",
+                        "--labels", "random", "--seed", "5", "--engine", engine,
+                        "--json", str(target)]) == 0
+        report = json.loads(target.read_text())
+        assert report["parameters"].pop("engine") == engine
+        assert [t.pop("engine") for t in report["transcripts"]] == [engine] * 30
+        reports[engine] = report
+    assert reports["statevector"] == reports["symbolic"]
+
+
 def test_protocol_json_stdout_is_pure(capsys):
     assert run_cli(["protocol", "--d", "2", "--rounds", "3", "--seed", "9",
                     "--json", "-"]) == 0

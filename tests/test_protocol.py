@@ -267,6 +267,18 @@ def test_dense_engine_checks_end_state_and_phase(monkeypatch):
         assert run_round(config, engine="symbolic",
                          forced_outcomes=forced).outcomes == tuple(forced)
 
+    # an end phase that is no power of zeta disagrees with the register too
+    monkeypatch.setattr(protocol, "bell_measure", measure)
+    amplitudes = protocol.cat_amplitudes
+    monkeypatch.setattr(protocol, "cat_amplitudes",
+                        lambda d, labels: amplitudes(d, labels) * np.exp(0.1j))
+    with pytest.raises(RuntimeError, match="global phase disagrees"):
+        run_round(config, engine="statevector", forced_outcomes=forced)
+    with pytest.raises(RuntimeError, match="global phase disagrees"):
+        enumerate_oracle_branches(zero_config(2, 3))
+    assert run_round(config, engine="symbolic",
+                     forced_outcomes=forced).outcomes == tuple(forced)
+
 
 def test_transcript_json_dict_schema():
     transcript = run_round(zero_config(2, 3, seed=7),

@@ -1,10 +1,12 @@
 """The README's code blocks run against the code they describe."""
 
+import importlib
 import json
 import re
 import shlex
 from pathlib import Path
 
+import quditswap
 from quditswap.cli import build_parser
 from quditswap.protocol import ProtocolConfig, run_round, transcript_to_json_dict
 
@@ -35,3 +37,30 @@ def test_command_lines_parse():
     parser = build_parser()
     for argv in commands:
         assert parser.parse_args(argv).command == argv[0]
+
+
+def test_backticked_names_exist():
+    # `name(` must be defined in some quditswap module and `module.name` in
+    # that module; dotted names outside the package (`rng.random()`) are skipped
+    modules = {name: importlib.import_module(f"quditswap.{name}")
+               for name in ("catbell", "cli", "core", "protocol", "statevec",
+                            "swapcalc")}
+    modules["quditswap"] = quditswap
+    prose = re.sub(r"^```.*?^```", "", README, flags=re.DOTALL | re.MULTILINE)
+    checked, missing = 0, []
+    for span in re.findall(r"`([^`]+)`", prose):
+        dotted = re.match(r"(\w+)\.(\w+)", span)
+        call = re.match(r"(\w+)\(", span)
+        if dotted:
+            if dotted[1] not in modules:
+                continue
+            found = hasattr(modules[dotted[1]], dotted[2])
+        elif call:
+            found = any(hasattr(module, call[1]) for module in modules.values())
+        else:
+            continue
+        checked += 1
+        if not found:
+            missing.append(span)
+    assert checked >= 6
+    assert missing == []

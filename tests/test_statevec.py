@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from quditswap.catbell import bell_state, cat_amplitudes, cat_state
 from quditswap import statevec
 from quditswap.statevec import (StateVector, apply_controlled_shift,
-                                apply_hadamard, basis_state, born_sample,
+                                apply_hadamard, basis_state,
                                 cat_overlaps, hadamard_matrix, inner_product,
                                 permute_to, project_onto, tensor)
 from quditswap.swapcalc import verify_swap_block
@@ -219,36 +219,3 @@ def test_cat_overlaps_rejects_bad_subsets():
     for subset in ((0,), (0, 0), (1, 2, 1), (0, 9)):
         with pytest.raises(ValueError):
             cat_overlaps(state, subset)
-
-
-class StubRng:
-    def __init__(self, draw):
-        self.draw = draw
-
-    def random(self):
-        return self.draw
-
-
-def test_born_sample_skips_outcomes_below_floor():
-    weights = [0.0, 1e-13, 1.0, 0.0]
-    # a stub draw of 1.0 runs the loop past its end
-    for draw in (0.0, 1e-14, 0.5, 1 - 1e-16, np.nextafter(1.0, 0.0), 1.0):
-        assert born_sample(weights, StubRng(draw)) == 2
-
-
-def test_born_sample_matches_accumulate_loop():
-    # the running-sum loop the dense protocol round used before born_sample;
-    # quarters are exact in binary, so draws of k/4 land on the boundaries
-    draws = list(np.linspace(0.0, np.nextafter(1.0, 0.0), 1001)) + [0.25, 0.5, 0.75]
-    for weights in ([1.0 / 9] * 9, [0.25] * 4):
-        for draw in draws:
-            r = draw * sum(weights)
-            expected = next((i for i, acc in enumerate(itertools.accumulate(weights))
-                             if r < acc), len(weights) - 1)
-            assert born_sample(weights, StubRng(draw)) == expected
-
-
-def test_born_sample_rejects_weights_all_below_floor():
-    for weights in ([], [0.0, 0.0]):
-        with pytest.raises(ValueError, match="PROB_FLOOR"):
-            born_sample(weights, StubRng(0.5))

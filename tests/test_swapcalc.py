@@ -212,6 +212,16 @@ def test_verify_block_equals_reference_random_d5_n4(rows, m):
             reference_deviation(rule, 5, row, position) for row in block]
 
 
+def test_verify_block_reduces_labels_past_int64():
+    for rule, d, row, m in (("bell", 2, [2**70, 1, 0, -2**70], None),
+                            ("bell", 3, [2**63 + 1, -1, 0, 1], None),
+                            ("black", 3, [2**70, -2**70, 1, 2**63 + 1, -1], None),
+                            ("white", 3, [-2**70, 2, 2**70, 0, 2**63 + 1], 3)):
+        reduced = [u % d for u in row]
+        big, small = verify_swap_block(rule, d, [row, reduced], m=m)
+        assert big == small < 1e-12
+
+
 def test_verify_block_validation():
     with pytest.raises(ValueError):
         verify_swap_block("bell", 2, [])  # no case
