@@ -18,6 +18,13 @@ posterior for any strict subset is exactly uniform.
 
 Particle ids: cat particle i is i (1..n); party i's Bell pair sits on
 (n + 2i - 1, n + 2i).
+
+The symbolic engine runs a round on a Register with bell_measure. The
+dense engine runs one step, _dense_step, on a block of branches: every
+branch at one depth has the same particle layout, so their cat labels and
+cat amplitudes are arrays with one row per branch, rewritten by
+bell_measure_block and measured by one cat_overlaps pass. The oracle walks
+all (d^2)^n branches in such blocks; a statevector round is a block of one.
 """
 
 from __future__ import annotations
@@ -25,15 +32,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
 from .catbell import cat_amplitudes
 from .core import validate_dimension, zeta
-from .statevec import StateVector, cat_overlaps, permute_to, tensor
-from .swapcalc import CatFragment, Register, bell_measure
+from .statevec import StateVector, cat_overlaps, kron_rows
+from .swapcalc import CatFragment, Register, bell_measure, bell_measure_block
 
 ENGINES = ("symbolic", "statevector")
+# A dense-oracle block holds at most this many joint amplitudes, rows times
+# d^(n+2), unless a single branch has more.
+ORACLE_BLOCK_AMPLITUDES = 1 << 14
 
 
 class InsufficientSharesError(ValueError):
@@ -137,61 +148,113 @@ def _convention_map(n: int, i: int, k: int, l: int, d: int) -> tuple[int, int]:
     return k % d, l % d
 
 
-def _dense_step(register: Register, cat: StateVector, bell: StateVector,
-                n: int, i: int):
-    """Every outcome of party i's Bell measurement on the dense oracle.
+class _Block(NamedTuple):
+    """B dense-oracle branches at one depth, sharing one layout.
 
-    Party i's Bell factor is tensored onto the branch's cat factor, the
-    factor holding the black node first; one cat_overlaps pass gives all
-    d^2 residuals, whose Bell labels come from the symbolic register. Each
-    probability is checked to be 1/d^2 from the amplitudes, and the d^2
-    predicted labels to be distinct. Returns d^2 candidates ((k, l),
-    register, post-measurement cat) in (k, l) order, so outcome (k, l) is
-    candidate k * d + l.
+    particles orders the register's cat, whose labels are (B, len); dense
+    orders the cat amplitudes (B, d^len); phase (B,) is each branch's power
+    of zeta; codes (B, i, 2) holds, per step so far, the outcome k*d + l and
+    the measured Bell labels u1*d + u2.
     """
-    d = register.d
-    black, _ = pair = measurement_pair(n, i)
-    joint = tensor(cat, bell) if i == 1 else tensor(bell, cat)
-    rest, overlaps = cat_overlaps(joint, pair)
-    probabilities = np.sum(np.abs(overlaps) ** 2, axis=2)
 
-    candidates, cells = [], set()
-    for k, l in product(range(d), repeat=2):
-        _, reg_kl = bell_measure(register, pair,
-                                 outcome=_convention_map(n, i, k, l, d))
-        u1, u2 = reg_kl.fragment_of(black).labels
-        cells.add((u1, u2))
-        probability = float(probabilities[u1, u2])
-        if abs(probability - 1.0 / d**2) > 1e-9:
-            raise RuntimeError(f"party {i} outcome ({k},{l}) has probability "
-                               f"{probability}, not 1/d^2")
-        post = StateVector(d, rest, overlaps[u1, u2] / np.sqrt(probability))
-        candidates.append(((k, l), reg_kl, post))
-    if len(cells) < d**2:
-        raise RuntimeError(f"party {i}'s outcomes name {len(cells)} Bell states, not d^2")
-    return candidates
+    particles: tuple[int, ...]
+    dense: tuple[int, ...]
+    labels: np.ndarray
+    amps: np.ndarray
+    phase: np.ndarray
+    codes: np.ndarray
+
+    def rows(self, index) -> _Block:
+        return self._replace(labels=self.labels[index], amps=self.amps[index],
+                             phase=self.phase[index], codes=self.codes[index])
 
 
-def _finish(register: Register, cat: StateVector | None, n: int) -> dict:
-    """Read a finished round off the register, as Transcript fields.
+def _dense_start(config: ProtocolConfig) -> tuple[list[StateVector], _Block]:
+    """Party 1..n's Bell states, and the block of one branch: the cat."""
+    cat, *bells = initial_state(config)
+    return bells, _Block(cat.particles, cat.particles, np.array([config.cat_labels]),
+                         cat.amps[None], np.zeros(1, dtype=int),
+                         np.zeros((1, 0, 2), dtype=int))
 
-    With the dense end state's cat (None on the symbolic engine), first
-    match it to the announced labels' cat_amplitudes, phase included.
+
+def _dense_step(config: ProtocolConfig, bell: StateVector, i: int,
+                block: _Block) -> _Block:
+    """Every outcome of party i's Bell measurement on every branch of a block.
+
+    Party i's Bell amplitudes are tensored onto each cat row, the factor
+    holding the black node first; one cat_overlaps pass gives every
+    residual, and bell_measure_block names each outcome's measured Bell
+    state and rewritten cat. Each (branch, outcome) probability is checked
+    to be 1/d^2 from the amplitudes, and each branch's d^2 outcomes to name
+    d^2 distinct Bell states. Returns the B * d^2 children in (branch, k, l)
+    order, so outcome (k, l) of a one-branch block is row k * d + l.
     """
-    d = register.d
-    final_cat = register.fragment_of(bell_particles(n, 1)[0])
-    if cat is not None:
-        amp = complex(np.vdot(cat_amplitudes(d, final_cat.labels),
-                              permute_to(cat, final_cat.particles).amps))
-        if abs(abs(amp) - 1.0) > 1e-9:
-            raise RuntimeError("dense end state is not the announced cat state")
-        if abs(amp - zeta(d, register.phase_power)) > 1e-9:
-            raise RuntimeError("dense global phase disagrees with the register")
-    return {"announced": final_cat.labels, "key": register.fragment_of(1).labels,
-            "final_bells": tuple(register.fragment_of(bell_particles(n, i)[0]).labels
-                                 for i in range(2, n + 1)),
-            "phase_power": register.phase_power,
-            "probability": register.branch_probability()}
+    d, n = config.d, config.n
+    count = len(block.phase)
+    pair = measurement_pair(n, i)
+    fragments = [(block.particles, block.labels),
+                 (bell.particles, config.bell_labels[i - 1])]
+    factors = [(block.dense, block.amps),
+               (bell.particles, np.broadcast_to(bell.amps, (count, d * d)))]
+    if i > 1:  # the fragment holding the black node comes first
+        fragments.reverse()
+        factors.reverse()
+    (dense_a, amps_a), (dense_b, amps_b) = factors
+    rest, overlaps = cat_overlaps(d, dense_a + dense_b, kron_rows(amps_a, amps_b), pair)
+    raw = [_convention_map(n, i, k, l, d) for k, l in product(range(d), repeat=2)]
+    measured, residual, delta, particles = bell_measure_block(
+        d, *zip(*fragments), pair, raw)
+
+    rows, u1, u2 = np.arange(count)[:, None], measured[..., 0], measured[..., 1]
+    post = overlaps[rows, u1, u2]
+    probabilities = np.sum(np.abs(post) ** 2, axis=2)
+    wrong = np.argwhere(np.abs(probabilities - 1.0 / d**2) > 1e-9)
+    if len(wrong):
+        row, code = wrong[0]
+        raise RuntimeError(f"party {i} outcome ({code // d},{code % d}) has probability "
+                           f"{float(probabilities[row, code])}, not 1/d^2")
+    named = u1 * d + u2
+    seen = np.zeros((count, d * d), dtype=bool)
+    seen[rows, named] = True
+    cells = np.count_nonzero(seen, axis=1)
+    if cells.min() < d**2:
+        raise RuntimeError(f"party {i}'s outcomes name {cells.min()} Bell states, not d^2")
+
+    post /= np.sqrt(probabilities)[..., None]
+    size = count * d * d
+    step = np.stack(np.broadcast_arrays(np.arange(d * d), named), axis=-1)
+    return _Block(particles, rest, residual.reshape(size, -1), post.reshape(size, -1),
+                  ((block.phase[:, None] + delta) % d).reshape(size),
+                  np.concatenate([np.repeat(block.codes, d * d, axis=0),
+                                  step.reshape(size, 1, 2)], axis=1))
+
+
+def _finish_block(config: ProtocolConfig, block: _Block) -> list[Transcript]:
+    """Certify a block of finished branches and read each off as a Transcript.
+
+    One cat_amplitudes call gives every announced cat; each overlap with the
+    dense end cat, permuted into register order, must have modulus 1 and
+    equal zeta^phase_power, both within 1e-9.
+    """
+    d, n = config.d, config.n
+    count = len(block.phase)
+    axes = [1 + block.dense.index(p) for p in block.particles]
+    dense = block.amps.reshape((count,) + (d,) * n).transpose([0] + axes)
+    amps = np.einsum("bj,bj->b", cat_amplitudes(d, block.labels).conj(),
+                     dense.reshape(count, -1))
+    if np.any(np.abs(np.abs(amps) - 1.0) > 1e-9):
+        raise RuntimeError("dense end state is not the announced cat state")
+    roots = np.array([zeta(d, t) for t in range(d)])
+    if np.any(np.abs(amps - roots[block.phase]) > 1e-9):
+        raise RuntimeError("dense global phase disagrees with the register")
+    pairs = list(product(range(d), repeat=2))
+    probability = Fraction(1, d ** (2 * n))
+    return [Transcript(config, "statevector", tuple(pairs[s] for s, _ in steps),
+                       tuple(labels), pairs[steps[0][1]],
+                       tuple(pairs[b] for _, b in steps[1:]), phase, probability)
+            for labels, phase, steps in zip(block.labels.tolist(),
+                                            block.phase.tolist(),
+                                            block.codes.tolist())]
 
 
 def run_round(config: ProtocolConfig, engine: str = "symbolic",
@@ -200,9 +263,10 @@ def run_round(config: ProtocolConfig, engine: str = "symbolic",
 
     Each step takes forced_outcomes[i - 1], a (k_i, l_i) pair, or else one
     draw from rng (falling back to config.seed), so a seed gives the same
-    transcript on both engines. The statevector engine takes that outcome's
-    candidate of the dense step, which certifies the symbolic register
-    against the amplitudes, phase included.
+    transcript on both engines. The symbolic engine applies that outcome's
+    bell_measure; the statevector engine runs the oracle's dense step on a
+    one-branch block, which checks all d^2 outcomes from the amplitudes, and
+    keeps the drawn outcome's row, whose end cat and phase are certified.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
@@ -213,23 +277,31 @@ def run_round(config: ProtocolConfig, engine: str = "symbolic",
             raise ValueError(f"{n} parties but {len(forced_outcomes)} forced outcomes")
     rng = np.random.default_rng(config.seed if rng is None else rng)
 
-    register = initial_register(config)
-    cat, *bells = initial_state(config) if engine == "statevector" else (None,)
+    if engine == "symbolic":
+        register = initial_register(config)
+    else:
+        bells, block = _dense_start(config)
     outcomes: list[tuple[int, int]] = []
 
     for i in range(1, n + 1):
         raw = (rng.integers(0, d, size=2) if forced_outcomes is None
                else _convention_map(n, i, *forced_outcomes[i - 1], d))
-        kl = _convention_map(n, i, int(raw[0]), int(raw[1]), d)
+        k, l = _convention_map(n, i, int(raw[0]), int(raw[1]), d)
         if engine == "symbolic":
             _, register = bell_measure(register, measurement_pair(n, i), outcome=raw)
         else:
-            candidates = _dense_step(register, cat, bells[i - 1], n, i)
-            _, register, cat = candidates[kl[0] * d + kl[1]]
-        outcomes.append(kl)
+            block = _dense_step(config, bells[i - 1], i, block).rows(
+                slice(k * d + l, k * d + l + 1))
+        outcomes.append((k, l))
 
-    return Transcript(config=config, engine=engine, outcomes=tuple(outcomes),
-                      **_finish(register, cat, n))
+    if engine == "statevector":
+        return _finish_block(config, block)[0]
+    final_cat = register.fragment_of(bell_particles(n, 1)[0])
+    return Transcript(config, engine, tuple(outcomes), final_cat.labels,
+                      register.fragment_of(1).labels,
+                      tuple(register.fragment_of(bell_particles(n, i)[0]).labels
+                            for i in range(2, n + 1)),
+                      register.phase_power, register.branch_probability())
 
 
 def make_party_views(transcript: Transcript) -> tuple[PartyView, ...]:
@@ -312,24 +384,28 @@ def collusion_posterior(d: int, transcript: Transcript, known_parties):
 def enumerate_oracle_branches(config: ProtocolConfig) -> list[Transcript]:
     """Walk every outcome branch of one round on the dense engine.
 
-    A branch is a register and a cat factor; the Bell factors are shared.
-    Each step is run_round's dense step, so every branch is checked for
-    1/d^2 per-step probabilities on d^2 distinct labels plus the final cat
-    state and phase: the set doubles as an exhaustive cross-engine certificate.
+    The walk runs level by level on blocks of branches: each level is
+    run_round's dense step on a whole block, whose children are split into
+    blocks of at most ORACLE_BLOCK_AMPLITUDES joint amplitudes and walked in
+    turn, so branches come in lexicographic outcome order and memory stays
+    flat. Every branch is checked for 1/d^2 per-step probabilities on d^2
+    distinct labels plus the final cat state and phase: the set doubles as
+    an exhaustive cross-engine certificate.
     """
     n = config.n
-    cat, *bells = initial_state(config)
+    bells, root = _dense_start(config)
+    rows = max(1, ORACLE_BLOCK_AMPLITUDES // config.d ** (n + 2))
     branches: list[Transcript] = []
 
-    def walk(i, register, cat, outcomes):
+    def walk(i, block):
         if i > n:
-            branches.append(Transcript(config, "statevector", tuple(outcomes),
-                                       **_finish(register, cat, n)))
+            branches.extend(_finish_block(config, block))
             return
-        for kl, reg_kl, cat_kl in _dense_step(register, cat, bells[i - 1], n, i):
-            walk(i + 1, reg_kl, cat_kl, outcomes + [kl])
+        children = _dense_step(config, bells[i - 1], i, block)
+        for start in range(0, len(children.phase), rows):
+            walk(i + 1, children.rows(slice(start, start + rows)))
 
-    walk(1, initial_register(config), cat, [])
+    walk(1, root)
     return branches
 
 

@@ -6,8 +6,9 @@ digit, matching left-to-right ket notation). All operations are pure; input
 states are never mutated.
 
 Every dense measurement runs on cat_overlaps, one pass over the whole Bell
-basis of a measured (black, white) pair; every Kronecker product, of states
-or of row blocks, is kron_rows. Nothing here samples outcomes.
+basis of a measured (black, white) pair for a block of states that share
+one particle list; every Kronecker product, of states or of row blocks, is
+kron_rows. Nothing here samples outcomes.
 """
 
 from __future__ import annotations
@@ -177,23 +178,33 @@ def project_onto(state: StateVector, reference: StateVector):
     return probability, post
 
 
-def cat_overlaps(state: StateVector, pair):
-    """Overlaps of `state` with all d^2 Bell states on a (black, white) pair.
+def cat_overlaps(d: int, particles, amps, pair):
+    """Overlaps of a block of states with all d^2 Bell states on a (black, white) pair.
 
-    Returns (rest, overlaps): rest lists the other particles in state order,
-    and overlaps[u1, u2], of shape (d, d, d**len(rest)), is the unnormalized
-    residual <Psi(u1, u2)|state> over them. One gather and one length-d DFT
-    over j (a matmul) give every outcome, since
+    amps, of shape (B, d**len(particles)), holds B states over the same
+    particles; a single state is the B = 1 call. Returns (rest, overlaps):
+    rest lists the other particles in state order, and overlaps[b, u1, u2],
+    of shape (B, d, d, d**len(rest)), is state b's unnormalized residual
+    <Psi(u1, u2)|state_b> over them. One gather and one length-d DFT over j
+    (a matmul) give every outcome of every state, since
 
         <Psi(u1, u2)|psi> = (1/sqrt(d)) sum_j zeta^(-j*u1) psi[j, j+u2, ...]
     """
+    particles = tuple(particles)
     if len(pair) != 2 or pair[0] == pair[1]:
         raise ValueError(f"a Bell basis needs 2 distinct particles, got {pair}")
-    d = state.d
-    t = np.moveaxis(state.tensorized(), [state.axis_of(p) for p in pair],
-                    (0, 1)).reshape(d, d, -1)
+    missing = set(pair) - set(particles)
+    if missing:
+        raise ValueError(f"particles {sorted(missing)} not in state {particles}")
+    amps = np.asarray(amps)
+    if amps.ndim != 2 or amps.shape[1] != d ** len(particles):
+        raise ValueError(f"expected (B, {d ** len(particles)}) amplitudes, "
+                         f"got shape {amps.shape}")
+    count = len(amps)
+    t = np.moveaxis(amps.reshape((count,) + (d,) * len(particles)),
+                    [1 + particles.index(p) for p in pair], (1, 2)).reshape(count, d, d, -1)
     j = np.arange(d)
-    gathered = t[j, (j + j[:, None]) % d]  # [u2, j, rest]
-    overlaps = np.tensordot(hadamard_matrix(d).conj(), gathered, axes=(1, 1))
-    rest = tuple(p for p in state.particles if p not in pair)
+    gathered = t[:, j, (j + j[:, None]) % d]  # [b, u2, j, rest]
+    overlaps = np.swapaxes(hadamard_matrix(d).conj() @ gathered, 1, 2)
+    rest = tuple(p for p in particles if p not in pair)
     return rest, overlaps

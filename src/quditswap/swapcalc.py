@@ -26,6 +26,11 @@ The measured pair is always (black node, white node) of two distinct
 fragments. Amplitudes stay (1/sqrt(d))^scale * zeta^phase exactly, so the
 engine tracks both as integers and never touches floating point.
 
+bell_measure_block is the same rewrite on label arrays: many rows on one
+fragment layout, under many outcomes, in one numpy pass. The protocol's
+dense engine uses it; bell_measure stays the reference it is tested
+against.
+
 verify_swap_block checks these rewrites against dense amplitudes for a
 block of label tuples: the rewrites stay scalar bell_measure calls, and the
 dense side is built with block calls of cat_amplitudes and kron_rows.
@@ -183,6 +188,51 @@ def bell_measure(register: Register, pair, outcome: SwapOutcome | None = None,
                      register.phase_power - k * l,
                      register.scale_exponent + 2)
     return outcome, after
+
+
+def bell_measure_block(d: int, fragments, labels, pair, outcomes):
+    """Array twin of bell_measure's rewrite, for many label rows and outcomes.
+
+    fragments holds the particle tuples of p's and of q's fragment, shared
+    by every row; labels holds their label arrays, shapes (..., len(p's))
+    and (..., len(q's)), which broadcast against each other; outcomes is a
+    (K, 2) array of (k, l). Returns (measured, residual, phase, particles):
+    the measured pair's labels (..., K, 2), the residual fragment's labels
+    (..., K, len(particles)), the phase delta of each outcome (K,), and the
+    residual fragment's particles, all as bell_measure gives them.
+    """
+    (p, q), (parts_p, parts_q) = pair, map(tuple, fragments)
+    if set(parts_p) & set(parts_q):
+        raise UnsupportedConfigurationError(
+            f"fragments {parts_p} and {parts_q} share particles")
+    if p != parts_p[0]:
+        raise UnsupportedConfigurationError(
+            f"particle {p} is not its fragment's black node")
+    if q not in parts_q[1:]:
+        raise UnsupportedConfigurationError(
+            f"particle {q} must be a white node of {parts_q}")
+    try:
+        sk, sl = _RULE_SIGNS[len(parts_p) == 2, len(parts_q) == 2]
+    except KeyError:
+        raise UnsupportedConfigurationError(
+            "measuring across two fragments of 3+ particles is not supported") from None
+    outcomes = reduce_labels(d, outcomes)
+    k, l = sk * outcomes[:, 0], sl * outcomes[:, 1]
+    a = reduce_labels(d, labels[0])[..., None, :]
+    b = reduce_labels(d, labels[1])[..., None, :]
+    m = parts_q.index(q)
+    cut = m + len(parts_p) - 1  # p's survivors fill slots m..cut-1
+    particles = parts_q[:m] + parts_p[1:] + parts_q[m + 1:]
+    lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1], k.shape)
+    measured = np.empty(lead + (2,), dtype=int)
+    measured[..., 0] = a[..., 0] - k
+    measured[..., 1] = b[..., m] + l
+    residual = np.empty(lead + (len(particles),), dtype=int)
+    residual[..., :m] = b[..., :m]
+    residual[..., 0] += k
+    residual[..., m:cut] = a[..., 1:] - l[:, None]
+    residual[..., cut:] = b[..., m + 1:]
+    return measured % d, residual % d, (-k * l) % d, particles
 
 
 def to_statevector(register: Register) -> StateVector:

@@ -239,6 +239,16 @@ def test_collude_with_oracle(capsys):
     assert "balanced first dit: PASS" in out
 
 
+def test_collude_bench_sized_oracle(capsys):
+    # the collude-oracle benchmark command: 4^7 branches in many blocks
+    code = run_cli(["collude", "--d", "2", "--n", "7", "--missing", "3",
+                    "--oracle", "--seed", "401", "--json", "-"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["ok"] is True
+    assert report["oracle"] == {"branches": 16384, "view_classes": 4096,
+                                "balanced": True}
+
+
 def test_collude_zero_rounds_reports_no_posterior(capsys):
     argv = ["collude", "--d", "2", "--n", "3", "--missing", "2",
             "--rounds", "0", "--seed", "1"]

@@ -239,27 +239,24 @@ def test_dense_engine_rejects_a_rewrite_that_drops_k_or_l(monkeypatch, keep):
 
 
 def test_dense_engine_checks_end_state_and_phase(monkeypatch):
-    # Each wrap shifts the register by one unit per step, so n steps shift it
-    # by n, which is nonzero mod d because d does not divide n.
-    def shift_phase(after):
-        return dataclasses.replace(after, phase_power=after.phase_power + 1)
+    # The dense engine reads labels and phase from the array rewrite. Each
+    # wrap shifts them by one unit per step, so n steps shift them by n,
+    # which is nonzero mod d because d does not divide n.
+    def shift_phase(measured, residual, delta, particles):
+        return measured, residual, delta + 1, particles
 
-    def shift_residual(after):
-        residual = after.fragments[-1]
-        labels = (residual.labels[0] + 1,) + residual.labels[1:]
-        return dataclasses.replace(after, fragments=after.fragments[:-1] + (
-            dataclasses.replace(residual, labels=labels),))
+    def shift_residual(measured, residual, delta, particles):
+        residual = residual.copy()
+        residual[..., 0] += 1
+        return measured, residual, delta, particles
 
-    measure = protocol.bell_measure
+    rewrite = protocol.bell_measure_block
+    config = random_config(3, 4, np.random.default_rng(8))
+    forced = [(1, 2), (0, 1), (2, 2), (1, 0)]
     for shift, message in ((shift_phase, "global phase disagrees"),
                            (shift_residual, "not the announced cat state")):
-        def wrapped(*args, **kwargs):
-            outcome, after = measure(*args, **kwargs)
-            return outcome, shift(after)
-
-        monkeypatch.setattr(protocol, "bell_measure", wrapped)
-        config = random_config(3, 4, np.random.default_rng(8))
-        forced = [(1, 2), (0, 1), (2, 2), (1, 0)]
+        monkeypatch.setattr(protocol, "bell_measure_block",
+                            lambda *args, shift=shift: shift(*rewrite(*args)))
         with pytest.raises(RuntimeError, match=message):
             run_round(config, engine="statevector", forced_outcomes=forced)
         with pytest.raises(RuntimeError, match=message):
@@ -268,7 +265,7 @@ def test_dense_engine_checks_end_state_and_phase(monkeypatch):
                          forced_outcomes=forced).outcomes == tuple(forced)
 
     # an end phase that is no power of zeta disagrees with the register too
-    monkeypatch.setattr(protocol, "bell_measure", measure)
+    monkeypatch.setattr(protocol, "bell_measure_block", rewrite)
     amplitudes = protocol.cat_amplitudes
     monkeypatch.setattr(protocol, "cat_amplitudes",
                         lambda d, labels: amplitudes(d, labels) * np.exp(0.1j))
@@ -278,6 +275,67 @@ def test_dense_engine_checks_end_state_and_phase(monkeypatch):
         enumerate_oracle_branches(zero_config(2, 3))
     assert run_round(config, engine="symbolic",
                      forced_outcomes=forced).outcomes == tuple(forced)
+
+
+def test_block_checks_read_every_row(monkeypatch):
+    # The budget makes blocks of 3 branches at d=2, n=3. A fault in only the
+    # last row of each multi-row block is caught, whether it sits in a step's
+    # overlaps or rewrite or in the end check's reference cats.
+    def last_row_scaled(d, particles, amps, pair):
+        rest, overlaps = overlap_pass(d, particles, amps, pair)
+        if len(overlaps) > 1:
+            overlaps[-1] *= 1.1
+        return rest, overlaps
+
+    def last_row_duplicate(d, fragments, labels, pair, outcomes):
+        measured, residual, delta, particles = rewrite(d, fragments, labels,
+                                                       pair, outcomes)
+        if len(measured) > 1:
+            measured = measured.copy()
+            measured[-1, -1] = measured[-1, 0]
+        return measured, residual, delta, particles
+
+    def last_row_scaled_cat(d, labels):
+        amps = amplitudes(d, labels)
+        if len(amps) > 1:
+            amps[-1] *= factor
+        return amps
+
+    overlap_pass = protocol.cat_overlaps
+    rewrite, amplitudes = protocol.bell_measure_block, protocol.cat_amplitudes
+    config = zero_config(2, 3)
+    monkeypatch.setattr(protocol, "ORACLE_BLOCK_AMPLITUDES", 3 * 2 ** 5)
+    monkeypatch.setattr(protocol, "cat_overlaps", last_row_scaled)
+    with pytest.raises(RuntimeError, match=r"party 2 outcome \(0,0\) has probability"):
+        enumerate_oracle_branches(config)
+    monkeypatch.setattr(protocol, "cat_overlaps", overlap_pass)
+    monkeypatch.setattr(protocol, "bell_measure_block", last_row_duplicate)
+    with pytest.raises(RuntimeError, match="party 2's outcomes name 3 Bell states"):
+        enumerate_oracle_branches(config)
+    monkeypatch.setattr(protocol, "bell_measure_block", rewrite)
+    monkeypatch.setattr(protocol, "cat_amplitudes", last_row_scaled_cat)
+    for factor, message in ((np.exp(0.1j), "global phase disagrees"),
+                            (1.1, "not the announced cat state")):
+        with pytest.raises(RuntimeError, match=message):
+            enumerate_oracle_branches(config)
+    monkeypatch.setattr(protocol, "cat_amplitudes", amplitudes)
+    assert len(enumerate_oracle_branches(config)) == 64
+
+
+def test_oracle_is_the_symbolic_engine_under_forced_outcomes(monkeypatch):
+    # Two independent rewrites: the oracle's array rewrite with dense checks,
+    # and bell_measure one outcome at a time. Field for field, in order, and
+    # the same with one branch per block and with the whole tree in one.
+    rng, default = np.random.default_rng(12), protocol.ORACLE_BLOCK_AMPLITUDES
+    for d, n in ((2, 2), (3, 2), (2, 3), (3, 3), (2, 4)):
+        config = random_config(d, n, rng)
+        pairs = itertools.product(range(d), repeat=2)
+        expected = [dataclasses.replace(run_round(config, "symbolic", forced_outcomes=o),
+                                        engine="statevector")
+                    for o in itertools.product(pairs, repeat=n)]
+        for budget in (default, 1, d ** (4 * n + 2)):
+            monkeypatch.setattr(protocol, "ORACLE_BLOCK_AMPLITUDES", budget)
+            assert enumerate_oracle_branches(config) == expected
 
 
 def test_transcript_json_dict_schema():

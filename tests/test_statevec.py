@@ -203,13 +203,13 @@ def test_cat_overlaps_match_projections():
     pair = (1, 3)
     for d in range(2, 6):
         state = random_state(d, (3, 7, 1, 5, 8), rng)
-        rest, overlaps = cat_overlaps(state, pair)
+        rest, overlaps = cat_overlaps(d, state.particles, state.amps[None], pair)
         assert rest == tuple(p for p in state.particles if p not in pair)
-        assert overlaps.shape == (d, d, d ** len(rest))
+        assert overlaps.shape == (1, d, d, d ** len(rest))
         for labels in itertools.product(range(d), repeat=2):
             probability, post = project_onto(state, cat_state(d, pair, labels))
             assert post.particles == rest
-            residual = overlaps[labels]
+            residual = overlaps[(0,) + labels]
             assert abs(probability - np.vdot(residual, residual).real) < 1e-12
             assert np.max(np.abs(post.amps * np.sqrt(probability) - residual)) < 1e-12
 
@@ -218,4 +218,24 @@ def test_cat_overlaps_rejects_bad_subsets():
     state = basis_state(2, (0, 1, 2), (0, 0, 0))
     for subset in ((0,), (0, 0), (1, 2, 1), (0, 9)):
         with pytest.raises(ValueError):
-            cat_overlaps(state, subset)
+            cat_overlaps(2, state.particles, state.amps[None], subset)
+
+
+def test_cat_overlaps_rows_are_single_state_calls():
+    rng = np.random.default_rng(23)
+    particles, pair = (3, 7, 1, 5), (5, 7)
+    for d in range(2, 6):
+        rows = np.array([random_state(d, particles, rng).amps for _ in range(4)])
+        rest, overlaps = cat_overlaps(d, particles, rows, pair)
+        assert overlaps.shape == (4, d, d, d ** 2)
+        for row, expected in zip(rows, overlaps):
+            single_rest, single = cat_overlaps(d, particles, row[None], pair)
+            assert single_rest == rest
+            assert single[0].tobytes() == expected.tobytes()
+
+
+def test_cat_overlaps_rejects_a_block_of_the_wrong_shape():
+    state = basis_state(2, (0, 1, 2), (0, 0, 0))
+    for amps in (state.amps, state.amps[None, :4], state.amps.reshape(1, 2, 4)):
+        with pytest.raises(ValueError, match="amplitudes"):
+            cat_overlaps(2, state.particles, amps, (0, 1))

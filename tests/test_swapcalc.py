@@ -12,7 +12,7 @@ from quditswap.core import zeta
 from quditswap.statevec import inner_product, permute_to, project_onto
 from quditswap.swapcalc import (CatFragment, Register, SwapOutcome,
                                 UnsupportedConfigurationError, bell_measure,
-                                to_statevector, verify_swap_block,
+                                bell_measure_block, to_statevector, verify_swap_block,
                                 verify_swap_identity)
 
 
@@ -363,3 +363,47 @@ def test_cross_engine_agreement_random_sequences():
         d = int(rng.integers(2, 4))
         total_steps += run_cross_engine_sequence(d, rng)
     assert total_steps > 60
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 7), st.sampled_from(sorted(swapcalc._RULE_SIGNS)),
+       st.integers(3, 6), st.data())
+def test_block_rewrite_equals_bell_measure(d, key, n, data):
+    # the array twin against the scalar reference, under forced outcomes:
+    # every _RULE_SIGNS key, the Bell-Bell case included, at random labels
+    bell_p, bell_q = key
+    size_p, size_q = 2 if bell_p else n, 2 if bell_q else n
+    parts_p = tuple(range(1, size_p + 1))
+    parts_q = tuple(range(size_p + 1, size_p + size_q + 1))
+    pair = (parts_p[0], parts_q[data.draw(st.integers(1, size_q - 1))])
+    labels = st.integers(-50, 50)
+    rows = data.draw(st.integers(1, 3))
+    a = data.draw(st.lists(st.lists(labels, min_size=size_p, max_size=size_p),
+                           min_size=rows, max_size=rows))
+    b = data.draw(st.lists(st.lists(labels, min_size=size_q, max_size=size_q),
+                           min_size=rows, max_size=rows))
+    outcomes = data.draw(st.lists(st.tuples(labels, labels), min_size=1, max_size=4))
+
+    measured, residual, phase, particles = bell_measure_block(
+        d, (parts_p, parts_q), (a, b), pair, outcomes)
+    assert measured.shape == (rows, len(outcomes), 2)
+    assert residual.shape == (rows, len(outcomes), len(particles))
+    for row in range(rows):
+        register = Register(d, (CatFragment(d, parts_p, a[row]),
+                                CatFragment(d, parts_q, b[row])))
+        for i, outcome in enumerate(outcomes):
+            _, after = bell_measure(register, pair, outcome=outcome)
+            expected_measured, expected_residual = after.fragments
+            assert tuple(measured[row, i].tolist()) == expected_measured.labels
+            assert tuple(residual[row, i].tolist()) == expected_residual.labels
+            assert particles == expected_residual.particles
+            assert int(phase[i]) == after.phase_power
+
+
+def test_block_rewrite_rejects_what_bell_measure_rejects():
+    cat, bell = (1, 2, 3), (4, 5)
+    labels = ([0, 0, 0], [0, 0])
+    for fragments, pair in (((cat, bell), (2, 5)), ((cat, bell), (1, 4)),
+                            ((cat, (3, 4, 5)), (1, 4)), ((cat, (6, 7, 8)), (1, 7))):
+        with pytest.raises(UnsupportedConfigurationError):
+            bell_measure_block(2, fragments, labels, pair, [(0, 0)])
