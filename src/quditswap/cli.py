@@ -29,17 +29,20 @@ import numpy as np
 
 from .core import MAX_AMPLITUDES, validate_dimension
 from .protocol import (ENGINES, ProtocolConfig, collusion_posterior,
-                       enumerate_oracle_branches, run_round,
+                       enumerate_oracle_branches, run_round, symbolic_transcripts,
                        transcript_to_json_dict)
 from .swapcalc import verify_swap_block
 
 MAX_ORACLE_BRANCHES = 1 << 16
 
 # verify checks label tuples in blocks of about this many amplitudes per
-# block array (at least one tuple per block). Larger blocks save little
-# time, since the scalar rewrites dominate, and each block holds about
-# five such arrays at once, which shows in peak memory.
+# block array (at least one tuple per block). Each block holds about five
+# such arrays at once, which shows in peak memory.
 VERIFY_BLOCK_AMPLITUDES = 1 << 12
+
+# protocol draws labels and outcomes, and rewrites rounds, in blocks of
+# this many rounds.
+PROTOCOL_BLOCK_ROUNDS = 1 << 10
 
 RULES = ("bell", "black", "white")
 
@@ -178,22 +181,43 @@ def _random_labels(rng, d: int, n: int):
 
 
 def _load_labels(args, d: int, n: int, rng):
-    """Per-round label source for the protocol command."""
-    if args.labels == "zero":
-        fixed = ((0,) * n, ((0, 0),) * n)
-        return lambda: fixed
+    """Label source for the protocol command: count -> (cat labels (count, n),
+    Bell label pairs (count, n, 2))."""
     if args.labels == "random":
-        return lambda: _random_labels(rng, d, n)
-    with open(args.labels, encoding="utf-8") as handle:
-        data = json.load(handle)
-    cat = tuple(int(x) for x in data["cat_labels"])
-    bells = tuple((int(v), int(vp)) for v, vp in data["bell_labels"])
-    if len(cat) != n or len(bells) != n:
-        raise ValueError(f"labels file must carry {n} cat labels and "
-                         f"{n} Bell label pairs")
-    if not all(0 <= x < d for x in cat + tuple(x for b in bells for x in b)):
-        raise ValueError(f"labels file holds values outside 0..{d - 1}")
-    return lambda: (cat, bells)
+        return lambda count: (rng.integers(0, d, (count, n)),
+                              rng.integers(0, d, (count, n, 2)))
+    if args.labels == "zero":
+        cat, bells = (0,) * n, ((0, 0),) * n
+    else:
+        with open(args.labels, encoding="utf-8") as handle:
+            data = json.load(handle)
+        cat = tuple(int(x) for x in data["cat_labels"])
+        bells = tuple((int(v), int(vp)) for v, vp in data["bell_labels"])
+        if len(cat) != n or len(bells) != n:
+            raise ValueError(f"labels file must carry {n} cat labels and "
+                             f"{n} Bell label pairs")
+        if not all(0 <= x < d for x in cat + tuple(x for b in bells for x in b)):
+            raise ValueError(f"labels file holds values outside 0..{d - 1}")
+    return lambda count: (np.broadcast_to(cat, (count, n)),
+                          np.broadcast_to(bells, (count, n, 2)))
+
+
+def _protocol_rounds(args, seed: int, rng, next_labels):
+    """Yield the command's rounds as Transcripts, run in blocks of
+    PROTOCOL_BLOCK_ROUNDS: each block draws its labels, then its outcomes
+    (R, n, 2), which both engines take as forced outcomes."""
+    d, n = args.d, args.n
+    for first in range(0, args.rounds, PROTOCOL_BLOCK_ROUNDS):
+        count = min(PROTOCOL_BLOCK_ROUNDS, args.rounds - first)
+        cat, bells = next_labels(count)
+        outcomes = rng.integers(0, d, (count, n, 2))
+        configs = [ProtocolConfig(d, n, c, b, seed=seed)
+                   for c, b in zip(cat.tolist(), bells.tolist())]
+        if args.engine == "symbolic":
+            yield from symbolic_transcripts(configs, outcomes)
+        else:
+            for config, steps in zip(configs, outcomes.tolist()):
+                yield run_round(config, engine=args.engine, forced_outcomes=steps)
 
 
 def cmd_protocol(args) -> int:
@@ -214,10 +238,7 @@ def cmd_protocol(args) -> int:
     key_counts = np.zeros((d, d), dtype=int)
     transcripts = []
     recoveries = 0
-    for _ in range(args.rounds):
-        cat, bells = next_labels()
-        config = ProtocolConfig(d, n, cat, bells, seed=seed)
-        transcript = run_round(config, engine=args.engine, rng=rng)
+    for transcript in _protocol_rounds(args, seed, rng, next_labels):
         record = transcript_to_json_dict(transcript)
         recoveries += record["ok"]
         key_counts[transcript.key[0], transcript.key[1]] += 1

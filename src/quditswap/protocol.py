@@ -19,12 +19,16 @@ posterior for any strict subset is exactly uniform.
 Particle ids: cat particle i is i (1..n); party i's Bell pair sits on
 (n + 2i - 1, n + 2i).
 
-The symbolic engine runs a round on a Register with bell_measure. The
-dense engine runs one step, _dense_step, on a block of branches: every
-branch at one depth has the same particle layout, so their cat labels and
-cat amplitudes are arrays with one row per branch, rewritten by
-bell_measure_block and measured by one cat_overlaps pass. The oracle walks
-all (d^2)^n branches in such blocks; a statevector round is a block of one.
+Both engines rewrite labels with bell_measure_block. The symbolic engine,
+symbolic_rounds, runs a block of rounds as label arrays, one row per round
+under that round's own outcomes, one block call per step; a symbolic
+run_round is a block of one. The dense engine runs one step, _dense_step,
+on a block of branches: every branch at one depth has the same particle
+layout, so their cat labels and cat amplitudes are arrays with one row per
+branch, rewritten under all d^2 outcomes and measured by one cat_overlaps
+pass, which reads every probability, outcome, end cat and phase from the
+amplitudes. The oracle walks all (d^2)^n branches in such blocks; a
+statevector round is a block of one.
 """
 
 from __future__ import annotations
@@ -36,10 +40,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catbell import cat_amplitudes
+from .catbell import cat_amplitudes, reduce_labels
 from .core import validate_dimension, zeta
 from .statevec import StateVector, cat_overlaps, kron_rows
-from .swapcalc import CatFragment, Register, bell_measure, bell_measure_block
+from .swapcalc import CatFragment, Register, bell_measure_block
 
 ENGINES = ("symbolic", "statevector")
 # A dense-oracle block holds at most this many joint amplitudes, rows times
@@ -192,7 +196,7 @@ def _dense_step(config: ProtocolConfig, bell: StateVector, i: int,
     d, n = config.d, config.n
     count = len(block.phase)
     pair = measurement_pair(n, i)
-    fragments = [(block.particles, block.labels),
+    fragments = [(block.particles, block.labels[:, None, :]),
                  (bell.particles, config.bell_labels[i - 1])]
     factors = [(block.dense, block.amps),
                (bell.particles, np.broadcast_to(bell.amps, (count, d * d)))]
@@ -201,9 +205,9 @@ def _dense_step(config: ProtocolConfig, bell: StateVector, i: int,
         factors.reverse()
     (dense_a, amps_a), (dense_b, amps_b) = factors
     rest, overlaps = cat_overlaps(d, dense_a + dense_b, kron_rows(amps_a, amps_b), pair)
-    raw = [_convention_map(n, i, k, l, d) for k, l in product(range(d), repeat=2)]
+    k, l = np.divmod(np.arange(d * d), d)
     measured, residual, delta, particles = bell_measure_block(
-        d, *zip(*fragments), pair, raw)
+        d, *zip(*fragments), pair, np.stack(_convention_map(n, i, k, l, d), axis=-1))
 
     rows, u1, u2 = np.arange(count)[:, None], measured[..., 0], measured[..., 1]
     post = overlaps[rows, u1, u2]
@@ -257,51 +261,85 @@ def _finish_block(config: ProtocolConfig, block: _Block) -> list[Transcript]:
                                             block.codes.tolist())]
 
 
+def symbolic_rounds(d: int, n: int, cat, bells, outcomes):
+    """Run a block of R rounds on label arrays, one bell_measure_block per step.
+
+    cat holds each round's cat labels (R, n), bells its Bell label pairs
+    (R, n, 2) and outcomes its (k_i, l_i) per party (R, n, 2), in the
+    protocol convention. Returns (announced (R, n), key (R, 2), final Bells
+    (R, n - 1, 2), phase power (R,)), the fields of each round's Transcript.
+    """
+    cat, bells, outcomes = (reduce_labels(d, x) for x in (cat, bells, outcomes))
+    if cat.shape[1:] != (n,) or bells.shape[1:] != (n, 2) or outcomes.shape[1:] != (n, 2):
+        raise ValueError(f"{n} parties but label shapes {cat.shape} and {bells.shape} "
+                         f"and outcome shape {outcomes.shape}")
+    particles, labels = tuple(range(1, n + 1)), cat
+    measured, phase = [], 0
+    for i in range(1, n + 1):
+        pair = measurement_pair(n, i)
+        raw = np.stack(_convention_map(n, i, outcomes[:, i - 1, 0],
+                                       outcomes[:, i - 1, 1], d), axis=-1)
+        fragments = [(particles, labels), (bell_particles(n, i), bells[:, i - 1])]
+        if i > 1:  # party i's Bell pair holds the black node
+            fragments.reverse()
+        pair_labels, labels, delta, particles = bell_measure_block(
+            d, *zip(*fragments), pair, raw)
+        measured.append(pair_labels)
+        phase = phase + delta
+    return labels, measured[0], np.stack(measured[1:], axis=1), phase % d
+
+
+def symbolic_transcripts(configs, outcomes) -> list[Transcript]:
+    """symbolic_rounds on a block of configs of one d and n, as Transcripts.
+
+    outcomes holds each round's (k_i, l_i) per party, shape (R, n, 2).
+    """
+    d, n = configs[0].d, configs[0].n
+    if any((config.d, config.n) != (d, n) for config in configs):
+        raise ValueError("a block of rounds shares one d and one n")
+    outcomes = reduce_labels(d, outcomes)
+    if outcomes.shape != (len(configs), n, 2):
+        raise ValueError(f"{len(configs)} rounds of {n} parties but outcomes of "
+                         f"shape {outcomes.shape}")
+    fields = symbolic_rounds(d, n, [config.cat_labels for config in configs],
+                             [config.bell_labels for config in configs], outcomes)
+    probability = Fraction(1, d ** (2 * n))
+    return [Transcript(config, "symbolic", tuple(map(tuple, steps)), tuple(announced),
+                       tuple(key), tuple(map(tuple, final_bells)), phase, probability)
+            for config, steps, announced, key, final_bells, phase
+            in zip(configs, outcomes.tolist(), *(field.tolist() for field in fields))]
+
+
 def run_round(config: ProtocolConfig, engine: str = "symbolic",
               forced_outcomes=None, rng=None) -> Transcript:
     """Execute one round: n Bell measurements, then read off key/announcement.
 
     Each step takes forced_outcomes[i - 1], a (k_i, l_i) pair, or else one
     draw from rng (falling back to config.seed), so a seed gives the same
-    transcript on both engines. The symbolic engine applies that outcome's
-    bell_measure; the statevector engine runs the oracle's dense step on a
+    transcript on both engines. The symbolic engine is symbolic_rounds on
+    one row; the statevector engine runs the oracle's dense step on a
     one-branch block, which checks all d^2 outcomes from the amplitudes, and
     keeps the drawn outcome's row, whose end cat and phase are certified.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     d, n = config.d, config.n
-    if forced_outcomes is not None:
-        forced_outcomes = [(int(k) % d, int(l) % d) for k, l in forced_outcomes]
-        if len(forced_outcomes) != n:
-            raise ValueError(f"{n} parties but {len(forced_outcomes)} forced outcomes")
-    rng = np.random.default_rng(config.seed if rng is None else rng)
-
-    if engine == "symbolic":
-        register = initial_register(config)
+    if forced_outcomes is None:
+        rng = np.random.default_rng(config.seed if rng is None else rng)
+        outcomes = [_convention_map(n, i, *map(int, rng.integers(0, d, size=2)), d)
+                    for i in range(1, n + 1)]
     else:
-        bells, block = _dense_start(config)
-    outcomes: list[tuple[int, int]] = []
-
-    for i in range(1, n + 1):
-        raw = (rng.integers(0, d, size=2) if forced_outcomes is None
-               else _convention_map(n, i, *forced_outcomes[i - 1], d))
-        k, l = _convention_map(n, i, int(raw[0]), int(raw[1]), d)
-        if engine == "symbolic":
-            _, register = bell_measure(register, measurement_pair(n, i), outcome=raw)
-        else:
-            block = _dense_step(config, bells[i - 1], i, block).rows(
-                slice(k * d + l, k * d + l + 1))
-        outcomes.append((k, l))
+        outcomes = [(int(k) % d, int(l) % d) for k, l in forced_outcomes]
+        if len(outcomes) != n:
+            raise ValueError(f"{n} parties but {len(outcomes)} forced outcomes")
 
     if engine == "statevector":
+        bells, block = _dense_start(config)
+        for i, (k, l) in enumerate(outcomes, start=1):
+            block = _dense_step(config, bells[i - 1], i, block).rows(
+                slice(k * d + l, k * d + l + 1))
         return _finish_block(config, block)[0]
-    final_cat = register.fragment_of(bell_particles(n, 1)[0])
-    return Transcript(config, engine, tuple(outcomes), final_cat.labels,
-                      register.fragment_of(1).labels,
-                      tuple(register.fragment_of(bell_particles(n, i)[0]).labels
-                            for i in range(2, n + 1)),
-                      register.phase_power, register.branch_probability())
+    return symbolic_transcripts([config], [outcomes])[0]
 
 
 def make_party_views(transcript: Transcript) -> tuple[PartyView, ...]:

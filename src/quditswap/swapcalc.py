@@ -27,13 +27,15 @@ fragments. Amplitudes stay (1/sqrt(d))^scale * zeta^phase exactly, so the
 engine tracks both as integers and never touches floating point.
 
 bell_measure_block is the same rewrite on label arrays: many rows on one
-fragment layout, under many outcomes, in one numpy pass. The protocol's
-dense engine uses it; bell_measure stays the reference it is tested
-against.
+fragment layout, each row under its own outcome or under a table of them,
+in one numpy pass. Every command rewrites through it: both protocol
+engines, the dense oracle and verify. bell_measure stays the one-register
+reference it is tested against.
 
 verify_swap_block checks these rewrites against dense amplitudes for a
-block of label tuples: the rewrites stay scalar bell_measure calls, and the
-dense side is built with block calls of cat_amplitudes and kron_rows.
+block of label tuples: one bell_measure_block call rewrites every tuple
+under all d^2 outcomes, and the dense side is built with block calls of
+cat_amplitudes and kron_rows.
 """
 
 from __future__ import annotations
@@ -195,11 +197,14 @@ def bell_measure_block(d: int, fragments, labels, pair, outcomes):
 
     fragments holds the particle tuples of p's and of q's fragment, shared
     by every row; labels holds their label arrays, shapes (..., len(p's))
-    and (..., len(q's)), which broadcast against each other; outcomes is a
-    (K, 2) array of (k, l). Returns (measured, residual, phase, particles):
-    the measured pair's labels (..., K, 2), the residual fragment's labels
-    (..., K, len(particles)), the phase delta of each outcome (K,), and the
-    residual fragment's particles, all as bell_measure gives them.
+    and (..., len(q's)); outcomes holds (k, l) pairs, shape (..., 2). The
+    leading axes of all three broadcast against each other, so each row
+    can carry its own outcome, or rows (R, 1, len) can meet a (K, 2)
+    outcome table. Returns (measured, residual, phase, particles): the
+    measured pair's labels (..., 2), the residual fragment's labels
+    (..., len(particles)), the phase delta of each outcome, shape
+    outcomes.shape[:-1], and the residual fragment's particles, all as
+    bell_measure gives them.
     """
     (p, q), (parts_p, parts_q) = pair, map(tuple, fragments)
     if set(parts_p) & set(parts_q):
@@ -217,9 +222,8 @@ def bell_measure_block(d: int, fragments, labels, pair, outcomes):
         raise UnsupportedConfigurationError(
             "measuring across two fragments of 3+ particles is not supported") from None
     outcomes = reduce_labels(d, outcomes)
-    k, l = sk * outcomes[:, 0], sl * outcomes[:, 1]
-    a = reduce_labels(d, labels[0])[..., None, :]
-    b = reduce_labels(d, labels[1])[..., None, :]
+    k, l = sk * outcomes[..., 0], sl * outcomes[..., 1]
+    a, b = reduce_labels(d, labels[0]), reduce_labels(d, labels[1])
     m = parts_q.index(q)
     cut = m + len(parts_p) - 1  # p's survivors fill slots m..cut-1
     particles = parts_q[:m] + parts_p[1:] + parts_q[m + 1:]
@@ -230,7 +234,7 @@ def bell_measure_block(d: int, fragments, labels, pair, outcomes):
     residual = np.empty(lead + (len(particles),), dtype=int)
     residual[..., :m] = b[..., :m]
     residual[..., 0] += k
-    residual[..., m:cut] = a[..., 1:] - l[:, None]
+    residual[..., m:cut] = a[..., 1:] - l[..., None]
     residual[..., cut:] = b[..., m + 1:]
     return measured % d, residual % d, (-k * l) % d, particles
 
@@ -289,9 +293,10 @@ def verify_swap_block(rule: str, d: int, rows, m: int | None = None) -> np.ndarr
     rows holds flat label tuples, shape (R, 4) for rule "bell" (two Bell
     pairs) and (R, n + 2) for the cat rules (cat, then Bell pair). For each
     row the two-fragment product state is rebuilt as its outcome sum: one
-    scalar bell_measure per (k, l), each branch's fragments as cat
-    amplitudes, times its phase and its 1/d scale. Returns the maximum
-    absolute amplitude deviation of each row, shape (R,).
+    bell_measure_block call rewrites every row under all d^2 outcomes, and
+    each branch's fragments become cat amplitudes, times its phase and its
+    1/d scale. Returns the maximum absolute amplitude deviation of each
+    row, shape (R,).
 
     The sum runs one outcome at a time in (k, l) order, the float operations
     of a per-state rebuild, so a row's deviation does not depend on the
@@ -311,43 +316,30 @@ def verify_swap_block(rule: str, d: int, rows, m: int | None = None) -> np.ndarr
     before = sum(fragments, ())
     checked_size(d, len(before))
 
-    layout = None
-    after_labels, phases, scales = [], [], []
     split = len(fragments[0])
-    for row in rows.tolist():
-        register = Register(d, (CatFragment(d, fragments[0], row[:split]),
-                                CatFragment(d, fragments[1], row[split:])))
-        for k, l in product(range(d), repeat=2):
-            _, after = bell_measure(register, pair, outcome=SwapOutcome(k, l))
-            measured, residual = after.fragments
-            shape = (measured.particles, residual.particles)
-            layout = layout or shape
-            if shape != layout:
-                raise RuntimeError(f"swap outcome ({k}, {l}) leaves fragments "
-                                   f"{shape}, not the first outcome's {layout}")
-            after_labels.append(measured.labels + residual.labels)
-            phases.append(after.phase_power)
-            scales.append(float(d) ** (-(after.scale_exponent
-                                         - register.scale_exponent) / 2))
+    labels = [rows[:, None, :split], rows[:, None, split:]]
+    if pair[0] not in fragments[0]:  # p's fragment comes first
+        fragments, labels = fragments[::-1], labels[::-1]
+    outcomes = np.array(list(product(range(d), repeat=2)))
+    measured, residual, phases, particles = bell_measure_block(
+        d, fragments, labels, pair, outcomes)
 
     # lhs is permuted once into the branches' particle order; the deviation,
     # a maximum over amplitudes, does not depend on that order
     count = len(rows)
-    axes = (0,) + tuple(1 + before.index(p) for p in sum(layout, ()))
+    axes = (0,) + tuple(1 + before.index(p) for p in pair + particles)
     lhs = kron_rows(cat_amplitudes(d, rows[:, :split]),
                      cat_amplitudes(d, rows[:, split:])).reshape(
         (count,) + (d,) * len(before)).transpose(axes).reshape(count, -1)
-    after_labels = np.reshape(after_labels, (count, d * d, -1))
-    cut = len(layout[0])
-    measured_amps = cat_amplitudes(d, after_labels[..., :cut])
-    residual_amps = cat_amplitudes(d, after_labels[..., cut:])
-    roots = np.array([zeta(d, t) for t in range(d)])[np.reshape(phases, (count, d * d))]
-    scales = np.reshape(scales, (count, d * d))
+    measured_amps = cat_amplitudes(d, measured)
+    residual_amps = cat_amplitudes(d, residual)
+    roots = np.array([zeta(d, t) for t in range(d)])[phases]
+    scale = float(d) ** -1.0  # two factors of 1/sqrt(d) per Bell measurement
     rhs = np.zeros_like(lhs)
     for i in range(d * d):
         amps = kron_rows(measured_amps[:, i], residual_amps[:, i])
-        amps *= roots[:, i, None]
-        amps *= scales[:, i, None]
+        amps *= roots[i]
+        amps *= scale
         rhs += amps
     rhs -= lhs  # rounding is symmetric, so |rhs - lhs| is |lhs - rhs| exactly
     return np.max(np.abs(rhs), axis=1)

@@ -6,6 +6,7 @@ import pytest
 
 from quditswap import cli
 from quditswap.cli import chi_square_critical, main
+from quditswap.protocol import ProtocolConfig, run_round, transcript_to_json_dict
 
 
 def run_cli(argv):
@@ -174,6 +175,49 @@ def test_protocol_engines_give_the_same_transcripts(tmp_path, d, n):
         assert [t.pop("engine") for t in report["transcripts"]] == [engine] * 30
         reports[engine] = report
     assert reports["statevector"] == reports["symbolic"]
+
+
+@pytest.mark.parametrize("engine", ["symbolic", "statevector"])
+@pytest.mark.parametrize("d, n", [(2, 2), (3, 2), (3, 4), (7, 5)])
+def test_protocol_blocks_are_forced_rounds(monkeypatch, capsys, engine, d, n):
+    # Each transcript the block path reports is run_round replayed under the
+    # transcript's own labels and outcomes. Blocks of 3 rounds leave a
+    # partial last block.
+    monkeypatch.setattr(cli, "PROTOCOL_BLOCK_ROUNDS", 3)
+    rounds = 2 if (engine, d) == ("statevector", 7) else 8
+    assert run_cli(["protocol", "--d", str(d), "--n", str(n), "--rounds", str(rounds),
+                    "--labels", "random", "--seed", "17", "--engine", engine,
+                    "--json", "-"]) == 0
+    transcripts = json.loads(capsys.readouterr().out)["transcripts"]
+    assert len(transcripts) == rounds
+    for record in transcripts:
+        config = ProtocolConfig(d, n, record["cat_labels"], record["bell_labels"],
+                                seed=record["seed"])
+        forced = [(step["k"], step["l"]) for step in record["outcomes"]]
+        assert record == transcript_to_json_dict(
+            run_round(config, engine, forced_outcomes=forced))
+
+
+def test_protocol_bench_sized_symbolic(capsys):
+    # the protocol-symbolic benchmark command
+    code = run_cli(["protocol", "--d", "7", "--n", "5", "--rounds", "4000",
+                    "--engine", "symbolic", "--labels", "random", "--seed", "401",
+                    "--json", "-"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["ok"] is True
+    assert report["success_rate"] == 1.0 and report["chi_square"]["pass"] is True
+    assert len(report["transcripts"]) == 4000
+    assert all(record["ok"] for record in report["transcripts"])
+
+
+def test_verify_bench_sized_exhaustive(capsys):
+    # the verify-exhaustive benchmark command
+    code = run_cli(["verify", "--d", "3", "--n", "4", "--rule", "all",
+                    "--seed", "401", "--json", "-"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["ok"] is True
+    assert sum(check["cases"] for check in report["checks"]) == 2997
+    assert all(check["max_deviation"] < 1e-9 for check in report["checks"])
 
 
 def test_protocol_json_stdout_is_pure(capsys):

@@ -105,6 +105,26 @@ def test_rounds_are_seed_deterministic():
     assert run_round(config, rng=rng_a) == run_round(config, rng=rng_b)
 
 
+@pytest.mark.parametrize("config, expected", [
+    (ProtocolConfig(2, 2, (0, 0), ((1, 0), (1, 1)), seed=11),
+     (((0, 0), (1, 0)), (0, 1), (0, 0), ((0, 0),), 0)),
+    (ProtocolConfig(3, 4, (1, 0, 2, 2), ((0, 0), (0, 0), (1, 1), (1, 0)), seed=12),
+     (((1, 0), (2, 2), (0, 0), (0, 0)), (0, 2, 1, 0), (0, 0),
+      ((1, 1), (1, 2), (1, 2)), 1)),
+    (ProtocolConfig(7, 5, (6, 6, 5, 5, 0), ((5, 6), (1, 1), (0, 5), (6, 4), (4, 5)),
+                    seed=13),
+     (((6, 6), (5, 5), (0, 5), (6, 1), (1, 0)), (2, 6, 3, 5, 5), (0, 5),
+      ((3, 2), (0, 1), (0, 5), (3, 1)), 2)),
+])
+def test_seeded_symbolic_rounds_are_pinned(config, expected):
+    # recorded with the scalar register engine: one draw per step, in step
+    # order, from the config's seed
+    transcript = run_round(config)
+    assert (transcript.outcomes, transcript.announced, transcript.key,
+            transcript.final_bells, transcript.phase_power) == expected
+    assert transcript.probability == Fraction(1, config.d ** (2 * config.n))
+
+
 def test_label_reuse_chains_rounds():
     # next round starts from the previous round's final labels
     rng = np.random.default_rng(31)

@@ -237,20 +237,24 @@ def test_verify_block_validation():
         verify_swap_identity("black", 2, ((0, 0, 0), (0, 0, 0)))  # not a Bell pair
 
 
-def test_verify_block_rejects_mixed_layouts(monkeypatch):
-    # one axis permutation serves the whole block, so layouts must agree
-    original = swapcalc.bell_measure
+def test_verify_block_fails_on_a_wrong_particle_order(monkeypatch, capsys):
+    # The rewrite names the residual's particles, and one axis permutation
+    # per block follows that order. A rewrite that lists them reversed puts
+    # each branch's labels on the wrong particles, which the sum sees.
+    rewrite = swapcalc.bell_measure_block
 
-    def reordered(register, pair, outcome=None, rng=None):
-        outcome, after = original(register, pair, outcome=outcome)
-        if outcome == (1, 1):
-            after = Register(after.d, after.fragments[::-1], after.phase_power,
-                             after.scale_exponent)
-        return outcome, after
+    def reversed_particles(*args):
+        measured, residual, phase, particles = rewrite(*args)
+        return measured, residual, phase, particles[::-1]
 
-    monkeypatch.setattr(swapcalc, "bell_measure", reordered)
-    with pytest.raises(RuntimeError, match="first outcome"):
-        verify_swap_block("black", 2, [[0, 0, 0, 0, 0]])
+    monkeypatch.setattr(swapcalc, "bell_measure_block", reversed_particles)
+    d, n = 3, 3
+    for rule, m in rule_cases(n):
+        width = 4 if rule == "bell" else n + 2
+        rows = list(itertools.product(range(d), repeat=width))
+        assert verify_swap_block(rule, d, rows, m=m).max() > 1e-3
+    assert main(["verify", "--d", str(d), "--n", str(n), "--seed", "1"]) == 1
+    assert "CHECKS FAILED" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("keep", ["k", "l"])
@@ -370,7 +374,8 @@ def test_cross_engine_agreement_random_sequences():
        st.integers(3, 6), st.data())
 def test_block_rewrite_equals_bell_measure(d, key, n, data):
     # the array twin against the scalar reference, under forced outcomes:
-    # every _RULE_SIGNS key, the Bell-Bell case included, at random labels
+    # every _RULE_SIGNS key, the Bell-Bell case included, at random labels,
+    # with each row under its own outcome and under a broadcast outcome table
     bell_p, bell_q = key
     size_p, size_q = 2 if bell_p else n, 2 if bell_q else n
     parts_p = tuple(range(1, size_p + 1))
@@ -382,22 +387,34 @@ def test_block_rewrite_equals_bell_measure(d, key, n, data):
                            min_size=rows, max_size=rows))
     b = data.draw(st.lists(st.lists(labels, min_size=size_q, max_size=size_q),
                            min_size=rows, max_size=rows))
+    own = data.draw(st.lists(st.tuples(labels, labels), min_size=rows, max_size=rows))
     outcomes = data.draw(st.lists(st.tuples(labels, labels), min_size=1, max_size=4))
 
     measured, residual, phase, particles = bell_measure_block(
-        d, (parts_p, parts_q), (a, b), pair, outcomes)
-    assert measured.shape == (rows, len(outcomes), 2)
-    assert residual.shape == (rows, len(outcomes), len(particles))
+        d, (parts_p, parts_q), (a, b), pair, own)
+    assert measured.shape == (rows, 2)
+    assert residual.shape == (rows, len(particles))
+    assert phase.shape == (rows,)
+    table = bell_measure_block(d, (parts_p, parts_q),
+                               (np.array(a)[:, None], np.array(b)[:, None]),
+                               pair, outcomes)
+    assert table[0].shape == (rows, len(outcomes), 2)
+    assert table[1].shape == (rows, len(outcomes), len(particles))
+    assert table[2].shape == (len(outcomes),)
+    assert table[3] == particles
     for row in range(rows):
         register = Register(d, (CatFragment(d, parts_p, a[row]),
                                 CatFragment(d, parts_q, b[row])))
-        for i, outcome in enumerate(outcomes):
+        cases = [(own[row], measured[row], residual[row], phase[row])] + [
+            (outcome, table[0][row, i], table[1][row, i], table[2][i])
+            for i, outcome in enumerate(outcomes)]
+        for outcome, got_measured, got_residual, got_phase in cases:
             _, after = bell_measure(register, pair, outcome=outcome)
             expected_measured, expected_residual = after.fragments
-            assert tuple(measured[row, i].tolist()) == expected_measured.labels
-            assert tuple(residual[row, i].tolist()) == expected_residual.labels
+            assert tuple(got_measured.tolist()) == expected_measured.labels
+            assert tuple(got_residual.tolist()) == expected_residual.labels
             assert particles == expected_residual.particles
-            assert int(phase[i]) == after.phase_power
+            assert int(got_phase) == after.phase_power
 
 
 def test_block_rewrite_rejects_what_bell_measure_rejects():
