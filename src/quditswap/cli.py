@@ -41,7 +41,8 @@ MAX_ORACLE_BRANCHES = 1 << 16
 VERIFY_BLOCK_AMPLITUDES = 1 << 12
 
 # protocol draws labels and outcomes, and rewrites rounds, in blocks of
-# this many rounds.
+# this many rounds. Its time is flat from 64 rounds up at d=7 n=5; a
+# block's Transcripts live together, so peak memory grows with the size.
 PROTOCOL_BLOCK_ROUNDS = 1 << 10
 
 RULES = ("bell", "black", "white")
