@@ -175,18 +175,16 @@ def cmd_verify(args) -> int:
 
 
 def _random_labels(rng, d: int, n: int):
-    """One uniform draw of (cat labels, Bell label pairs) for an n-party round."""
-    cat = tuple(int(x) for x in rng.integers(0, d, n))
-    bells = tuple((int(v), int(vp)) for v, vp in rng.integers(0, d, (n, 2)))
-    return cat, bells
+    """Uniform label source: count -> (cat labels (count, n), Bell label
+    pairs (count, n, 2))."""
+    return lambda count: (rng.integers(0, d, (count, n)),
+                          rng.integers(0, d, (count, n, 2)))
 
 
 def _load_labels(args, d: int, n: int, rng):
-    """Label source for the protocol command: count -> (cat labels (count, n),
-    Bell label pairs (count, n, 2))."""
+    """Label source for the protocol command, as _random_labels gives one."""
     if args.labels == "random":
-        return lambda count: (rng.integers(0, d, (count, n)),
-                              rng.integers(0, d, (count, n, 2)))
+        return _random_labels(rng, d, n)
     if args.labels == "zero":
         cat, bells = (0,) * n, ((0, 0),) * n
     else:
@@ -203,22 +201,22 @@ def _load_labels(args, d: int, n: int, rng):
                           np.broadcast_to(bells, (count, n, 2)))
 
 
-def _protocol_rounds(args, seed: int, rng, next_labels):
-    """Yield the command's rounds as Transcripts, run in blocks of
-    PROTOCOL_BLOCK_ROUNDS: each block draws its labels, then its outcomes
-    (R, n, 2), which both engines take as forced outcomes."""
-    d, n = args.d, args.n
-    for first in range(0, args.rounds, PROTOCOL_BLOCK_ROUNDS):
-        count = min(PROTOCOL_BLOCK_ROUNDS, args.rounds - first)
+def _protocol_rounds(d: int, n: int, rounds: int, engine: str, seed: int, rng,
+                     next_labels):
+    """Yield rounds as Transcripts, run in blocks of PROTOCOL_BLOCK_ROUNDS:
+    each block draws its labels, then its outcomes (R, n, 2), which both
+    engines take as forced outcomes."""
+    for first in range(0, rounds, PROTOCOL_BLOCK_ROUNDS):
+        count = min(PROTOCOL_BLOCK_ROUNDS, rounds - first)
         cat, bells = next_labels(count)
         outcomes = rng.integers(0, d, (count, n, 2))
         configs = [ProtocolConfig(d, n, c, b, seed=seed)
                    for c, b in zip(cat.tolist(), bells.tolist())]
-        if args.engine == "symbolic":
+        if engine == "symbolic":
             yield from symbolic_transcripts(configs, outcomes)
         else:
             for config, steps in zip(configs, outcomes.tolist()):
-                yield run_round(config, engine=args.engine, forced_outcomes=steps)
+                yield run_round(config, engine=engine, forced_outcomes=steps)
 
 
 def cmd_protocol(args) -> int:
@@ -239,7 +237,8 @@ def cmd_protocol(args) -> int:
     key_counts = np.zeros((d, d), dtype=int)
     transcripts = []
     recoveries = 0
-    for transcript in _protocol_rounds(args, seed, rng, next_labels):
+    for transcript in _protocol_rounds(d, n, args.rounds, args.engine, seed, rng,
+                                       next_labels):
         record = transcript_to_json_dict(transcript)
         recoveries += record["ok"]
         key_counts[transcript.key[0], transcript.key[1]] += 1
@@ -307,21 +306,22 @@ def cmd_collude(args) -> int:
 
     seed = _pick_seed(args)
     rng = np.random.default_rng(seed)
+    next_labels = _random_labels(rng, d, n)
     uniform = (Fraction(1, d),) * d
     start = time.perf_counter()
 
     rounds_ok, posterior = True, None
-    for _ in range(args.rounds):
-        config = ProtocolConfig(d, n, *_random_labels(rng, d, n), seed=seed)
-        transcript = run_round(config, engine="symbolic", rng=rng)
+    for transcript in _protocol_rounds(d, n, args.rounds, "symbolic", seed, rng,
+                                       next_labels):
         result = collusion_posterior(d, transcript, known)
         posterior = [str(f) for f in result]
         rounds_ok &= result == uniform
 
     oracle = None
     if args.oracle:
-        config = ProtocolConfig(d, n, *_random_labels(rng, d, n), seed=seed)
-        branches = enumerate_oracle_branches(config)
+        cat, bells = next_labels(1)
+        branches = enumerate_oracle_branches(
+            ProtocolConfig(d, n, cat[0], bells[0], seed=seed))
         classes: dict[tuple, list[int]] = {}
         for branch in branches:
             view = (branch.announced,

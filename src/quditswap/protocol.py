@@ -19,7 +19,9 @@ posterior for any strict subset is exactly uniform.
 Particle ids: cat particle i is i (1..n); party i's Bell pair sits on
 (n + 2i - 1, n + 2i).
 
-Both engines rewrite labels with bell_measure_block. The symbolic engine,
+Both engines rewrite labels with bell_measure_block, passing the signs of
+the measuring party's role, _ROLE_SIGNS, so every step reads its outcome
+in the protocol convention above, at n = 2 too. The symbolic engine,
 symbolic_rounds, runs a block of rounds as label arrays, one row per round
 under that round's own outcomes, one block call per step; a symbolic
 run_round is a block of one. The dense engine runs one step, _dense_step,
@@ -40,15 +42,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catbell import cat_amplitudes, reduce_labels
+from .catbell import cat_amplitudes, cat_state, reduce_labels
 from .core import validate_dimension, zeta
 from .statevec import StateVector, cat_overlaps, kron_rows
-from .swapcalc import CatFragment, Register, bell_measure_block
+from .swapcalc import bell_measure_block
 
 ENGINES = ("symbolic", "statevector")
 # A dense-oracle block holds at most this many joint amplitudes, rows times
 # d^(n+2), unless a single branch has more.
 ORACLE_BLOCK_AMPLITUDES = 1 << 14
+# Signs that read a party's (k_i, l_i) into the black-node rewrite, by role:
+# party 1 measures (u1 - k, v' + l), parties 2..n measure (v - k, u_i - l).
+_ROLE_SIGNS = ((1, 1), (1, -1))
 
 
 class InsufficientSharesError(ValueError):
@@ -114,18 +119,12 @@ class PartyView:
             raise ValueError("views exist for parties 2..n only")
 
 
-def initial_register(config: ProtocolConfig) -> Register:
-    n = config.n
-    fragments = [CatFragment(config.d, tuple(range(1, n + 1)), config.cat_labels)]
-    for i in range(1, n + 1):
-        fragments.append(CatFragment(config.d, bell_particles(n, i),
-                                     config.bell_labels[i - 1]))
-    return Register(config.d, tuple(fragments))
-
-
 def initial_state(config: ProtocolConfig) -> tuple[StateVector, ...]:
     """Dense oracle of a round: the cat state, then party 1..n's Bell pairs."""
-    return tuple(f.to_state() for f in initial_register(config).fragments)
+    d, n = config.d, config.n
+    return (cat_state(d, range(1, n + 1), config.cat_labels),) + tuple(
+        cat_state(d, bell_particles(n, i), config.bell_labels[i - 1])
+        for i in range(1, n + 1))
 
 
 def measurement_pair(n: int, i: int) -> tuple[int, int]:
@@ -133,23 +132,6 @@ def measurement_pair(n: int, i: int) -> tuple[int, int]:
     if i == 1:
         return 1, bell_particles(n, 1)[1]
     return bell_particles(n, i)[0], i
-
-
-def _convention_map(n: int, i: int, k: int, l: int, d: int) -> tuple[int, int]:
-    """Translate party i's (k_i, l_i) to/from the raw swap-rule outcome.
-
-    At n = 2 every fragment is a Bell pair, so each step runs under the
-    bell-bell rule whose outcome labels the measured pair as
-    (black + k, white + l); the protocol convention labels Alice's pair
-    (u1 - k, v' + l) and party 2's (v - k, u - l). The map is its own
-    inverse. For n >= 3 the black/white rules already use the protocol
-    convention.
-    """
-    if n == 2:
-        if i == 1:
-            return (-k) % d, l % d
-        return (-k) % d, (-l) % d
-    return k % d, l % d
 
 
 class _Block(NamedTuple):
@@ -205,9 +187,9 @@ def _dense_step(config: ProtocolConfig, bell: StateVector, i: int,
         factors.reverse()
     (dense_a, amps_a), (dense_b, amps_b) = factors
     rest, overlaps = cat_overlaps(d, dense_a + dense_b, kron_rows(amps_a, amps_b), pair)
-    k, l = np.divmod(np.arange(d * d), d)
+    outcomes = np.stack(np.divmod(np.arange(d * d), d), axis=-1)
     measured, residual, delta, particles = bell_measure_block(
-        d, *zip(*fragments), pair, np.stack(_convention_map(n, i, k, l, d), axis=-1))
+        d, *zip(*fragments), pair, outcomes, _ROLE_SIGNS[i > 1])
 
     rows, u1, u2 = np.arange(count)[:, None], measured[..., 0], measured[..., 1]
     post = overlaps[rows, u1, u2]
@@ -276,14 +258,12 @@ def symbolic_rounds(d: int, n: int, cat, bells, outcomes):
     particles, labels = tuple(range(1, n + 1)), cat
     measured, phase = [], 0
     for i in range(1, n + 1):
-        pair = measurement_pair(n, i)
-        raw = np.stack(_convention_map(n, i, outcomes[:, i - 1, 0],
-                                       outcomes[:, i - 1, 1], d), axis=-1)
         fragments = [(particles, labels), (bell_particles(n, i), bells[:, i - 1])]
         if i > 1:  # party i's Bell pair holds the black node
             fragments.reverse()
         pair_labels, labels, delta, particles = bell_measure_block(
-            d, *zip(*fragments), pair, raw)
+            d, *zip(*fragments), measurement_pair(n, i), outcomes[:, i - 1],
+            _ROLE_SIGNS[i > 1])
         measured.append(pair_labels)
         phase = phase + delta
     return labels, measured[0], np.stack(measured[1:], axis=1), phase % d
@@ -314,24 +294,23 @@ def run_round(config: ProtocolConfig, engine: str = "symbolic",
               forced_outcomes=None, rng=None) -> Transcript:
     """Execute one round: n Bell measurements, then read off key/announcement.
 
-    Each step takes forced_outcomes[i - 1], a (k_i, l_i) pair, or else one
-    draw from rng (falling back to config.seed), so a seed gives the same
-    transcript on both engines. The symbolic engine is symbolic_rounds on
-    one row; the statevector engine runs the oracle's dense step on a
-    one-branch block, which checks all d^2 outcomes from the amplitudes, and
-    keeps the drawn outcome's row, whose end cat and phase are certified.
+    Each step takes forced_outcomes[i - 1], a (k_i, l_i) pair, or else its
+    own draw rng.integers(0, d, size=2), recorded as drawn (rng falls back
+    to config.seed), so a seed gives the same transcript on both engines.
+    The symbolic engine is symbolic_rounds on one row; the statevector
+    engine runs the oracle's dense step on a one-branch block, which checks
+    all d^2 outcomes from the amplitudes, and keeps the drawn outcome's row,
+    whose end cat and phase are certified.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     d, n = config.d, config.n
     if forced_outcomes is None:
         rng = np.random.default_rng(config.seed if rng is None else rng)
-        outcomes = [_convention_map(n, i, *map(int, rng.integers(0, d, size=2)), d)
-                    for i in range(1, n + 1)]
-    else:
-        outcomes = [(int(k) % d, int(l) % d) for k, l in forced_outcomes]
-        if len(outcomes) != n:
-            raise ValueError(f"{n} parties but {len(outcomes)} forced outcomes")
+        forced_outcomes = [rng.integers(0, d, size=2) for _ in range(n)]
+    outcomes = [(int(k) % d, int(l) % d) for k, l in forced_outcomes]
+    if len(outcomes) != n:
+        raise ValueError(f"{n} parties but {len(outcomes)} forced outcomes")
 
     if engine == "statevector":
         bells, block = _dense_start(config)

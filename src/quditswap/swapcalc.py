@@ -26,11 +26,11 @@ The measured pair is always (black node, white node) of two distinct
 fragments. Amplitudes stay (1/sqrt(d))^scale * zeta^phase exactly, so the
 engine tracks both as integers and never touches floating point.
 
-bell_measure_block is the same rewrite on label arrays: many rows on one
-fragment layout, each row under its own outcome or under a table of them,
-in one numpy pass. Every command rewrites through it: both protocol
-engines, the dense oracle and verify. bell_measure stays the one-register
-reference it is tested against.
+bell_measure_block is the one copy of this rewrite, on label arrays: many
+rows on one fragment layout, each row under its own outcome or under a
+table of them, in one numpy pass. Every command rewrites through it: both
+protocol engines, the dense oracle and verify. bell_measure is its
+one-row call on a Register.
 
 verify_swap_block checks these rewrites against dense amplitudes for a
 block of label tuples: one bell_measure_block call rewrites every tuple
@@ -90,10 +90,6 @@ class CatFragment:
     def black_node(self) -> int:
         return self.particles[0]
 
-    @property
-    def is_bell(self) -> bool:
-        return len(self.particles) == 2
-
     def to_state(self) -> StateVector:
         return cat_state(self.d, self.particles, self.labels)
 
@@ -136,8 +132,8 @@ class Register:
         return Fraction(1, self.d**self.scale_exponent)
 
 
-# Signs that read (k, l) into the black-node rewrite, keyed by whether the
-# fragments of p and of q are Bell pairs; a missing key is cat-cat.
+# Signs that read a rule's (k, l) into the black-node rewrite, keyed by
+# whether the fragments of p and of q are Bell pairs; cat-cat has no rule.
 _RULE_SIGNS = {(True, True): (-1, 1), (False, True): (1, 1), (True, False): (1, -1)}
 
 
@@ -145,66 +141,46 @@ def bell_measure(register: Register, pair, outcome: SwapOutcome | None = None,
                  rng=None):
     """Bell-measure a (black node, white node) pair from distinct fragments.
 
-    Returns (outcome, new register): the measured pair becomes a Bell
-    fragment, the survivors one rewritten fragment, and the register phase
-    and scale advance, all by the one rewrite of the module docstring. The
-    outcome is forced when given, otherwise drawn uniformly.
+    The one-row call of bell_measure_block. Returns (outcome, new register):
+    the measured pair becomes a Bell fragment, the survivors one rewritten
+    fragment, and the register phase and scale advance. The outcome is
+    forced when given, otherwise drawn uniformly.
     """
     p, q = pair
-    frag_p = register.fragment_of(p)
-    frag_q = register.fragment_of(q)
+    frag_p, frag_q = register.fragment_of(p), register.fragment_of(q)
     if frag_p is frag_q:
         raise UnsupportedConfigurationError(
             f"pair ({p}, {q}) lies inside a single fragment")
-    if p != frag_p.black_node:
-        raise UnsupportedConfigurationError(
-            f"particle {p} is not its fragment's black node")
-    if q == frag_q.black_node:
-        raise UnsupportedConfigurationError(
-            f"particle {q} must be a white node, not a black node")
-
     d = register.d
     if outcome is None:
         outcome = np.random.default_rng(rng).integers(0, d, size=2)
-    k, l = int(outcome[0]) % d, int(outcome[1]) % d
-    outcome = SwapOutcome(k, l)
-
-    try:
-        sk, sl = _RULE_SIGNS[frag_p.is_bell, frag_q.is_bell]
-    except KeyError:
-        raise UnsupportedConfigurationError(
-            "measuring across two fragments of 3+ particles is not supported") from None
-    k, l = sk * k, sl * l
-    a, b = frag_p.labels, frag_q.labels
-    m = frag_q.particles.index(q)
-    measured = CatFragment(d, (p, q), (a[0] - k, b[m] + l))
-    parts, labels = list(frag_q.particles), list(b)
-    parts[m:m + 1] = frag_p.particles[1:]
-    labels[0] += k
-    labels[m:m + 1] = [u - l for u in a[1:]]
-    residual = CatFragment(d, parts, labels)
-
+    outcome = SwapOutcome(int(outcome[0]) % d, int(outcome[1]) % d)
+    measured, residual, delta, particles = bell_measure_block(
+        d, (frag_p.particles, frag_q.particles), (frag_p.labels, frag_q.labels),
+        pair, outcome)
     rest = tuple(f for f in register.fragments
                  if f is not frag_p and f is not frag_q)
-    after = Register(d, rest + (measured, residual),
-                     register.phase_power - k * l,
+    after = Register(d, rest + (CatFragment(d, pair, measured.tolist()),
+                                CatFragment(d, particles, residual.tolist())),
+                     register.phase_power + int(delta),
                      register.scale_exponent + 2)
     return outcome, after
 
 
-def bell_measure_block(d: int, fragments, labels, pair, outcomes):
-    """Array twin of bell_measure's rewrite, for many label rows and outcomes.
+def bell_measure_block(d: int, fragments, labels, pair, outcomes, signs=None):
+    """The swap rewrite of the module docstring on label arrays.
 
     fragments holds the particle tuples of p's and of q's fragment, shared
     by every row; labels holds their label arrays, shapes (..., len(p's))
     and (..., len(q's)); outcomes holds (k, l) pairs, shape (..., 2). The
     leading axes of all three broadcast against each other, so each row
     can carry its own outcome, or rows (R, 1, len) can meet a (K, 2)
-    outcome table. Returns (measured, residual, phase, particles): the
+    outcome table. signs reads (k, l) into the black-node rewrite as
+    (sk * k, sl * l); it defaults to the rule's row of _RULE_SIGNS, the
+    README convention. Returns (measured, residual, phase, particles): the
     measured pair's labels (..., 2), the residual fragment's labels
     (..., len(particles)), the phase delta of each outcome, shape
-    outcomes.shape[:-1], and the residual fragment's particles, all as
-    bell_measure gives them.
+    outcomes.shape[:-1], and the residual fragment's particles.
     """
     (p, q), (parts_p, parts_q) = pair, map(tuple, fragments)
     if set(parts_p) & set(parts_q):
@@ -216,11 +192,10 @@ def bell_measure_block(d: int, fragments, labels, pair, outcomes):
     if q not in parts_q[1:]:
         raise UnsupportedConfigurationError(
             f"particle {q} must be a white node of {parts_q}")
-    try:
-        sk, sl = _RULE_SIGNS[len(parts_p) == 2, len(parts_q) == 2]
-    except KeyError:
+    if len(parts_p) > 2 and len(parts_q) > 2:
         raise UnsupportedConfigurationError(
-            "measuring across two fragments of 3+ particles is not supported") from None
+            "measuring across two fragments of 3+ particles is not supported")
+    sk, sl = _RULE_SIGNS[len(parts_p) == 2, len(parts_q) == 2] if signs is None else signs
     outcomes = reduce_labels(d, outcomes)
     k, l = sk * outcomes[..., 0], sl * outcomes[..., 1]
     a, b = reduce_labels(d, labels[0]), reduce_labels(d, labels[1])

@@ -198,6 +198,29 @@ def test_protocol_blocks_are_forced_rounds(monkeypatch, capsys, engine, d, n):
             run_round(config, engine, forced_outcomes=forced))
 
 
+def test_collude_rounds_are_forced_rounds(monkeypatch):
+    # collude takes its rounds from the protocol command's block path. Each
+    # transcript the posterior sees is run_round replayed under its own
+    # labels and outcomes; blocks of 3 rounds leave a partial last block.
+    posterior, seen = cli.collusion_posterior, []
+
+    def capture(d, transcript, known):
+        seen.append(transcript)
+        return posterior(d, transcript, known)
+
+    monkeypatch.setattr(cli, "PROTOCOL_BLOCK_ROUNDS", 3)
+    monkeypatch.setattr(cli, "collusion_posterior", capture)
+    assert run_cli(["collude", "--d", "3", "--n", "4", "--missing", "3",
+                    "--rounds", "8", "--seed", "17"]) == 0
+    assert len(seen) == 8 and len({t.config for t in seen}) > 1
+    rng = np.random.default_rng(17)
+    assert seen == list(cli._protocol_rounds(3, 4, 8, "symbolic", 17, rng,
+                                             cli._random_labels(rng, 3, 4)))
+    for transcript in seen:
+        assert transcript == run_round(transcript.config,
+                                       forced_outcomes=transcript.outcomes)
+
+
 def test_protocol_bench_sized_symbolic(capsys):
     # the protocol-symbolic benchmark command
     code = run_cli(["protocol", "--d", "7", "--n", "5", "--rounds", "4000",

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quditswap import protocol, swapcalc
+from quditswap import protocol
+from quditswap.core import MAX_AMPLITUDES
 from quditswap.protocol import (InsufficientSharesError, PartyView,
                                 ProtocolConfig, collusion_posterior,
                                 enumerate_oracle_branches,
@@ -237,25 +238,43 @@ def test_oracle_branches_confirm_secrecy():
 
 @pytest.mark.parametrize("keep", ["k", "l"])
 def test_dense_engine_rejects_a_rewrite_that_drops_k_or_l(monkeypatch, keep):
-    # Each rule in turn drops k or l, at the first party whose step uses it.
-    # Every predicted Bell state still has probability 1/d^2, so only the
-    # check that the d^2 outcomes name d^2 distinct states sees the fault.
-    # A sign flip only relabels the outcomes and still passes the walk.
-    d = 3
-    for key, n, party in (((True, True), 2, 1), ((False, True), 3, 1),
-                          ((True, False), 3, 2)):
-        sk, sl = swapcalc._RULE_SIGNS[key]
+    # Each party role in turn drops k or l, at n = 2 and at n = 3, caught at
+    # the first party in that role. Every predicted Bell state still has
+    # probability 1/d^2, so only the check that the d^2 outcomes name d^2
+    # distinct states sees the fault. A sign flip only relabels the
+    # outcomes and still passes the walk.
+    d, roles = 3, protocol._ROLE_SIGNS
+    for n, role in itertools.product((2, 3), (0, 1)):
+        party, (sk, sl) = role + 1, roles[role]
         config = zero_config(d, n)
-        monkeypatch.setitem(swapcalc._RULE_SIGNS, key,
-                            (0, sl) if keep == "l" else (sk, 0))
+
+        def inject(signs):
+            monkeypatch.setattr(protocol, "_ROLE_SIGNS",
+                                roles[:role] + (signs,) + roles[role + 1:])
+
+        inject((0, sl) if keep == "l" else (sk, 0))
         with pytest.raises(RuntimeError, match=f"party {party}'s outcomes name"):
             enumerate_oracle_branches(config)
         with pytest.raises(RuntimeError, match=f"party {party}'s outcomes name"):
             run_round(config, engine="statevector", forced_outcomes=[(1, 2)] * n)
-        monkeypatch.setitem(swapcalc._RULE_SIGNS, key,
-                            (-sk, sl) if keep == "k" else (sk, -sl))
+        inject((-sk, sl) if keep == "k" else (sk, -sl))
         assert len(enumerate_oracle_branches(config)) == d ** (2 * n)
-        monkeypatch.setitem(swapcalc._RULE_SIGNS, key, (sk, sl))
+
+
+@pytest.mark.parametrize("d, n", [(2, 2), (3, 2), (3, 3), (7, 5)])
+def test_seeded_round_records_its_raw_draws(d, n):
+    # With no forced outcomes, step i takes the seed's i-th
+    # integers(0, d, size=2) draw and records it as drawn, on either engine;
+    # the protocol command records its drawn outcomes the same way.
+    config = random_config(d, n, np.random.default_rng(d * n))
+    engines = [e for e in protocol.ENGINES
+               if e == "symbolic" or d ** (n + 2) <= MAX_AMPLITUDES]
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        draws = tuple(tuple(int(x) for x in rng.integers(0, d, size=2))
+                      for _ in range(n))
+        for engine in engines:
+            assert run_round(config, engine, rng=seed).outcomes == draws
 
 
 def test_dense_engine_checks_end_state_and_phase(monkeypatch):
@@ -307,9 +326,8 @@ def test_block_checks_read_every_row(monkeypatch):
             overlaps[-1] *= 1.1
         return rest, overlaps
 
-    def last_row_duplicate(d, fragments, labels, pair, outcomes):
-        measured, residual, delta, particles = rewrite(d, fragments, labels,
-                                                       pair, outcomes)
+    def last_row_duplicate(*args):
+        measured, residual, delta, particles = rewrite(*args)
         if len(measured) > 1:
             measured = measured.copy()
             measured[-1, -1] = measured[-1, 0]
@@ -343,9 +361,10 @@ def test_block_checks_read_every_row(monkeypatch):
 
 
 def test_oracle_is_the_symbolic_engine_under_forced_outcomes(monkeypatch):
-    # Two independent rewrites: the oracle's array rewrite with dense checks,
-    # and bell_measure one outcome at a time. Field for field, in order, and
-    # the same with one branch per block and with the whole tree in one.
+    # The oracle's dense walk against symbolic_rounds one forced outcome
+    # sequence at a time: one rewrite, but only the oracle reads outcomes
+    # and phases from amplitudes. Field for field, in order, and the same
+    # with one branch per block and with the whole tree in one.
     rng, default = np.random.default_rng(12), protocol.ORACLE_BLOCK_AMPLITUDES
     for d, n in ((2, 2), (3, 2), (2, 3), (3, 3), (2, 4)):
         config = random_config(d, n, rng)

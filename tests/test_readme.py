@@ -40,8 +40,9 @@ def test_command_lines_parse():
 
 
 def test_backticked_names_exist():
-    # `name(` must be defined in some quditswap module and `module.name` in
-    # that module; dotted names outside the package (`rng.random()`) are skipped
+    # `name(`, and a bare private or constant name (`_NAME`, `MAX_NAME`), must
+    # be defined in some quditswap module and `module.name` in that module;
+    # dotted names outside the package (`rng.random()`) are skipped
     modules = {name: importlib.import_module(f"quditswap.{name}")
                for name in ("catbell", "cli", "core", "protocol", "statevec",
                             "swapcalc")}
@@ -50,13 +51,14 @@ def test_backticked_names_exist():
     checked, missing = 0, []
     for span in re.findall(r"`([^`]+)`", prose):
         dotted = re.match(r"(\w+)\.(\w+)", span)
-        call = re.match(r"(\w+)\(", span)
+        named = re.match(r"(\w+)\(|(_\w+|[A-Z][A-Z0-9]*_[A-Z0-9_]+)$", span)
         if dotted:
             if dotted[1] not in modules:
                 continue
             found = hasattr(modules[dotted[1]], dotted[2])
-        elif call:
-            found = any(hasattr(module, call[1]) for module in modules.values())
+        elif named:
+            found = any(hasattr(module, named[1] or named[2])
+                        for module in modules.values())
         else:
             continue
         checked += 1

@@ -30,7 +30,7 @@ def cat_bell_register(d, cat_labels, bell_labels):
 def test_fragment_normalizes_labels():
     fragment = CatFragment(3, (0, 1), (-1, 5))
     assert fragment.labels == (2, 2)
-    assert fragment.black_node == 0 and fragment.is_bell
+    assert fragment.black_node == 0
 
 
 def test_fragment_validation():
