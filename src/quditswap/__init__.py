@@ -10,7 +10,7 @@ from .protocol import (InsufficientSharesError, PartyView, ProtocolConfig,
                        Transcript, collusion_posterior,
                        enumerate_oracle_branches, make_party_views,
                        recover_first_dit_pooled, recover_second_dit,
-                       run_round, transcript_to_json_dict)
+                       run_round, run_rounds, transcript_to_json_dict)
 from .statevec import (StateVector, apply_controlled_shift, apply_hadamard,
                        basis_state, hadamard_matrix, inner_product,
                        permute_to, project_onto, tensor)
@@ -31,7 +31,7 @@ __all__ = [
     "expand_basis_in_bell", "expand_basis_in_cat", "hadamard_matrix",
     "inner_product", "make_party_views", "pack_index", "permute_to",
     "phase_exponent", "project_onto", "recover_first_dit_pooled",
-    "recover_second_dit", "run_round", "tensor", "to_statevector",
+    "recover_second_dit", "run_round", "run_rounds", "tensor", "to_statevector",
     "transcript_to_json_dict", "validate_dimension", "verify_swap_block",
     "verify_swap_identity", "zeta",
 ]

@@ -29,8 +29,7 @@ import numpy as np
 
 from .core import MAX_AMPLITUDES, validate_dimension
 from .protocol import (ENGINES, ProtocolConfig, collusion_posterior,
-                       enumerate_oracle_branches, run_round, symbolic_transcripts,
-                       transcript_to_json_dict)
+                       enumerate_oracle_branches, run_rounds, transcript_to_json_dict)
 from .swapcalc import verify_swap_block
 
 MAX_ORACLE_BRANCHES = 1 << 16
@@ -190,12 +189,15 @@ def _load_labels(args, d: int, n: int, rng):
     else:
         with open(args.labels, encoding="utf-8") as handle:
             data = json.load(handle)
-        cat = tuple(int(x) for x in data["cat_labels"])
-        bells = tuple((int(v), int(vp)) for v, vp in data["bell_labels"])
-        if len(cat) != n or len(bells) != n:
+        cat, bells = data["cat_labels"], data["bell_labels"]
+        rows = [cat] + (bells if isinstance(bells, list) else [bells])
+        if not all(isinstance(row, list) and all(type(x) is int for x in row)
+                   for row in rows):
+            raise ValueError("labels file must hold lists of JSON integers")
+        if len(cat) != n or len(bells) != n or any(len(b) != 2 for b in bells):
             raise ValueError(f"labels file must carry {n} cat labels and "
                              f"{n} Bell label pairs")
-        if not all(0 <= x < d for x in cat + tuple(x for b in bells for x in b)):
+        if not all(0 <= x < d for row in rows for x in row):
             raise ValueError(f"labels file holds values outside 0..{d - 1}")
     return lambda count: (np.broadcast_to(cat, (count, n)),
                           np.broadcast_to(bells, (count, n, 2)))
@@ -204,19 +206,15 @@ def _load_labels(args, d: int, n: int, rng):
 def _protocol_rounds(d: int, n: int, rounds: int, engine: str, seed: int, rng,
                      next_labels):
     """Yield rounds as Transcripts, run in blocks of PROTOCOL_BLOCK_ROUNDS:
-    each block draws its labels, then its outcomes (R, n, 2), which both
-    engines take as forced outcomes."""
+    each block draws its labels, then its outcomes (R, n, 2), and runs
+    through protocol.run_rounds on either engine, which forces the drawn
+    outcomes; the dense engine splits a block into sub-blocks of at most
+    protocol.ORACLE_BLOCK_AMPLITUDES joint amplitudes."""
     for first in range(0, rounds, PROTOCOL_BLOCK_ROUNDS):
         count = min(PROTOCOL_BLOCK_ROUNDS, rounds - first)
         cat, bells = next_labels(count)
         outcomes = rng.integers(0, d, (count, n, 2))
-        configs = [ProtocolConfig(d, n, c, b, seed=seed)
-                   for c, b in zip(cat.tolist(), bells.tolist())]
-        if engine == "symbolic":
-            yield from symbolic_transcripts(configs, outcomes)
-        else:
-            for config, steps in zip(configs, outcomes.tolist()):
-                yield run_round(config, engine=engine, forced_outcomes=steps)
+        yield from run_rounds(d, n, cat, bells, outcomes, engine, seed)
 
 
 def cmd_protocol(args) -> int:

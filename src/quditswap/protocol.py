@@ -21,23 +21,24 @@ Particle ids: cat particle i is i (1..n); party i's Bell pair sits on
 
 Both engines rewrite labels with bell_measure_block, passing the signs of
 the measuring party's role, _ROLE_SIGNS, so every step reads its outcome
-in the protocol convention above, at n = 2 too. The symbolic engine,
-symbolic_rounds, runs a block of rounds as label arrays, one row per round
-under that round's own outcomes, one block call per step; a symbolic
-run_round is a block of one. The dense engine runs one step, _dense_step,
-on a block of branches: every branch at one depth has the same particle
-layout, so their cat labels and cat amplitudes are arrays with one row per
-branch, rewritten under all d^2 outcomes and measured by one cat_overlaps
-pass, which reads every probability, outcome, end cat and phase from the
-amplitudes. The oracle walks all (d^2)^n branches in such blocks; a
-statevector round is a block of one.
+in the protocol convention above, at n = 2 too. Rounds run in blocks
+through run_rounds on either engine; run_round is a block of one. The
+symbolic engine rewrites a block as label arrays, one row per round under
+its own outcomes, one block call per step. The dense engine runs one
+step, _dense_step, on a block of branches that share one particle layout:
+their cat labels and amplitudes are arrays with one row per branch,
+rewritten under all d^2 outcomes and measured by one cat_overlaps pass,
+which reads every probability, outcome, end cat and phase from the
+amplitudes. A block of statevector rounds starts with one branch per
+round and keeps each round's own outcome; the oracle walks all (d^2)^n
+branches of one round in such blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -48,8 +49,8 @@ from .statevec import StateVector, cat_overlaps, kron_rows
 from .swapcalc import bell_measure_block
 
 ENGINES = ("symbolic", "statevector")
-# A dense-oracle block holds at most this many joint amplitudes, rows times
-# d^(n+2), unless a single branch has more.
+# A dense block, of oracle branches or of statevector rounds, holds at most
+# this many joint amplitudes, rows times d^(n+2), unless one row has more.
 ORACLE_BLOCK_AMPLITUDES = 1 << 14
 # Signs that read a party's (k_i, l_i) into the black-node rewrite, by role:
 # party 1 measures (u1 - k, v' + l), parties 2..n measure (v - k, u_i - l).
@@ -135,7 +136,7 @@ def measurement_pair(n: int, i: int) -> tuple[int, int]:
 
 
 class _Block(NamedTuple):
-    """B dense-oracle branches at one depth, sharing one layout.
+    """B dense branches at one depth, sharing one layout.
 
     particles orders the register's cat, whose labels are (B, len); dense
     orders the cat amplitudes (B, d^len); phase (B,) is each branch's power
@@ -155,33 +156,32 @@ class _Block(NamedTuple):
                              phase=self.phase[index], codes=self.codes[index])
 
 
-def _dense_start(config: ProtocolConfig) -> tuple[list[StateVector], _Block]:
-    """Party 1..n's Bell states, and the block of one branch: the cat."""
-    cat, *bells = initial_state(config)
-    return bells, _Block(cat.particles, cat.particles, np.array([config.cat_labels]),
-                         cat.amps[None], np.zeros(1, dtype=int),
-                         np.zeros((1, 0, 2), dtype=int))
+def _dense_start(d: int, n: int, cat) -> _Block:
+    """The block of one branch per row of cat labels (B, n): the cat states."""
+    particles = tuple(range(1, n + 1))
+    return _Block(particles, particles, cat, cat_amplitudes(d, cat),
+                  np.zeros(len(cat), dtype=int), np.zeros((len(cat), 0, 2), dtype=int))
 
 
-def _dense_step(config: ProtocolConfig, bell: StateVector, i: int,
-                block: _Block) -> _Block:
+def _dense_step(d: int, n: int, bell, i: int, block: _Block) -> _Block:
     """Every outcome of party i's Bell measurement on every branch of a block.
 
-    Party i's Bell amplitudes are tensored onto each cat row, the factor
-    holding the black node first; one cat_overlaps pass gives every
-    residual, and bell_measure_block names each outcome's measured Bell
-    state and rewritten cat. Each (branch, outcome) probability is checked
-    to be 1/d^2 from the amplitudes, and each branch's d^2 outcomes to name
-    d^2 distinct Bell states. Returns the B * d^2 children in (branch, k, l)
-    order, so outcome (k, l) of a one-branch block is row k * d + l.
+    bell holds party i's Bell labels: one pair, or one per row (B, 2). Their
+    amplitudes are tensored onto each cat row, the factor holding the black
+    node first; one cat_overlaps pass gives every residual, and
+    bell_measure_block names each outcome's measured Bell state and
+    rewritten cat. Each (branch, outcome) probability is checked to be
+    1/d^2 from the amplitudes, and each branch's d^2 outcomes to name d^2
+    distinct Bell states. Returns the B * d^2 children in (branch, k, l)
+    order: outcome (k, l) of branch b is row b * d^2 + k * d + l.
     """
-    d, n = config.d, config.n
     count = len(block.phase)
-    pair = measurement_pair(n, i)
+    pair, bell = measurement_pair(n, i), np.reshape(bell, (-1, 1, 2))
     fragments = [(block.particles, block.labels[:, None, :]),
-                 (bell.particles, config.bell_labels[i - 1])]
+                 (bell_particles(n, i), bell)]
     factors = [(block.dense, block.amps),
-               (bell.particles, np.broadcast_to(bell.amps, (count, d * d)))]
+               (bell_particles(n, i),
+                np.broadcast_to(cat_amplitudes(d, bell[:, 0]), (count, d * d)))]
     if i > 1:  # the fragment holding the black node comes first
         fragments.reverse()
         factors.reverse()
@@ -215,14 +215,13 @@ def _dense_step(config: ProtocolConfig, bell: StateVector, i: int,
                                   step.reshape(size, 1, 2)], axis=1))
 
 
-def _finish_block(config: ProtocolConfig, block: _Block) -> list[Transcript]:
-    """Certify a block of finished branches and read each off as a Transcript.
+def _finish_block(d: int, n: int, block: _Block):
+    """Certify a block of finished branches; return the fields _transcripts reads.
 
     One cat_amplitudes call gives every announced cat; each overlap with the
     dense end cat, permuted into register order, must have modulus 1 and
     equal zeta^phase_power, both within 1e-9.
     """
-    d, n = config.d, config.n
     count = len(block.phase)
     axes = [1 + block.dense.index(p) for p in block.particles]
     dense = block.amps.reshape((count,) + (d,) * n).transpose([0] + axes)
@@ -233,92 +232,97 @@ def _finish_block(config: ProtocolConfig, block: _Block) -> list[Transcript]:
     roots = np.array([zeta(d, t) for t in range(d)])
     if np.any(np.abs(amps - roots[block.phase]) > 1e-9):
         raise RuntimeError("dense global phase disagrees with the register")
-    pairs = list(product(range(d), repeat=2))
-    probability = Fraction(1, d ** (2 * n))
-    return [Transcript(config, "statevector", tuple(pairs[s] for s, _ in steps),
-                       tuple(labels), pairs[steps[0][1]],
-                       tuple(pairs[b] for _, b in steps[1:]), phase, probability)
-            for labels, phase, steps in zip(block.labels.tolist(),
-                                            block.phase.tolist(),
-                                            block.codes.tolist())]
+    codes = block.codes
+    return codes[..., 0], block.labels, codes[:, 0, 1], codes[:, 1:, 1], block.phase
 
 
-def symbolic_rounds(d: int, n: int, cat, bells, outcomes):
-    """Run a block of R rounds on label arrays, one bell_measure_block per step.
+def _dense_rounds(d: int, n: int, cat, bells, outcomes):
+    """A block of rounds on the dense step: one branch per round, keeping
+    each round's own outcome (k, l) at every step; _finish_block's fields."""
+    block, first = _dense_start(d, n, cat), np.arange(len(cat)) * d * d
+    for i in range(1, n + 1):
+        block = _dense_step(d, n, bells[:, i - 1], i, block).rows(
+            first + outcomes[:, i - 1] @ (d, 1))
+    return _finish_block(d, n, block)
 
-    cat holds each round's cat labels (R, n), bells its Bell label pairs
-    (R, n, 2) and outcomes its (k_i, l_i) per party (R, n, 2), in the
-    protocol convention. Returns (announced (R, n), key (R, 2), final Bells
-    (R, n - 1, 2), phase power (R,)), the fields of each round's Transcript.
-    """
-    cat, bells, outcomes = (reduce_labels(d, x) for x in (cat, bells, outcomes))
-    if cat.shape[1:] != (n,) or bells.shape[1:] != (n, 2) or outcomes.shape[1:] != (n, 2):
-        raise ValueError(f"{n} parties but label shapes {cat.shape} and {bells.shape} "
-                         f"and outcome shape {outcomes.shape}")
+
+def _symbolic_rounds(d: int, n: int, cat, bells, outcomes):
+    """A block of rounds on label arrays, one bell_measure_block per step;
+    the fields _finish_block returns."""
     particles, labels = tuple(range(1, n + 1)), cat
-    measured, phase = [], 0
+    codes, phase = [], 0
     for i in range(1, n + 1):
         fragments = [(particles, labels), (bell_particles(n, i), bells[:, i - 1])]
         if i > 1:  # party i's Bell pair holds the black node
             fragments.reverse()
-        pair_labels, labels, delta, particles = bell_measure_block(
+        measured, labels, delta, particles = bell_measure_block(
             d, *zip(*fragments), measurement_pair(n, i), outcomes[:, i - 1],
             _ROLE_SIGNS[i > 1])
-        measured.append(pair_labels)
+        codes.append(measured @ (d, 1))
         phase = phase + delta
-    return labels, measured[0], np.stack(measured[1:], axis=1), phase % d
+    return outcomes @ (d, 1), labels, codes[0], np.stack(codes[1:], axis=1), phase % d
 
 
-def symbolic_transcripts(configs, outcomes) -> list[Transcript]:
-    """symbolic_rounds on a block of configs of one d and n, as Transcripts.
-
-    outcomes holds each round's (k_i, l_i) per party, shape (R, n, 2).
-    """
-    d, n = configs[0].d, configs[0].n
-    if any((config.d, config.n) != (d, n) for config in configs):
-        raise ValueError("a block of rounds shares one d and one n")
-    outcomes = reduce_labels(d, outcomes)
-    if outcomes.shape != (len(configs), n, 2):
-        raise ValueError(f"{len(configs)} rounds of {n} parties but outcomes of "
-                         f"shape {outcomes.shape}")
-    fields = symbolic_rounds(d, n, [config.cat_labels for config in configs],
-                             [config.bell_labels for config in configs], outcomes)
+def _transcripts(configs, engine: str, d: int, n: int, steps, announced, key, finals,
+                 phase) -> list[Transcript]:
+    """Transcripts from a block's field arrays: outcome codes k * d + l
+    (R, n), announced cats (R, n), key code (R,), final Bell codes (R, n - 1)
+    and phase power (R,). Every label pair comes from one table of d^2
+    tuples, shared by the block's transcripts."""
+    pairs = list(product(range(d), repeat=2))
     probability = Fraction(1, d ** (2 * n))
-    return [Transcript(config, "symbolic", tuple(map(tuple, steps)), tuple(announced),
-                       tuple(key), tuple(map(tuple, final_bells)), phase, probability)
-            for config, steps, announced, key, final_bells, phase
-            in zip(configs, outcomes.tolist(), *(field.tolist() for field in fields))]
+    return [Transcript(config, engine, tuple(pairs[c] for c in outcome), tuple(labels),
+                       pairs[code], tuple(pairs[c] for c in final), power, probability)
+            for config, outcome, labels, code, final, power
+            in zip(configs, *(field.tolist()
+                              for field in (steps, announced, key, finals, phase)))]
+
+
+def run_rounds(d: int, n: int, cat, bells, outcomes, engine: str = "symbolic",
+               seed: int | None = None) -> list[Transcript]:
+    """Run a block of R rounds of one d and n on either engine, as Transcripts.
+
+    cat holds each round's cat labels (R, n), bells its Bell label pairs
+    (R, n, 2) and outcomes its (k_i, l_i) per party (R, n, 2), in the
+    protocol convention; seed goes into each round's config. The
+    statevector engine runs sub-blocks of at most ORACLE_BLOCK_AMPLITUDES
+    joint amplitudes (at least one round), and checks every step of every
+    round, all d^2 outcomes, and each end cat and phase from amplitudes.
+    """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
+    cat, bells, outcomes = (reduce_labels(d, x) for x in (cat, bells, outcomes))
+    count = len(outcomes)
+    if (cat.shape, bells.shape, outcomes.shape) != ((count, n), (count, n, 2),
+                                                    (count, n, 2)):
+        raise ValueError(f"{n} parties but label shapes {cat.shape} and {bells.shape} "
+                         f"and outcome shape {outcomes.shape}")
+    configs = [ProtocolConfig(d, n, c, b, seed=seed)
+               for c, b in zip(cat.tolist(), bells.tolist())]
+    rows, run = max(1, count), _symbolic_rounds
+    if engine == "statevector":
+        rows, run = max(1, ORACLE_BLOCK_AMPLITUDES // d ** (n + 2)), _dense_rounds
+    transcripts: list[Transcript] = []
+    for start in range(0, count, rows):
+        part = slice(start, start + rows)
+        transcripts += _transcripts(configs[part], engine, d, n,
+                                    *run(d, n, cat[part], bells[part], outcomes[part]))
+    return transcripts
 
 
 def run_round(config: ProtocolConfig, engine: str = "symbolic",
               forced_outcomes=None, rng=None) -> Transcript:
-    """Execute one round: n Bell measurements, then read off key/announcement.
+    """Execute one round: run_rounds on a block of one.
 
     Each step takes forced_outcomes[i - 1], a (k_i, l_i) pair, or else its
     own draw rng.integers(0, d, size=2), recorded as drawn (rng falls back
     to config.seed), so a seed gives the same transcript on both engines.
-    The symbolic engine is symbolic_rounds on one row; the statevector
-    engine runs the oracle's dense step on a one-branch block, which checks
-    all d^2 outcomes from the amplitudes, and keeps the drawn outcome's row,
-    whose end cat and phase are certified.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
-    d, n = config.d, config.n
     if forced_outcomes is None:
         rng = np.random.default_rng(config.seed if rng is None else rng)
-        forced_outcomes = [rng.integers(0, d, size=2) for _ in range(n)]
-    outcomes = [(int(k) % d, int(l) % d) for k, l in forced_outcomes]
-    if len(outcomes) != n:
-        raise ValueError(f"{n} parties but {len(outcomes)} forced outcomes")
-
-    if engine == "statevector":
-        bells, block = _dense_start(config)
-        for i, (k, l) in enumerate(outcomes, start=1):
-            block = _dense_step(config, bells[i - 1], i, block).rows(
-                slice(k * d + l, k * d + l + 1))
-        return _finish_block(config, block)[0]
-    return symbolic_transcripts([config], [outcomes])[0]
+        forced_outcomes = [rng.integers(0, config.d, size=2) for _ in range(config.n)]
+    return run_rounds(config.d, config.n, [config.cat_labels], [config.bell_labels],
+                      [forced_outcomes], engine, config.seed)[0]
 
 
 def make_party_views(transcript: Transcript) -> tuple[PartyView, ...]:
@@ -356,6 +360,9 @@ def recover_first_dit_pooled(views, announced) -> int:
         raise InsufficientSharesError("no shares supplied")
     d, n = views[0].d, views[0].n
     contributed = sorted(view.party for view in views)
+    duplicated = sorted({i for i in contributed if contributed.count(i) > 1})
+    if duplicated:
+        raise ValueError(f"duplicated shares from parties {duplicated}")
     if contributed != list(range(2, n + 1)):
         missing = sorted(set(range(2, n + 1)) - set(contributed))
         raise InsufficientSharesError(f"missing shares from parties {missing}")
@@ -401,28 +408,28 @@ def collusion_posterior(d: int, transcript: Transcript, known_parties):
 def enumerate_oracle_branches(config: ProtocolConfig) -> list[Transcript]:
     """Walk every outcome branch of one round on the dense engine.
 
-    The walk runs level by level on blocks of branches: each level is
-    run_round's dense step on a whole block, whose children are split into
-    blocks of at most ORACLE_BLOCK_AMPLITUDES joint amplitudes and walked in
-    turn, so branches come in lexicographic outcome order and memory stays
-    flat. Every branch is checked for 1/d^2 per-step probabilities on d^2
+    The walk runs level by level on blocks of branches: each level is the
+    dense step on a whole block, whose children are split into blocks of at
+    most ORACLE_BLOCK_AMPLITUDES joint amplitudes and walked in turn, so
+    branches come in lexicographic outcome order and memory stays flat.
+    Every branch is checked for 1/d^2 per-step probabilities on d^2
     distinct labels plus the final cat state and phase: the set doubles as
     an exhaustive cross-engine certificate.
     """
-    n = config.n
-    bells, root = _dense_start(config)
-    rows = max(1, ORACLE_BLOCK_AMPLITUDES // config.d ** (n + 2))
+    d, n = config.d, config.n
+    rows = max(1, ORACLE_BLOCK_AMPLITUDES // d ** (n + 2))
     branches: list[Transcript] = []
 
     def walk(i, block):
         if i > n:
-            branches.extend(_finish_block(config, block))
+            branches.extend(_transcripts(repeat(config), "statevector", d, n,
+                                         *_finish_block(d, n, block)))
             return
-        children = _dense_step(config, bells[i - 1], i, block)
+        children = _dense_step(d, n, config.bell_labels[i - 1], i, block)
         for start in range(0, len(children.phase), rows):
             walk(i + 1, children.rows(slice(start, start + rows)))
 
-    walk(1, root)
+    walk(1, _dense_start(d, n, np.array([config.cat_labels])))
     return branches
 
 

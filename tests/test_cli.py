@@ -1,12 +1,31 @@
+import hashlib
 import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from quditswap import cli
+from quditswap import cli, protocol
 from quditswap.cli import chi_square_critical, main
 from quditswap.protocol import ProtocolConfig, run_round, transcript_to_json_dict
+
+
+# sha256 of the seed-401 --json reports of three benchmark commands. They
+# hold integers and one chi-square float computed from counts, so a change
+# that moves any byte of them is a change of behaviour. The verify report
+# carries float deviations and is checked by its counts only.
+REPORT_DIGESTS = {
+    "protocol-symbolic":
+        "30175b196614c412798de75de40c8a47e78aeb3979e5684f7670abed4c93261f",
+    "protocol-dense":
+        "90c3f9386e4522379b45dfdf286fb9d7528f5eb1df873dc9779b5ecb4aece5e9",
+    "collude-oracle":
+        "02b72067d2039f42e5b5f88db214bc771cf6f2cb45748bea169cf2aab721202e",
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def run_cli(argv):
@@ -177,19 +196,39 @@ def test_protocol_engines_give_the_same_transcripts(tmp_path, d, n):
     assert reports["statevector"] == reports["symbolic"]
 
 
-@pytest.mark.parametrize("engine", ["symbolic", "statevector"])
+@pytest.mark.parametrize("engine, budget", [
+    pytest.param("symbolic", None, id="symbolic"),
+    pytest.param("statevector", None, id="statevector"),
+    pytest.param("statevector", lambda d, n: 1, id="statevector-budget1"),
+    pytest.param("statevector", lambda d, n: 2 * d ** (n + 2),
+                 id="statevector-budget2rounds"),
+])
 @pytest.mark.parametrize("d, n", [(2, 2), (3, 2), (3, 4), (7, 5)])
-def test_protocol_blocks_are_forced_rounds(monkeypatch, capsys, engine, d, n):
+def test_protocol_blocks_are_forced_rounds(monkeypatch, capsys, engine, budget, d, n):
     # Each transcript the block path reports is run_round replayed under the
     # transcript's own labels and outcomes. Blocks of 3 rounds leave a
-    # partial last block.
+    # partial last block. The statevector engine splits each block into
+    # sub-blocks of ORACLE_BLOCK_AMPLITUDES // d^(n+2) rounds, at least one:
+    # the default budget, a budget of 1 (one round per sub-block), and one
+    # of two rounds, which leaves a partial last sub-block.
     monkeypatch.setattr(cli, "PROTOCOL_BLOCK_ROUNDS", 3)
+    if budget:
+        monkeypatch.setattr(protocol, "ORACLE_BLOCK_AMPLITUDES", budget(d, n))
+    starts, start = [], protocol._dense_start
+    monkeypatch.setattr(protocol, "_dense_start",
+                        lambda d, n, cat: starts.append(len(cat)) or start(d, n, cat))
     rounds = 2 if (engine, d) == ("statevector", 7) else 8
     assert run_cli(["protocol", "--d", str(d), "--n", str(n), "--rounds", str(rounds),
                     "--labels", "random", "--seed", "17", "--engine", engine,
                     "--json", "-"]) == 0
     transcripts = json.loads(capsys.readouterr().out)["transcripts"]
     assert len(transcripts) == rounds
+    rows = max(1, protocol.ORACLE_BLOCK_AMPLITUDES // d ** (n + 2))
+    blocks = [min(3, rounds - first) for first in range(0, rounds, 3)]
+    assert starts == ([] if engine == "symbolic" else
+                      [min(rows, count - s) for count in blocks
+                       for s in range(0, count, rows)])
+    monkeypatch.undo()
     for record in transcripts:
         config = ProtocolConfig(d, n, record["cat_labels"], record["bell_labels"],
                                 seed=record["seed"])
@@ -226,11 +265,26 @@ def test_protocol_bench_sized_symbolic(capsys):
     code = run_cli(["protocol", "--d", "7", "--n", "5", "--rounds", "4000",
                     "--engine", "symbolic", "--labels", "random", "--seed", "401",
                     "--json", "-"])
-    report = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    report = json.loads(text)
     assert code == 0 and report["ok"] is True
     assert report["success_rate"] == 1.0 and report["chi_square"]["pass"] is True
     assert len(report["transcripts"]) == 4000
     assert all(record["ok"] for record in report["transcripts"])
+    assert sha256(text) == REPORT_DIGESTS["protocol-symbolic"]
+
+
+def test_protocol_bench_sized_dense(capsys):
+    # the protocol-dense benchmark command
+    code = run_cli(["protocol", "--d", "3", "--n", "4", "--rounds", "100",
+                    "--engine", "statevector", "--labels", "random", "--seed", "401",
+                    "--json", "-"])
+    text = capsys.readouterr().out
+    report = json.loads(text)
+    assert code == 0 and report["ok"] is True
+    assert len(report["transcripts"]) == 100
+    assert all(record["ok"] for record in report["transcripts"])
+    assert sha256(text) == REPORT_DIGESTS["protocol-dense"]
 
 
 def test_verify_bench_sized_exhaustive(capsys):
@@ -270,7 +324,12 @@ def test_protocol_malformed_labels_file_is_a_usage_error(tmp_path, capsys):
     labels = tmp_path / "labels.json"
     for data in ([[1, 2, 0], [[0, 0]] * 3],
                  {"cat_labels": [1, 2, 0], "bell_labels": [1, 2, 3]},
-                 {"cat_labels": 5, "bell_labels": [[0, 0]] * 3}):
+                 {"cat_labels": 5, "bell_labels": [[0, 0]] * 3},
+                 {"cat_labels": [1.7, 0, 0], "bell_labels": [[0, 0]] * 3},
+                 {"cat_labels": [True, 0, 0], "bell_labels": [[0, 0]] * 3},
+                 {"cat_labels": "012", "bell_labels": [[0, 0]] * 3},
+                 {"cat_labels": [1, 2, 0], "bell_labels": [[0, 0], [0, 1.0], [0, 0]]},
+                 {"cat_labels": [1, 2, 0], "bell_labels": [[0, 0], "01", [0, 0]]}):
         labels.write_text(json.dumps(data))
         assert run_cli(["protocol", "--d", "3", "--n", "3", "--rounds", "1",
                         "--labels", str(labels)]) == 2
@@ -310,10 +369,12 @@ def test_collude_bench_sized_oracle(capsys):
     # the collude-oracle benchmark command: 4^7 branches in many blocks
     code = run_cli(["collude", "--d", "2", "--n", "7", "--missing", "3",
                     "--oracle", "--seed", "401", "--json", "-"])
-    report = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    report = json.loads(text)
     assert code == 0 and report["ok"] is True
     assert report["oracle"] == {"branches": 16384, "view_classes": 4096,
                                 "balanced": True}
+    assert sha256(text) == REPORT_DIGESTS["collude-oracle"]
 
 
 def test_collude_zero_rounds_reports_no_posterior(capsys):

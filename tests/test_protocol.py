@@ -167,6 +167,11 @@ def test_pooled_recovery_needs_every_share():
         recover_first_dit_pooled(views[:-1], transcript.announced)
     with pytest.raises(InsufficientSharesError):
         recover_first_dit_pooled([], transcript.announced)
+    # a share given twice names its party, with or without the others
+    for pooled, party in (([views[0], views[0], views[1]], 2),
+                          (list(views) + [views[1]], 3)):
+        with pytest.raises(ValueError, match=rf"shares from parties \[{party}\]"):
+            recover_first_dit_pooled(pooled, transcript.announced)
 
 
 def test_collusion_posterior_uniform_for_strict_subsets():
@@ -319,7 +324,9 @@ def test_dense_engine_checks_end_state_and_phase(monkeypatch):
 def test_block_checks_read_every_row(monkeypatch):
     # The budget makes blocks of 3 branches at d=2, n=3. A fault in only the
     # last row of each multi-row block is caught, whether it sits in a step's
-    # overlaps or rewrite or in the end check's reference cats.
+    # overlaps or rewrite or in the end check's reference cats. The same
+    # faults in the last round of a statevector run_rounds block of 3
+    # rounds are caught too, at party 1, where that block already has 3 rows.
     def last_row_scaled(d, particles, amps, pair):
         rest, overlaps = overlap_pass(d, particles, amps, pair)
         if len(overlaps) > 1:
@@ -339,29 +346,49 @@ def test_block_checks_read_every_row(monkeypatch):
             amps[-1] *= factor
         return amps
 
-    overlap_pass = protocol.cat_overlaps
+    def end_check_scaled(d, n, block):
+        # the start cats and Bell factors also come from cat_amplitudes;
+        # scale only the end check's reference cats
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "cat_amplitudes", last_row_scaled_cat)
+            return finish(d, n, block)
+
+    def rounds():
+        rng = np.random.default_rng(4)
+        return protocol.run_rounds(2, 3, rng.integers(0, 2, (3, 3)),
+                                   rng.integers(0, 2, (3, 3, 2)),
+                                   rng.integers(0, 2, (3, 3, 2)), "statevector")
+
+    overlap_pass, finish = protocol.cat_overlaps, protocol._finish_block
     rewrite, amplitudes = protocol.bell_measure_block, protocol.cat_amplitudes
     config = zero_config(2, 3)
     monkeypatch.setattr(protocol, "ORACLE_BLOCK_AMPLITUDES", 3 * 2 ** 5)
     monkeypatch.setattr(protocol, "cat_overlaps", last_row_scaled)
     with pytest.raises(RuntimeError, match=r"party 2 outcome \(0,0\) has probability"):
         enumerate_oracle_branches(config)
+    with pytest.raises(RuntimeError, match=r"party 1 outcome \(0,0\) has probability"):
+        rounds()
     monkeypatch.setattr(protocol, "cat_overlaps", overlap_pass)
     monkeypatch.setattr(protocol, "bell_measure_block", last_row_duplicate)
     with pytest.raises(RuntimeError, match="party 2's outcomes name 3 Bell states"):
         enumerate_oracle_branches(config)
+    with pytest.raises(RuntimeError, match="party 1's outcomes name 3 Bell states"):
+        rounds()
     monkeypatch.setattr(protocol, "bell_measure_block", rewrite)
-    monkeypatch.setattr(protocol, "cat_amplitudes", last_row_scaled_cat)
+    monkeypatch.setattr(protocol, "_finish_block", end_check_scaled)
     for factor, message in ((np.exp(0.1j), "global phase disagrees"),
                             (1.1, "not the announced cat state")):
         with pytest.raises(RuntimeError, match=message):
             enumerate_oracle_branches(config)
-    monkeypatch.setattr(protocol, "cat_amplitudes", amplitudes)
+        with pytest.raises(RuntimeError, match=message):
+            rounds()
+    monkeypatch.setattr(protocol, "_finish_block", finish)
     assert len(enumerate_oracle_branches(config)) == 64
+    assert len(rounds()) == 3
 
 
 def test_oracle_is_the_symbolic_engine_under_forced_outcomes(monkeypatch):
-    # The oracle's dense walk against symbolic_rounds one forced outcome
+    # The oracle's dense walk against the symbolic engine one forced outcome
     # sequence at a time: one rewrite, but only the oracle reads outcomes
     # and phases from amplitudes. Field for field, in order, and the same
     # with one branch per block and with the whole tree in one.
