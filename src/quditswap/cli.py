@@ -9,7 +9,8 @@ Three subcommands:
   collude   exact first-dit posteriors for colluding subsets, with an
             optional exhaustive dense-engine confirmation
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 usage, cap or I/O error.
+Exit codes: 0 all checks passed, 1 a check failed, 2 usage, cap or I/O error;
+over-cap sizes are refused by statevec.checked_size before any work.
 `--json PATH` (or `-` for stdout) writes a machine report; identical flags
 plus seed reproduce it byte for byte, so no timings go into the JSON.
 """
@@ -27,17 +28,13 @@ from itertools import islice, product
 
 import numpy as np
 
-from .core import MAX_AMPLITUDES, validate_dimension
+from .core import validate_dimension
 from .protocol import (ENGINES, ProtocolConfig, collusion_posterior,
                        enumerate_oracle_branches, run_rounds, transcript_to_json_dict)
+from .statevec import block_rows, checked_size
 from .swapcalc import verify_swap_block
 
 MAX_ORACLE_BRANCHES = 1 << 16
-
-# verify checks label tuples in blocks of about this many amplitudes per
-# block array (at least one tuple per block). Each block holds about five
-# such arrays at once, which shows in peak memory.
-VERIFY_BLOCK_AMPLITUDES = 1 << 12
 
 # protocol draws labels and outcomes, and rewrites rounds, in blocks of
 # this many rounds. Its time is flat from 64 rounds up at d=7 n=5; a
@@ -106,6 +103,14 @@ def _usage_fail(message: str) -> int:
     return 2
 
 
+def _cap_refusal(d: int, qudits: int) -> str | None:
+    """checked_size's refusal of d**qudits amplitudes, or None within the cap."""
+    try:
+        checked_size(d, qudits)
+    except ValueError as exc:
+        return f"refusing: {exc}"
+
+
 def _sampled_blocks(rng, d: int, width: int, positions, samples: int,
                     per_block: int):
     """Yield (m, rows) blocks of random label tuples, drawn in the order of
@@ -123,22 +128,18 @@ def _sampled_blocks(rng, d: int, width: int, positions, samples: int,
 def cmd_verify(args) -> int:
     d, n = args.d, args.n
     rules = RULES if args.rule == "all" else (args.rule,)
-    needed = max(d**4 if r == "bell" else d ** (n + 2) for r in rules)
-    if needed > MAX_AMPLITUDES:
-        return _usage_fail(
-            f"refusing: the dense check needs {needed} amplitudes "
-            f"(cap {MAX_AMPLITUDES}); lower --d or --n")
+    widths = [4 if rule == "bell" else n + 2 for rule in rules]
+    if refusal := _cap_refusal(d, max(widths)):
+        return _usage_fail(f"{refusal}; lower --d or --n")
 
     seed = _pick_seed(args)
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     checks = []
-    for rule in rules:
-        worst = 0.0
-        cases = 0
-        width = 4 if rule == "bell" else n + 2
+    for rule, width in zip(rules, widths):
+        worst, cases = 0.0, 0
         positions = tuple(range(2, n + 1)) if rule == "white" else (None,)
-        per_block = max(1, VERIFY_BLOCK_AMPLITUDES // d**width)
+        per_block = block_rows(d, width)
         if args.samples is None:
             tuples = product(range(d), repeat=width)
             blocks = ((m, block)
@@ -208,8 +209,8 @@ def _protocol_rounds(d: int, n: int, rounds: int, engine: str, seed: int, rng,
     """Yield rounds as Transcripts, run in blocks of PROTOCOL_BLOCK_ROUNDS:
     each block draws its labels, then its outcomes (R, n, 2), and runs
     through protocol.run_rounds on either engine, which forces the drawn
-    outcomes; the dense engine splits a block into sub-blocks of at most
-    protocol.ORACLE_BLOCK_AMPLITUDES joint amplitudes."""
+    outcomes; the dense engine splits a block into sub-blocks of
+    statevec.block_rows rounds."""
     for first in range(0, rounds, PROTOCOL_BLOCK_ROUNDS):
         count = min(PROTOCOL_BLOCK_ROUNDS, rounds - first)
         cat, bells = next_labels(count)
@@ -219,10 +220,8 @@ def _protocol_rounds(d: int, n: int, rounds: int, engine: str, seed: int, rng,
 
 def cmd_protocol(args) -> int:
     d, n = args.d, args.n
-    if args.engine == "statevector" and d ** (n + 2) > MAX_AMPLITUDES:
-        return _usage_fail(
-            f"refusing: the statevector engine needs d^(n+2) = {d ** (n + 2)} "
-            f"amplitudes (cap {MAX_AMPLITUDES}); use --engine symbolic")
+    if args.engine == "statevector" and (refusal := _cap_refusal(d, n + 2)):
+        return _usage_fail(f"{refusal}; use --engine symbolic")
 
     seed = _pick_seed(args)
     rng = np.random.default_rng(seed)
@@ -293,13 +292,11 @@ def cmd_collude(args) -> int:
     if not all(2 <= i <= n for i in missing):
         return _usage_fail(f"--missing parties must lie in 2..{n}")
     if args.oracle:
-        size = d ** (n + 2)
-        branch_count = (d * d) ** n
-        if size > MAX_AMPLITUDES or branch_count > MAX_ORACLE_BRANCHES:
-            return _usage_fail(
-                f"refusing oracle enumeration: {size} amplitudes / "
-                f"{branch_count} branches exceed the caps "
-                f"({MAX_AMPLITUDES} / {MAX_ORACLE_BRANCHES})")
+        if refusal := _cap_refusal(d, n + 2):
+            return _usage_fail(f"{refusal}; lower --d or --n")
+        if (d * d) ** n > MAX_ORACLE_BRANCHES:
+            return _usage_fail(f"refusing oracle enumeration: {(d * d) ** n} branches, "
+                               f"above the {MAX_ORACLE_BRANCHES} cap; lower --d or --n")
     known = sorted(set(range(2, n + 1)) - set(missing))
 
     seed = _pick_seed(args)

@@ -19,19 +19,21 @@ posterior for any strict subset is exactly uniform.
 Particle ids: cat particle i is i (1..n); party i's Bell pair sits on
 (n + 2i - 1, n + 2i).
 
-Both engines rewrite labels with bell_measure_block, passing the signs of
-the measuring party's role, _ROLE_SIGNS, so every step reads its outcome
-in the protocol convention above, at n = 2 too. Rounds run in blocks
-through run_rounds on either engine; run_round is a block of one. The
-symbolic engine rewrites a block as label arrays, one row per round under
-its own outcomes, one block call per step. The dense engine runs one
-step, _dense_step, on a block of branches that share one particle layout:
-their cat labels and amplitudes are arrays with one row per branch,
-rewritten under all d^2 outcomes and measured by one cat_overlaps pass,
-which reads every probability, outcome, end cat and phase from the
-amplitudes. A block of statevector rounds starts with one branch per
-round and keeps each round's own outcome; the oracle walks all (d^2)^n
-branches of one round in such blocks.
+Both engines rewrite labels with _party_rewrite: bell_measure_block on
+the black node's fragment first, under the measuring party's role signs,
+_ROLE_SIGNS, so every step reads its outcome in the protocol convention
+above, at n = 2 too. Rounds run in blocks through run_rounds on either
+engine; run_round is a block of one. The symbolic engine rewrites a
+block as label arrays, one row per round under its own outcomes, one
+block call per step. The dense engine runs one step, _dense_step, on a
+block of branches that share one particle layout: their cat labels and
+amplitudes are arrays with one row per branch, rewritten under all d^2
+outcomes and measured by one cat_overlaps pass, which reads every
+probability, outcome, end cat and phase from the amplitudes. A block of
+statevector rounds starts with one branch per round and keeps each
+round's own outcome; the oracle walks all (d^2)^n branches of one round
+in such blocks. Both size blocks by block_rows, which refuses a d^(n+2)
+step over the amplitude cap before any allocation.
 """
 
 from __future__ import annotations
@@ -45,13 +47,10 @@ import numpy as np
 
 from .catbell import cat_amplitudes, cat_state, reduce_labels
 from .core import validate_dimension, zeta
-from .statevec import StateVector, cat_overlaps, kron_rows
+from .statevec import StateVector, block_rows, cat_overlaps, kron_rows
 from .swapcalc import bell_measure_block
 
 ENGINES = ("symbolic", "statevector")
-# A dense block, of oracle branches or of statevector rounds, holds at most
-# this many joint amplitudes, rows times d^(n+2), unless one row has more.
-ORACLE_BLOCK_AMPLITUDES = 1 << 14
 # Signs that read a party's (k_i, l_i) into the black-node rewrite, by role:
 # party 1 measures (u1 - k, v' + l), parties 2..n measure (v - k, u_i - l).
 _ROLE_SIGNS = ((1, 1), (1, -1))
@@ -156,6 +155,16 @@ class _Block(NamedTuple):
                              phase=self.phase[index], codes=self.codes[index])
 
 
+def _party_rewrite(d: int, n: int, i: int, particles, labels, bell, outcomes):
+    """Party i's bell_measure_block on the cat (particles, labels) and its
+    Bell pair: black node's fragment first, party i's pair and role signs."""
+    fragments = [(particles, labels), (bell_particles(n, i), bell)]
+    if i > 1:  # party i's Bell pair holds the black node
+        fragments.reverse()
+    return bell_measure_block(d, *zip(*fragments), measurement_pair(n, i), outcomes,
+                              _ROLE_SIGNS[i > 1])
+
+
 def _dense_start(d: int, n: int, cat) -> _Block:
     """The block of one branch per row of cat labels (B, n): the cat states."""
     particles = tuple(range(1, n + 1))
@@ -167,29 +176,20 @@ def _dense_step(d: int, n: int, bell, i: int, block: _Block) -> _Block:
     """Every outcome of party i's Bell measurement on every branch of a block.
 
     bell holds party i's Bell labels: one pair, or one per row (B, 2). Their
-    amplitudes are tensored onto each cat row, the factor holding the black
-    node first; one cat_overlaps pass gives every residual, and
-    bell_measure_block names each outcome's measured Bell state and
-    rewritten cat. Each (branch, outcome) probability is checked to be
-    1/d^2 from the amplitudes, and each branch's d^2 outcomes to name d^2
-    distinct Bell states. Returns the B * d^2 children in (branch, k, l)
+    amplitudes are tensored after each cat row; one cat_overlaps pass gives
+    every residual, and _party_rewrite names each outcome's measured Bell
+    state and rewritten cat. Each (branch, outcome) probability is checked
+    to be 1/d^2 from the amplitudes, and each branch's d^2 outcomes to name
+    d^2 distinct Bell states. Returns the B * d^2 children in (branch, k, l)
     order: outcome (k, l) of branch b is row b * d^2 + k * d + l.
     """
-    count = len(block.phase)
-    pair, bell = measurement_pair(n, i), np.reshape(bell, (-1, 1, 2))
-    fragments = [(block.particles, block.labels[:, None, :]),
-                 (bell_particles(n, i), bell)]
-    factors = [(block.dense, block.amps),
-               (bell_particles(n, i),
-                np.broadcast_to(cat_amplitudes(d, bell[:, 0]), (count, d * d)))]
-    if i > 1:  # the fragment holding the black node comes first
-        fragments.reverse()
-        factors.reverse()
-    (dense_a, amps_a), (dense_b, amps_b) = factors
-    rest, overlaps = cat_overlaps(d, dense_a + dense_b, kron_rows(amps_a, amps_b), pair)
+    count, bell = len(block.phase), np.reshape(bell, (-1, 1, 2))
+    rest, overlaps = cat_overlaps(d, block.dense + bell_particles(n, i),
+                                  kron_rows(block.amps, cat_amplitudes(d, bell[:, 0])),
+                                  measurement_pair(n, i))
     outcomes = np.stack(np.divmod(np.arange(d * d), d), axis=-1)
-    measured, residual, delta, particles = bell_measure_block(
-        d, *zip(*fragments), pair, outcomes, _ROLE_SIGNS[i > 1])
+    measured, residual, delta, particles = _party_rewrite(
+        d, n, i, block.particles, block.labels[:, None, :], bell, outcomes)
 
     rows, u1, u2 = np.arange(count)[:, None], measured[..., 0], measured[..., 1]
     post = overlaps[rows, u1, u2]
@@ -252,12 +252,8 @@ def _symbolic_rounds(d: int, n: int, cat, bells, outcomes):
     particles, labels = tuple(range(1, n + 1)), cat
     codes, phase = [], 0
     for i in range(1, n + 1):
-        fragments = [(particles, labels), (bell_particles(n, i), bells[:, i - 1])]
-        if i > 1:  # party i's Bell pair holds the black node
-            fragments.reverse()
-        measured, labels, delta, particles = bell_measure_block(
-            d, *zip(*fragments), measurement_pair(n, i), outcomes[:, i - 1],
-            _ROLE_SIGNS[i > 1])
+        measured, labels, delta, particles = _party_rewrite(
+            d, n, i, particles, labels, bells[:, i - 1], outcomes[:, i - 1])
         codes.append(measured @ (d, 1))
         phase = phase + delta
     return outcomes @ (d, 1), labels, codes[0], np.stack(codes[1:], axis=1), phase % d
@@ -285,9 +281,9 @@ def run_rounds(d: int, n: int, cat, bells, outcomes, engine: str = "symbolic",
     cat holds each round's cat labels (R, n), bells its Bell label pairs
     (R, n, 2) and outcomes its (k_i, l_i) per party (R, n, 2), in the
     protocol convention; seed goes into each round's config. The
-    statevector engine runs sub-blocks of at most ORACLE_BLOCK_AMPLITUDES
-    joint amplitudes (at least one round), and checks every step of every
-    round, all d^2 outcomes, and each end cat and phase from amplitudes.
+    statevector engine runs sub-blocks of block_rows(d, n + 2) rounds (so
+    ValueError over the cap), and checks every step of every round, all
+    d^2 outcomes, and each end cat and phase from amplitudes.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
@@ -299,9 +295,8 @@ def run_rounds(d: int, n: int, cat, bells, outcomes, engine: str = "symbolic",
                          f"and outcome shape {outcomes.shape}")
     configs = [ProtocolConfig(d, n, c, b, seed=seed)
                for c, b in zip(cat.tolist(), bells.tolist())]
-    rows, run = max(1, count), _symbolic_rounds
-    if engine == "statevector":
-        rows, run = max(1, ORACLE_BLOCK_AMPLITUDES // d ** (n + 2)), _dense_rounds
+    rows, run = ((block_rows(d, n + 2), _dense_rounds) if engine == "statevector"
+                 else (max(1, count), _symbolic_rounds))
     transcripts: list[Transcript] = []
     for start in range(0, count, rows):
         part = slice(start, start + rows)
@@ -353,12 +348,19 @@ def recover_first_dit_pooled(views, announced) -> int:
     """All parties 2..n pool k_i shares to reconstruct u1 - k1.
 
     Each share is k_i = v_i - (final Bell first label); the announcement's
-    first slot is v1 + k1 + ... + kn, which then pins k1.
+    first slot is v1 + k1 + ... + kn, which then pins k1. Views that
+    disagree on d, n, the labels or the announcement, or with the announced
+    argument, raise ValueError. Views of different rounds that agree on all
+    of these cannot be told apart: they are the views of one round with
+    the same public data, and the dit returned is that round's.
     """
     views = tuple(views)
     if not views:
         raise InsufficientSharesError("no shares supplied")
     d, n = views[0].d, views[0].n
+    public = {(v.d, v.n, v.cat_labels, v.bell_labels, v.announced) for v in views}
+    if len(public) > 1 or tuple(announced) != views[0].announced:
+        raise ValueError("views disagree with each other or with the announcement")
     contributed = sorted(view.party for view in views)
     duplicated = sorted({i for i in contributed if contributed.count(i) > 1})
     if duplicated:
@@ -398,26 +400,25 @@ def collusion_posterior(d: int, transcript: Transcript, known_parties):
     known_k = sum(transcript.outcomes[i - 1][0] for i in known)
     base = (u1 - transcript.announced[0] + v1 + known_k) % d
 
-    dist = [Fraction(0)] * d
-    dist[base] = Fraction(1)
+    counts = [int(w == base) for w in range(d)]
     for _ in others - known:
-        dist = [sum(dist[(w - t) % d] for t in range(d)) / d for w in range(d)]
-    return tuple(dist)
+        counts = [sum(counts[(w - t) % d] for t in range(d)) for w in range(d)]
+    return tuple(Fraction(c, d ** len(others - known)) for c in counts)
 
 
 def enumerate_oracle_branches(config: ProtocolConfig) -> list[Transcript]:
     """Walk every outcome branch of one round on the dense engine.
 
     The walk runs level by level on blocks of branches: each level is the
-    dense step on a whole block, whose children are split into blocks of at
-    most ORACLE_BLOCK_AMPLITUDES joint amplitudes and walked in turn, so
-    branches come in lexicographic outcome order and memory stays flat.
+    dense step on a whole block, whose children are split into blocks of
+    block_rows(d, n + 2) branches (so ValueError over the cap) and walked in
+    turn, so branches come in lexicographic outcome order and memory stays flat.
     Every branch is checked for 1/d^2 per-step probabilities on d^2
     distinct labels plus the final cat state and phase: the set doubles as
     an exhaustive cross-engine certificate.
     """
     d, n = config.d, config.n
-    rows = max(1, ORACLE_BLOCK_AMPLITUDES // d ** (n + 2))
+    rows = block_rows(d, n + 2)
     branches: list[Transcript] = []
 
     def walk(i, block):

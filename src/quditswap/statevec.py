@@ -8,7 +8,8 @@ states are never mutated.
 Every dense measurement runs on cat_overlaps, one pass over the whole Bell
 basis of a measured (black, white) pair for a block of states that share
 one particle list; every Kronecker product, of states or of row blocks, is
-kron_rows. Nothing here samples outcomes.
+kron_rows. Nothing here samples outcomes. checked_size refuses any array
+over the cap before it is built; block_rows sizes every block of rows.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from .core import MAX_AMPLITUDES, pack_index, validate_dimension
 # (avoids renormalizing an orthogonal branch).
 PROB_FLOOR = 1e-12
 
+# Amplitudes per array of a block of rows: verify tuples, rounds, branches.
+BLOCK_AMPLITUDES = 1 << 14
+
 
 def checked_size(d: int, n: int) -> int:
     """Amplitude count d**n of n qudits, checked against MAX_AMPLITUDES.
@@ -34,6 +38,11 @@ def checked_size(d: int, n: int) -> int:
         raise ValueError(f"state of {n} dimension-{d} qudits needs {size} "
                          f"amplitudes, above the {MAX_AMPLITUDES} cap")
     return size
+
+
+def block_rows(d: int, qudits: int) -> int:
+    """Rows of d**qudits amplitudes per block, at least one; checked_size first."""
+    return max(1, BLOCK_AMPLITUDES // checked_size(d, qudits))
 
 
 @dataclass(frozen=True)

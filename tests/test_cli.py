@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from quditswap import cli, protocol
+from quditswap import cli, protocol, statevec
 from quditswap.cli import chi_square_critical, main
 from quditswap.protocol import ProtocolConfig, run_round, transcript_to_json_dict
 
@@ -81,9 +81,9 @@ def spy_blocks(monkeypatch):
 ])
 def test_verify_report_does_not_depend_on_block_size(monkeypatch, tmp_path, argv):
     reports = []
-    for cap in (cli.VERIFY_BLOCK_AMPLITUDES, 1):
+    for cap in (statevec.BLOCK_AMPLITUDES, 1):
         # at 1, every label tuple's d^(n+2) exceeds the constant: blocks of one
-        monkeypatch.setattr(cli, "VERIFY_BLOCK_AMPLITUDES", cap)
+        monkeypatch.setattr(statevec, "BLOCK_AMPLITUDES", cap)
         blocks = spy_blocks(monkeypatch)
         target = tmp_path / f"verify-{cap}.json"
         assert run_cli(argv + ["--json", str(target)]) == 0
@@ -110,7 +110,7 @@ def test_verify_samples_draw_labels_then_m_per_case(monkeypatch):
 
 
 def test_verify_refuses_over_cap_before_any_block(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "MAX_AMPLITUDES", 3**5)
+    monkeypatch.setattr(statevec, "MAX_AMPLITUDES", 3**5)
 
     def no_block(*args, **kwargs):
         raise AssertionError("a block ran before the cap check")
@@ -208,12 +208,12 @@ def test_protocol_blocks_are_forced_rounds(monkeypatch, capsys, engine, budget, 
     # Each transcript the block path reports is run_round replayed under the
     # transcript's own labels and outcomes. Blocks of 3 rounds leave a
     # partial last block. The statevector engine splits each block into
-    # sub-blocks of ORACLE_BLOCK_AMPLITUDES // d^(n+2) rounds, at least one:
+    # sub-blocks of BLOCK_AMPLITUDES // d^(n+2) rounds, at least one:
     # the default budget, a budget of 1 (one round per sub-block), and one
     # of two rounds, which leaves a partial last sub-block.
     monkeypatch.setattr(cli, "PROTOCOL_BLOCK_ROUNDS", 3)
     if budget:
-        monkeypatch.setattr(protocol, "ORACLE_BLOCK_AMPLITUDES", budget(d, n))
+        monkeypatch.setattr(statevec, "BLOCK_AMPLITUDES", budget(d, n))
     starts, start = [], protocol._dense_start
     monkeypatch.setattr(protocol, "_dense_start",
                         lambda d, n, cat: starts.append(len(cat)) or start(d, n, cat))
@@ -223,7 +223,7 @@ def test_protocol_blocks_are_forced_rounds(monkeypatch, capsys, engine, budget, 
                     "--json", "-"]) == 0
     transcripts = json.loads(capsys.readouterr().out)["transcripts"]
     assert len(transcripts) == rounds
-    rows = max(1, protocol.ORACLE_BLOCK_AMPLITUDES // d ** (n + 2))
+    rows = max(1, statevec.BLOCK_AMPLITUDES // d ** (n + 2))
     blocks = [min(3, rounds - first) for first in range(0, rounds, 3)]
     assert starts == ([] if engine == "symbolic" else
                       [min(rows, count - s) for count in blocks

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quditswap import protocol
+from quditswap import protocol, statevec
 from quditswap.core import MAX_AMPLITUDES
 from quditswap.protocol import (InsufficientSharesError, PartyView,
                                 ProtocolConfig, collusion_posterior,
@@ -172,6 +172,30 @@ def test_pooled_recovery_needs_every_share():
                           (list(views) + [views[1]], 3)):
         with pytest.raises(ValueError, match=rf"shares from parties \[{party}\]"):
             recover_first_dit_pooled(pooled, transcript.announced)
+
+
+def test_pooled_recovery_rejects_views_of_different_rounds():
+    # d=3 n=3, zero labels: views whose announcements or cat labels differ,
+    # or an announcement argument that differs from theirs, raise
+    config = zero_config(3, 3)
+    first = run_round(config, forced_outcomes=[(1, 1), (2, 0), (1, 2)])
+    other = run_round(config, forced_outcomes=[(1, 1), (2, 1), (1, 2)])
+    moved = run_round(ProtocolConfig(3, 3, (1, 0, 0), ((0, 0),) * 3),
+                      forced_outcomes=[(1, 1), (2, 0), (1, 2)])
+    assert first.announced != other.announced
+    views = make_party_views(first)
+    for pooled, announced in (((views[0], make_party_views(other)[1]), first.announced),
+                              ((views[0], make_party_views(moved)[1]), first.announced),
+                              (views, other.announced)):
+        with pytest.raises(ValueError, match="disagree"):
+            recover_first_dit_pooled(pooled, announced)
+    # views of two rounds that agree on every public field are the views of
+    # one round, here the one with k1 = 2, and give that round's dit
+    second = run_round(config, forced_outcomes=[(1, 1), (0, 0), (0, 2)])
+    mixed = (views[0], make_party_views(second)[1])
+    joint = run_round(config, forced_outcomes=[(2, 1), (2, 0), (0, 2)])
+    assert mixed == make_party_views(joint)
+    assert recover_first_dit_pooled(mixed, first.announced) == joint.key[0] == 1
 
 
 def test_collusion_posterior_uniform_for_strict_subsets():
@@ -362,7 +386,7 @@ def test_block_checks_read_every_row(monkeypatch):
     overlap_pass, finish = protocol.cat_overlaps, protocol._finish_block
     rewrite, amplitudes = protocol.bell_measure_block, protocol.cat_amplitudes
     config = zero_config(2, 3)
-    monkeypatch.setattr(protocol, "ORACLE_BLOCK_AMPLITUDES", 3 * 2 ** 5)
+    monkeypatch.setattr(statevec, "BLOCK_AMPLITUDES", 3 * 2 ** 5)
     monkeypatch.setattr(protocol, "cat_overlaps", last_row_scaled)
     with pytest.raises(RuntimeError, match=r"party 2 outcome \(0,0\) has probability"):
         enumerate_oracle_branches(config)
@@ -392,7 +416,7 @@ def test_oracle_is_the_symbolic_engine_under_forced_outcomes(monkeypatch):
     # sequence at a time: one rewrite, but only the oracle reads outcomes
     # and phases from amplitudes. Field for field, in order, and the same
     # with one branch per block and with the whole tree in one.
-    rng, default = np.random.default_rng(12), protocol.ORACLE_BLOCK_AMPLITUDES
+    rng, default = np.random.default_rng(12), statevec.BLOCK_AMPLITUDES
     for d, n in ((2, 2), (3, 2), (2, 3), (3, 3), (2, 4)):
         config = random_config(d, n, rng)
         pairs = itertools.product(range(d), repeat=2)
@@ -400,8 +424,28 @@ def test_oracle_is_the_symbolic_engine_under_forced_outcomes(monkeypatch):
                                         engine="statevector")
                     for o in itertools.product(pairs, repeat=n)]
         for budget in (default, 1, d ** (4 * n + 2)):
-            monkeypatch.setattr(protocol, "ORACLE_BLOCK_AMPLITUDES", budget)
+            monkeypatch.setattr(statevec, "BLOCK_AMPLITUDES", budget)
             assert enumerate_oracle_branches(config) == expected
+
+
+def test_library_dense_calls_refuse_over_cap_before_building(monkeypatch):
+    # with the cap at 3^5, d=3 n=4 needs 3^6-amplitude dense steps: every
+    # library entry point of the dense engine refuses before kron_rows runs
+    def no_kron(*args):
+        raise AssertionError("kron_rows ran before the cap check")
+
+    monkeypatch.setattr(statevec, "MAX_AMPLITUDES", 3**5)
+    monkeypatch.setattr(statevec, "kron_rows", no_kron)
+    monkeypatch.setattr(protocol, "kron_rows", no_kron)
+    config = zero_config(3, 4)
+    with pytest.raises(ValueError, match="cap"):
+        run_round(config, "statevector", forced_outcomes=[(1, 2)] * 4)
+    with pytest.raises(ValueError, match="cap"):
+        protocol.run_rounds(3, 4, [config.cat_labels], [config.bell_labels],
+                            [[(1, 2)] * 4], "statevector")
+    with pytest.raises(ValueError, match="cap"):
+        enumerate_oracle_branches(config)
+    assert run_round(config, forced_outcomes=[(1, 2)] * 4).key == (2, 2)
 
 
 def test_transcript_json_dict_schema():
