@@ -7,7 +7,7 @@ Three subcommands:
   protocol  run secret-sharing rounds, check every recovery identity,
             and tally the key distribution
   collude   exact first-dit posteriors for colluding subsets, with an
-            optional exhaustive dense-engine confirmation
+            optional exhaustive dense-engine tally, oracle_view_counts
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage, cap or I/O error;
 over-cap sizes are refused by statevec.checked_size before any work.
@@ -30,18 +30,17 @@ import numpy as np
 
 from .core import validate_dimension
 from .protocol import (ENGINES, ProtocolConfig, collusion_posterior,
-                       enumerate_oracle_branches, run_rounds, transcript_to_json_dict)
+                       oracle_view_counts, run_rounds, transcript_to_json_dict)
 from .statevec import block_rows, checked_size
-from .swapcalc import verify_swap_block
+from .swapcalc import RULES, verify_swap_block
 
+# bounds the streamed oracle walk's time, not its memory: 2^16 branches take seconds
 MAX_ORACLE_BRANCHES = 1 << 16
 
 # protocol draws labels and outcomes, and rewrites rounds, in blocks of
 # this many rounds. Its time is flat from 64 rounds up at d=7 n=5; a
 # block's Transcripts live together, so peak memory grows with the size.
 PROTOCOL_BLOCK_ROUNDS = 1 << 10
-
-RULES = ("bell", "black", "white")
 
 
 def chi_square_survival(x: float, dof: int) -> float:
@@ -315,18 +314,10 @@ def cmd_collude(args) -> int:
     oracle = None
     if args.oracle:
         cat, bells = next_labels(1)
-        branches = enumerate_oracle_branches(
-            ProtocolConfig(d, n, cat[0], bells[0], seed=seed))
-        classes: dict[tuple, list[int]] = {}
-        for branch in branches:
-            view = (branch.announced,
-                    tuple(branch.outcomes[i - 1] for i in known))
-            classes.setdefault(view, []).append(branch.key[0])
-        balanced = all(
-            all(firsts.count(w) * d == len(firsts) for w in range(d))
-            for firsts in classes.values())
-        oracle = {"branches": len(branches), "view_classes": len(classes),
-                  "balanced": balanced}
+        classes = oracle_view_counts(
+            ProtocolConfig(d, n, cat[0], bells[0], seed=seed), known).values()
+        oracle = {"branches": sum(map(sum, classes)), "view_classes": len(classes),
+                  "balanced": all(len(set(firsts)) == 1 for firsts in classes)}
     elapsed = time.perf_counter() - start
 
     ok = rounds_ok and (oracle is None or oracle["balanced"])

@@ -31,9 +31,10 @@ amplitudes are arrays with one row per branch, rewritten under all d^2
 outcomes and measured by one cat_overlaps pass, which reads every
 probability, outcome, end cat and phase from the amplitudes. A block of
 statevector rounds starts with one branch per round and keeps each
-round's own outcome; the oracle walks all (d^2)^n branches of one round
-in such blocks. Both size blocks by block_rows, which refuses a d^(n+2)
-step over the amplitude cap before any allocation.
+round's own outcome; the oracle streams all (d^2)^n branches of one
+round in such blocks to enumerate_oracle_branches and oracle_view_counts.
+Both size blocks by block_rows, which refuses a d^(n+2) step over the
+amplitude cap before any allocation.
 """
 
 from __future__ import annotations
@@ -406,32 +407,50 @@ def collusion_posterior(d: int, transcript: Transcript, known_parties):
     return tuple(Fraction(c, d ** len(others - known)) for c in counts)
 
 
-def enumerate_oracle_branches(config: ProtocolConfig) -> list[Transcript]:
-    """Walk every outcome branch of one round on the dense engine.
-
-    The walk runs level by level on blocks of branches: each level is the
-    dense step on a whole block, whose children are split into blocks of
-    block_rows(d, n + 2) branches (so ValueError over the cap) and walked in
-    turn, so branches come in lexicographic outcome order and memory stays flat.
-    Every branch is checked for 1/d^2 per-step probabilities on d^2
-    distinct labels plus the final cat state and phase: the set doubles as
-    an exhaustive cross-engine certificate.
-    """
+def _oracle_blocks(config: ProtocolConfig):
+    """Yield _finish_block's fields per block of finished branches of one
+    round, walked depth-first: each level's children are split into blocks
+    of block_rows(d, n + 2) branches (so ValueError over the cap), so they
+    come in lexicographic outcome order and memory stays flat. Each step's
+    1/d^2 probabilities on d^2 distinct labels, and each end cat and phase,
+    are checked: the walk is an exhaustive cross-engine certificate."""
     d, n = config.d, config.n
     rows = block_rows(d, n + 2)
-    branches: list[Transcript] = []
 
     def walk(i, block):
         if i > n:
-            branches.extend(_transcripts(repeat(config), "statevector", d, n,
-                                         *_finish_block(d, n, block)))
+            yield _finish_block(d, n, block)
             return
         children = _dense_step(d, n, config.bell_labels[i - 1], i, block)
         for start in range(0, len(children.phase), rows):
-            walk(i + 1, children.rows(slice(start, start + rows)))
+            yield from walk(i + 1, children.rows(slice(start, start + rows)))
 
-    walk(1, _dense_start(d, n, np.array([config.cat_labels])))
-    return branches
+    yield from walk(1, _dense_start(d, n, np.array([config.cat_labels])))
+
+
+def enumerate_oracle_branches(config: ProtocolConfig) -> list[Transcript]:
+    """The oracle walk's branches as Transcripts, in outcome order."""
+    return [branch for fields in _oracle_blocks(config) for branch in
+            _transcripts(repeat(config), "statevector", config.d, config.n, *fields)]
+
+
+def oracle_view_counts(config: ProtocolConfig, known_parties) -> dict[tuple, list[int]]:
+    """Per view class of the coalition known_parties (in 2..n, else
+    ValueError), in walk order, how many oracle branches give each first key
+    dit u1 - k1: d counts. A class is what the coalition sees, (announced,
+    its outcomes ((k_i, l_i), ...) in party order)."""
+    d, n = config.d, config.n
+    known = sorted({int(i) for i in known_parties})
+    if not set(known) <= set(range(2, n + 1)):
+        raise ValueError(f"colluding parties must lie in 2..{n}")
+    counts: dict[tuple, list[int]] = {}
+    for steps, announced, key, _, _ in _oracle_blocks(config):
+        views = np.concatenate([announced, steps[:, [i - 1 for i in known]]], axis=1)
+        for view, first in zip(views.tolist(), (key // d).tolist()):
+            counts.setdefault(tuple(view), [0] * d)[first] += 1
+    pairs = list(product(range(d), repeat=2))
+    return {(view[:n], tuple(pairs[c] for c in view[n:])): firsts
+            for view, firsts in counts.items()}
 
 
 def transcript_to_json_dict(transcript: Transcript) -> dict:

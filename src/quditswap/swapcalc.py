@@ -225,11 +225,7 @@ def to_statevector(register: Register) -> StateVector:
                        state.amps * zeta(register.d, register.phase_power))
 
 
-_RULE_ALIASES = {
-    "i": "bell", "bell": "bell",
-    "ii": "black", "black": "black",
-    "iii": "white", "white": "white",
-}
+RULES = ("bell", "black", "white")
 
 
 def _swap_layout(rule: str, sizes, m: int | None):
@@ -238,10 +234,8 @@ def _swap_layout(rule: str, sizes, m: int | None):
     sizes are the lengths of the two label tuples: (2, 2) for rule "bell",
     (n, 2) with n >= 3 for the cat rules.
     """
-    try:
-        rule = _RULE_ALIASES[str(rule).lower()]
-    except KeyError:
-        raise ValueError(f"unknown rule {rule!r}") from None
+    if rule not in RULES:
+        raise ValueError(f"unknown rule {rule!r}")
     if rule != "white" and m is not None:
         raise ValueError(f"rule {rule} measures no white-node position; got m={m}")
     size_a, size_b = sizes
@@ -324,9 +318,9 @@ def verify_swap_identity(rule: str, d: int, labels, m: int | None = None) -> flo
     """Check one swap rewrite against the dense engine: verify_swap_block
     on a single label tuple.
 
-    labels is a pair of label tuples: (bell, bell) for rule "bell" (alias
-    "i"), (cat, bell) for rules "black"/"white" (aliases "ii"/"iii"). Only
-    rule "white" takes m, the measured white-node position in 2..n.
+    labels is a pair of label tuples: (bell, bell) for rule "bell", (cat,
+    bell) for rules "black" and "white"; any other rule raises ValueError.
+    Only rule "white" takes m, the measured white-node position in 2..n.
     Returns the maximum absolute amplitude deviation.
     """
     labels_a, labels_b = map(tuple, labels)

@@ -10,10 +10,12 @@ from quditswap.cli import chi_square_critical, main
 from quditswap.protocol import ProtocolConfig, run_round, transcript_to_json_dict
 
 
-# sha256 of the seed-401 --json reports of three benchmark commands. They
-# hold integers and one chi-square float computed from counts, so a change
-# that moves any byte of them is a change of behaviour. The verify report
-# carries float deviations and is checked by its counts only.
+# sha256 of the seed-401 --json reports of three benchmark commands, and of
+# one collude --oracle report at d = 3 with two parties missing (the bench
+# command has d = 2 and one). They hold integers and one chi-square float
+# computed from counts, so a change that moves any byte of them is a change
+# of behaviour. The verify report carries float deviations and is checked by
+# its counts only.
 REPORT_DIGESTS = {
     "protocol-symbolic":
         "30175b196614c412798de75de40c8a47e78aeb3979e5684f7670abed4c93261f",
@@ -21,6 +23,8 @@ REPORT_DIGESTS = {
         "90c3f9386e4522379b45dfdf286fb9d7528f5eb1df873dc9779b5ecb4aece5e9",
     "collude-oracle":
         "02b72067d2039f42e5b5f88db214bc771cf6f2cb45748bea169cf2aab721202e",
+    "collude-oracle-d3":
+        "a01538fd354e6d1bfa2d0f367a5cf2b609edef29b90c29630d27b2d990af2b31",
 }
 
 
@@ -375,6 +379,30 @@ def test_collude_bench_sized_oracle(capsys):
     assert report["oracle"] == {"branches": 16384, "view_classes": 4096,
                                 "balanced": True}
     assert sha256(text) == REPORT_DIGESTS["collude-oracle"]
+
+
+def test_collude_oracle_two_missing_at_d3(capsys):
+    code = run_cli(["collude", "--d", "3", "--n", "4", "--missing", "2,4",
+                    "--oracle", "--seed", "5", "--json", "-"])
+    text = capsys.readouterr().out
+    report = json.loads(text)
+    assert code == 0 and report["ok"] is True
+    assert report["oracle"] == {"branches": 6561, "view_classes": 243,
+                                "balanced": True}
+    assert sha256(text) == REPORT_DIGESTS["collude-oracle-d3"]
+
+
+def test_collude_oracle_builds_no_transcripts(monkeypatch, capsys):
+    # collude --oracle tallies the walk's integer blocks through
+    # protocol.oracle_view_counts; no branch becomes a Transcript
+    def no_transcripts(*args):
+        raise AssertionError("collude --oracle built Transcripts")
+
+    monkeypatch.setattr(protocol, "_transcripts", no_transcripts)
+    assert run_cli(["collude", "--d", "2", "--n", "3", "--missing", "2",
+                    "--rounds", "0", "--oracle", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "64 branches" in out and "balanced first dit: PASS" in out
 
 
 def test_collude_zero_rounds_reports_no_posterior(capsys):

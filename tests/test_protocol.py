@@ -10,7 +10,8 @@ from quditswap.core import MAX_AMPLITUDES
 from quditswap.protocol import (InsufficientSharesError, PartyView,
                                 ProtocolConfig, collusion_posterior,
                                 enumerate_oracle_branches,
-                                make_party_views, recover_first_dit_pooled,
+                                make_party_views, oracle_view_counts,
+                                recover_first_dit_pooled,
                                 recover_second_dit, run_round,
                                 transcript_to_json_dict)
 
@@ -265,6 +266,36 @@ def test_oracle_branches_confirm_secrecy():
             assert firsts.count(0) == firsts.count(1) == len(firsts) // 2
 
 
+@pytest.mark.parametrize("d, n", [(2, 3), (3, 3), (2, 4)])
+def test_oracle_view_counts_tally_the_branches(d, n):
+    # Every strict subset of parties 2..n sees each first key dit equally
+    # often in every view class; all of 2..n together see one dit per class,
+    # pooled recovery read from the amplitudes. The tally equals, class for
+    # class and in order, a tally of enumerate_oracle_branches' Transcripts.
+    config = random_config(d, n, np.random.default_rng(d * n))
+    branches = enumerate_oracle_branches(config)
+    for size in range(n):
+        for known in itertools.combinations(range(2, n + 1), size):
+            classes = {}
+            for branch in branches:
+                view = (branch.announced,
+                        tuple(branch.outcomes[i - 1] for i in known))
+                classes.setdefault(view, []).append(branch.key[0])
+            counts = oracle_view_counts(config, known[::-1])
+            assert list(counts.items()) == [
+                (view, [firsts.count(w) for w in range(d)])
+                for view, firsts in classes.items()]
+            assert sum(map(sum, counts.values())) == d ** (2 * n)
+            for firsts in counts.values():
+                if size < n - 1:
+                    assert firsts == [firsts[0]] * d and firsts[0] > 0
+                else:
+                    assert sum(c > 0 for c in firsts) == 1
+    for outside in ([1], [n + 1], [2, 0]):
+        with pytest.raises(ValueError, match="must lie in 2.."):
+            oracle_view_counts(config, outside)
+
+
 @pytest.mark.parametrize("keep", ["k", "l"])
 def test_dense_engine_rejects_a_rewrite_that_drops_k_or_l(monkeypatch, keep):
     # Each party role in turn drops k or l, at n = 2 and at n = 3, caught at
@@ -329,6 +360,8 @@ def test_dense_engine_checks_end_state_and_phase(monkeypatch):
             run_round(config, engine="statevector", forced_outcomes=forced)
         with pytest.raises(RuntimeError, match=message):
             enumerate_oracle_branches(zero_config(2, 3))
+        with pytest.raises(RuntimeError, match=message):
+            oracle_view_counts(zero_config(2, 3), [2])
         assert run_round(config, engine="symbolic",
                          forced_outcomes=forced).outcomes == tuple(forced)
 
@@ -341,6 +374,8 @@ def test_dense_engine_checks_end_state_and_phase(monkeypatch):
         run_round(config, engine="statevector", forced_outcomes=forced)
     with pytest.raises(RuntimeError, match="global phase disagrees"):
         enumerate_oracle_branches(zero_config(2, 3))
+    with pytest.raises(RuntimeError, match="global phase disagrees"):
+        oracle_view_counts(zero_config(2, 3), [2])
     assert run_round(config, engine="symbolic",
                      forced_outcomes=forced).outcomes == tuple(forced)
 
@@ -390,12 +425,16 @@ def test_block_checks_read_every_row(monkeypatch):
     monkeypatch.setattr(protocol, "cat_overlaps", last_row_scaled)
     with pytest.raises(RuntimeError, match=r"party 2 outcome \(0,0\) has probability"):
         enumerate_oracle_branches(config)
+    with pytest.raises(RuntimeError, match=r"party 2 outcome \(0,0\) has probability"):
+        oracle_view_counts(config, [3])
     with pytest.raises(RuntimeError, match=r"party 1 outcome \(0,0\) has probability"):
         rounds()
     monkeypatch.setattr(protocol, "cat_overlaps", overlap_pass)
     monkeypatch.setattr(protocol, "bell_measure_block", last_row_duplicate)
     with pytest.raises(RuntimeError, match="party 2's outcomes name 3 Bell states"):
         enumerate_oracle_branches(config)
+    with pytest.raises(RuntimeError, match="party 2's outcomes name 3 Bell states"):
+        oracle_view_counts(config, [3])
     with pytest.raises(RuntimeError, match="party 1's outcomes name 3 Bell states"):
         rounds()
     monkeypatch.setattr(protocol, "bell_measure_block", rewrite)
@@ -405,9 +444,12 @@ def test_block_checks_read_every_row(monkeypatch):
         with pytest.raises(RuntimeError, match=message):
             enumerate_oracle_branches(config)
         with pytest.raises(RuntimeError, match=message):
+            oracle_view_counts(config, [3])
+        with pytest.raises(RuntimeError, match=message):
             rounds()
     monkeypatch.setattr(protocol, "_finish_block", finish)
     assert len(enumerate_oracle_branches(config)) == 64
+    assert sum(map(sum, oracle_view_counts(config, [3]).values())) == 64
     assert len(rounds()) == 3
 
 
@@ -445,6 +487,8 @@ def test_library_dense_calls_refuse_over_cap_before_building(monkeypatch):
                             [[(1, 2)] * 4], "statevector")
     with pytest.raises(ValueError, match="cap"):
         enumerate_oracle_branches(config)
+    with pytest.raises(ValueError, match="cap"):
+        oracle_view_counts(config, [2])
     assert run_round(config, forced_outcomes=[(1, 2)] * 4).key == (2, 2)
 
 

@@ -155,12 +155,15 @@ def test_verify_identity_exhaustive_small():
 
 
 def test_verify_identity_rule_aliases():
-    assert verify_swap_identity("i", 2, ((0, 1), (1, 0))) < 1e-12
-    assert verify_swap_identity("i", 3, ((2**70, 1), (0, -5))) < 1e-12  # past int64
-    assert verify_swap_identity("ii", 2, ((0, 1, 1), (1, 0))) < 1e-12
-    assert verify_swap_identity("iii", 2, ((0, 1, 1), (1, 0)), m=2) < 1e-12
-    with pytest.raises(ValueError):
-        verify_swap_identity("iv", 2, ((0, 0), (0, 0)))
+    # only the three rule names are accepted; roman numerals and other
+    # spellings are refused
+    assert verify_swap_identity("bell", 2, ((0, 1), (1, 0))) < 1e-12
+    assert verify_swap_identity("bell", 3, ((2**70, 1), (0, -5))) < 1e-12  # past int64
+    assert verify_swap_identity("black", 2, ((0, 1, 1), (1, 0))) < 1e-12
+    assert verify_swap_identity("white", 2, ((0, 1, 1), (1, 0)), m=2) < 1e-12
+    for rule in ("i", "iv", "Bell"):
+        with pytest.raises(ValueError, match="unknown rule"):
+            verify_swap_identity(rule, 2, ((0, 0), (0, 0)))
     with pytest.raises(ValueError):
         verify_swap_identity("white", 2, ((0, 0, 0), (0, 0)))  # missing m
     for rule, labels in (("bell", ((0, 0), (0, 0))), ("black", ((0, 0, 0), (0, 0)))):
