@@ -9,8 +9,10 @@ carries the phase label u1; the others (white nodes) carry offsets. A Bell
 state is the n = 2 case. For each n the d^n label tuples form an
 orthonormal basis.
 
-cat_amplitudes evaluates the closed form for a whole block of label tuples
-with one scatter; cat_state is its one-row call wrapped as a StateVector.
+cat_support evaluates the closed form for a whole block of label tuples:
+the d nonzero amplitudes of each cat and their indices. cat_amplitudes
+scatters them into dense rows, and cat_state is its one-row call wrapped
+as a StateVector.
 """
 
 from __future__ import annotations
@@ -41,27 +43,41 @@ def reduce_labels(d: int, labels) -> np.ndarray:
         return (np.asarray(labels, dtype=object) % d).astype(int)
 
 
-def cat_amplitudes(d: int, labels) -> np.ndarray:
-    """Closed-form cat amplitudes for a block of label tuples.
+def cat_support(d: int, labels, places=None):
+    """The d nonzero amplitudes of each cat in a block: (index, values).
 
-    labels holds integers in shape (..., n); the result has shape (..., d**n).
+    labels holds integers in shape (..., n); both results have shape
+    (..., d), one entry per j of the closed form. index packs the support
+    digits (j, j+u2, ..., j+un) with the place values places, d**(n-1),
+    ..., d, 1 (big-endian) by default; other place values put the cat's
+    particles at other positions of a larger register.
     """
     validate_dimension(d)
     labels = reduce_labels(d, labels)
     n = labels.shape[-1]
     if n < 2:
         raise ValueError("a cat state needs at least 2 particles")
-    size = checked_size(d, n)
-    # support digits (j, j+u2, ..., j+un), packed big-endian
+    if places is None:
+        places = d ** np.arange(n - 1, -1, -1)
     offsets = labels.copy()
     offsets[..., 0] = 0
     j = np.arange(d)
-    digits = (j[:, None] + offsets[..., None, :]) % d
-    index = digits @ (d ** np.arange(n - 1, -1, -1))
+    index = ((j[:, None] + offsets[..., None, :]) % d) @ places
     scale = 1.0 / math.sqrt(d)
     roots = np.array([scale * zeta(d, t) for t in range(d)])
-    amps = np.zeros(labels.shape[:-1] + (size,), dtype=complex)
-    np.put_along_axis(amps, index, roots[j * labels[..., :1] % d], axis=-1)
+    return index, roots[j * labels[..., :1] % d]
+
+
+def cat_amplitudes(d: int, labels) -> np.ndarray:
+    """Closed-form cat amplitudes for a block of label tuples: cat_support
+    scattered into rows.
+
+    labels holds integers in shape (..., n); the result has shape (..., d**n).
+    """
+    index, values = cat_support(d, labels)
+    size = checked_size(d, np.shape(labels)[-1])
+    amps = np.zeros(index.shape[:-1] + (size,), dtype=complex)
+    np.put_along_axis(amps, index, values, axis=-1)
     return amps
 
 

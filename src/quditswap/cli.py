@@ -135,10 +135,10 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     checks = []
+    per_block = block_rows(d, 4)  # a tuple's outcome sum has d^4 nonzero terms
     for rule, width in zip(rules, widths):
         worst, cases = 0.0, 0
         positions = tuple(range(2, n + 1)) if rule == "white" else (None,)
-        per_block = block_rows(d, width)
         if args.samples is None:
             tuples = product(range(d), repeat=width)
             blocks = ((m, block)

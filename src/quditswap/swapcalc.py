@@ -34,8 +34,8 @@ one-row call on a Register.
 
 verify_swap_block checks these rewrites against dense amplitudes for a
 block of label tuples: one bell_measure_block call rewrites every tuple
-under all d^2 outcomes, and the dense side is built with block calls of
-cat_amplitudes and kron_rows.
+under all d^2 outcomes, and both sides of the outcome sum are summed on
+their nonzero amplitudes, which cat_support gives for a block of cats.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catbell import cat_amplitudes, cat_state, reduce_labels
+from .catbell import cat_state, cat_support, reduce_labels
 from .core import validate_dimension, zeta
-from .statevec import StateVector, checked_size, kron_rows, tensor
+from .statevec import StateVector, checked_size, tensor
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -267,9 +267,13 @@ def verify_swap_block(rule: str, d: int, rows, m: int | None = None) -> np.ndarr
     1/d scale. Returns the maximum absolute amplitude deviation of each
     row, shape (R,).
 
-    The sum runs one outcome at a time in (k, l) order, the float operations
-    of a per-state rebuild, so a row's deviation does not depend on the
-    block it is in; no array larger than R * d**(n + 2) is built.
+    Each term of the sum is a Bell state times a cat, with d^2 nonzero
+    amplitudes, so the sum runs on their indices only (cat_support): each
+    slot adds its terms in (k, l) order, the float operations of a dense
+    per-state rebuild, where the other terms add exact zeros. A row's
+    deviation is therefore the dense one, bit for bit, and does not depend
+    on the block it is in. The largest array holds R * (d**4 + d**2)
+    entries.
 
     The check cannot detect a consistent relabelling of outcomes, such as a
     flipped sign of k or l in _RULE_SIGNS (the deviation stays about 1e-16):
@@ -283,7 +287,7 @@ def verify_swap_block(rule: str, d: int, rows, m: int | None = None) -> np.ndarr
                          f"got shape {rows.shape}")
     fragments, pair = _swap_layout(rule, (rows.shape[1] - 2, 2), m)
     before = sum(fragments, ())
-    checked_size(d, len(before))
+    size = checked_size(d, len(before))
 
     split = len(fragments[0])
     labels = [rows[:, None, :split], rows[:, None, split:]]
@@ -293,25 +297,36 @@ def verify_swap_block(rule: str, d: int, rows, m: int | None = None) -> np.ndarr
     measured, residual, phases, particles = bell_measure_block(
         d, fragments, labels, pair, outcomes)
 
-    # lhs is permuted once into the branches' particle order; the deviation,
-    # a maximum over amplitudes, does not depend on that order
+    # every index packs digits in the branches' particle order, so the lhs
+    # cats take the place values of their particles there
+    after = pair + particles
+    places = d ** np.arange(len(after) - 1, -1, -1)
+    lhs_places = places[[after.index(p) for p in before]]
+    index_a, amps_a = cat_support(d, rows[:, :split], lhs_places[:split])
+    index_b, amps_b = cat_support(d, rows[:, split:], lhs_places[split:])
+    index_m, amps_m = cat_support(d, measured, places[:2])
+    index_r, amps_r = cat_support(d, residual, places[2:])
     count = len(rows)
-    axes = (0,) + tuple(1 + before.index(p) for p in pair + particles)
-    lhs = kron_rows(cat_amplitudes(d, rows[:, :split]),
-                     cat_amplitudes(d, rows[:, split:])).reshape(
-        (count,) + (d,) * len(before)).transpose(axes).reshape(count, -1)
-    measured_amps = cat_amplitudes(d, measured)
-    residual_amps = cat_amplitudes(d, residual)
     roots = np.array([zeta(d, t) for t in range(d)])[phases]
     scale = float(d) ** -1.0  # two factors of 1/sqrt(d) per Bell measurement
-    rhs = np.zeros_like(lhs)
-    for i in range(d * d):
-        amps = kron_rows(measured_amps[:, i], residual_amps[:, i])
-        amps *= roots[i]
-        amps *= scale
-        rhs += amps
-    rhs -= lhs  # rounding is symmetric, so |rhs - lhs| is |lhs - rhs| exactly
-    return np.max(np.abs(rhs), axis=1)
+    rhs = amps_m[..., :, None] * amps_r[..., None, :]  # (R, d^2 outcomes, d, d)
+    rhs *= roots[:, None, None]
+    rhs *= scale
+    lhs = amps_a[:, :, None] * amps_b[:, None, :]
+
+    # one slot per nonzero of either side, sorted by (row, index); add.at
+    # adds each slot's rhs terms in (k, l) order, then subtracts its lhs
+    # (adding -x is subtracting x, bit for bit)
+    offsets = np.arange(count) * size
+    index = np.concatenate(
+        [(index_m[..., :, None] + index_r[..., None, :]).reshape(count, -1),
+         (index_a[:, :, None] + index_b[:, None, :]).reshape(count, -1)], axis=1)
+    index += offsets[:, None]
+    support, slots = np.unique(index.reshape(-1), return_inverse=True)
+    total = np.zeros(len(support), dtype=complex)
+    np.add.at(total, slots, np.concatenate(
+        [rhs.reshape(count, -1), -lhs.reshape(count, -1)], axis=1).reshape(-1))
+    return np.maximum.reduceat(np.abs(total), np.searchsorted(support, offsets))
 
 
 def verify_swap_identity(rule: str, d: int, labels, m: int | None = None) -> float:

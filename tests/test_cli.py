@@ -10,12 +10,13 @@ from quditswap.cli import chi_square_critical, main
 from quditswap.protocol import ProtocolConfig, run_round, transcript_to_json_dict
 
 
-# sha256 of the seed-401 --json reports of three benchmark commands, and of
+# sha256 of the seed-401 --json reports of the four benchmark commands, of
 # one collude --oracle report at d = 3 with two parties missing (the bench
-# command has d = 2 and one). They hold integers and one chi-square float
-# computed from counts, so a change that moves any byte of them is a change
-# of behaviour. The verify report carries float deviations and is checked by
-# its counts only.
+# command has d = 2 and one) and of one sampled verify report. The protocol
+# and collude reports hold integers and one chi-square float computed from
+# counts; the verify reports hold float deviations, whose every operation
+# verify_swap_block fixes, so they are exact too. A change that moves any
+# byte of them is a change of behaviour.
 REPORT_DIGESTS = {
     "protocol-symbolic":
         "30175b196614c412798de75de40c8a47e78aeb3979e5684f7670abed4c93261f",
@@ -25,6 +26,10 @@ REPORT_DIGESTS = {
         "02b72067d2039f42e5b5f88db214bc771cf6f2cb45748bea169cf2aab721202e",
     "collude-oracle-d3":
         "a01538fd354e6d1bfa2d0f367a5cf2b609edef29b90c29630d27b2d990af2b31",
+    "verify-exhaustive":
+        "63a52ee1faa68658b2669df6114a5cb8e0b2aa7d9c7bb9584e334090118c499d",
+    "verify-sampled-d3":
+        "795156506532c2810939efc97149ffe3e04868e407e947dbe06df2827456a8c4",
 }
 
 
@@ -86,7 +91,7 @@ def spy_blocks(monkeypatch):
 def test_verify_report_does_not_depend_on_block_size(monkeypatch, tmp_path, argv):
     reports = []
     for cap in (statevec.BLOCK_AMPLITUDES, 1):
-        # at 1, every label tuple's d^(n+2) exceeds the constant: blocks of one
+        # at 1, one tuple's d^4 outcome terms exceed the budget: blocks of one
         monkeypatch.setattr(statevec, "BLOCK_AMPLITUDES", cap)
         blocks = spy_blocks(monkeypatch)
         target = tmp_path / f"verify-{cap}.json"
@@ -295,10 +300,18 @@ def test_verify_bench_sized_exhaustive(capsys):
     # the verify-exhaustive benchmark command
     code = run_cli(["verify", "--d", "3", "--n", "4", "--rule", "all",
                     "--seed", "401", "--json", "-"])
-    report = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    report = json.loads(text)
     assert code == 0 and report["ok"] is True
     assert sum(check["cases"] for check in report["checks"]) == 2997
     assert all(check["max_deviation"] < 1e-9 for check in report["checks"])
+    assert sha256(text) == REPORT_DIGESTS["verify-exhaustive"]
+
+
+def test_verify_sampled_report_bytes(capsys):
+    assert run_cli(["verify", "--d", "3", "--n", "3", "--rule", "all",
+                    "--samples", "30", "--seed", "9", "--json", "-"]) == 0
+    assert sha256(capsys.readouterr().out) == REPORT_DIGESTS["verify-sampled-d3"]
 
 
 def test_protocol_json_stdout_is_pure(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,20 @@ def test_verify_block_reduces_labels_past_int64():
         assert big == small < 1e-12
 
 
+def test_verify_block_stays_on_the_support():
+    # one dense row of the d^(n+2) = 4^8 amplitudes at d=4, n=6 takes 1 MiB;
+    # the outcome sums of four rows must take less
+    rows = np.random.default_rng(6).integers(0, 4, (4, 8))
+    tracemalloc.start()
+    try:
+        deviations = verify_swap_block("white", 4, rows, m=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert deviations.max() < 1e-9
+    assert peak < 4**8 * np.dtype(complex).itemsize
+
+
 def test_verify_block_validation():
     with pytest.raises(ValueError):
         verify_swap_block("bell", 2, [])  # no case
@@ -279,6 +294,29 @@ def test_verify_block_fails_on_a_wrong_rewrite(monkeypatch, keep, capsys):
                      "--seed", "1"]) == 1
         assert "CHECKS FAILED" in capsys.readouterr().out
         monkeypatch.setitem(swapcalc._RULE_SIGNS, key, (sk, sl))
+
+
+def test_verify_block_reads_amplitudes_no_branch_reaches(monkeypatch):
+    # At d = 2 the two l = 1 outcomes are made to repeat outcome (0, 0) under
+    # phases +1 and -1, so they cancel, and no branch reaches the l = 1 half
+    # of the product state. Its amplitudes, 1/2 each, are the deviation: the
+    # sum must read every amplitude of the product state, not only those
+    # some branch reaches.
+    rewrite = swapcalc.bell_measure_block
+
+    def cancelling(d, fragments, labels, pair, outcomes):
+        measured, residual, phase, particles = rewrite(d, fragments, labels,
+                                                       pair, outcomes)
+        lost = outcomes[:, 1] == 1
+        measured[:, lost], residual[:, lost] = measured[:, :1], residual[:, :1]
+        phase[lost] = outcomes[lost, 0]
+        return measured, residual, phase, particles
+
+    monkeypatch.setattr(swapcalc, "bell_measure_block", cancelling)
+    for rule, m in rule_cases(3):
+        width = 4 if rule == "bell" else 5
+        rows = list(itertools.product(range(2), repeat=width))
+        assert verify_swap_block(rule, 2, rows, m=m).min() > 0.4
 
 
 @settings(max_examples=40, deadline=None)
