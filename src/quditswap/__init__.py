@@ -10,7 +10,8 @@ from .protocol import (InsufficientSharesError, PartyView, ProtocolConfig,
                        Transcript, collusion_posterior,
                        enumerate_oracle_branches, make_party_views,
                        oracle_view_counts, recover_first_dit_pooled,
-                       recover_second_dit, run_round, run_rounds,
+                       recover_rounds, recover_second_dit, round_blocks,
+                       round_records, run_round, run_rounds,
                        transcript_to_json_dict)
 from .statevec import (StateVector, apply_controlled_shift, apply_hadamard,
                        basis_state, hadamard_matrix, inner_product,
@@ -32,7 +33,8 @@ __all__ = [
     "expand_basis_in_bell", "expand_basis_in_cat", "hadamard_matrix",
     "inner_product", "make_party_views", "oracle_view_counts", "pack_index",
     "permute_to", "phase_exponent", "project_onto", "recover_first_dit_pooled",
-    "recover_second_dit", "run_round", "run_rounds", "tensor", "to_statevector",
+    "recover_rounds", "recover_second_dit", "round_blocks", "round_records",
+    "run_round", "run_rounds", "tensor", "to_statevector",
     "transcript_to_json_dict", "validate_dimension", "verify_swap_block",
     "verify_swap_identity", "zeta",
 ]

@@ -12,7 +12,11 @@ Three subcommands:
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage, cap or I/O error;
 over-cap sizes are refused by statevec.checked_size before any work.
 `--json PATH` (or `-` for stdout) writes a machine report; identical flags
-plus seed reproduce it byte for byte, so no timings go into the JSON.
+plus seed reproduce it byte for byte, so no timings go into the JSON. The
+report is indented JSON with sorted keys, except that protocol's
+"transcripts" (its last key) holds one compact record per line: the
+records stream through a temporary spool block by block, and _emit writes
+them after the rest of the report, so report memory is flat in --rounds.
 """
 
 from __future__ import annotations
@@ -21,8 +25,11 @@ import argparse
 import json
 import math
 import secrets
+import shutil
 import sys
+import tempfile
 import time
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import islice, product
 
@@ -30,7 +37,7 @@ import numpy as np
 
 from .core import validate_dimension
 from .protocol import (ENGINES, ProtocolConfig, collusion_posterior,
-                       oracle_view_counts, run_rounds, transcript_to_json_dict)
+                       oracle_view_counts, round_blocks, round_records, run_rounds)
 from .statevec import block_rows, checked_size
 from .swapcalc import RULES, verify_swap_block
 
@@ -39,7 +46,8 @@ MAX_ORACLE_BRANCHES = 1 << 16
 
 # protocol draws labels and outcomes, and rewrites rounds, in blocks of
 # this many rounds. Its time is flat from 64 rounds up at d=7 n=5; a
-# block's Transcripts live together, so peak memory grows with the size.
+# block's field arrays and report lines live together, so peak memory
+# grows with the size, not with --rounds.
 PROTOCOL_BLOCK_ROUNDS = 1 << 10
 
 
@@ -67,16 +75,30 @@ def chi_square_critical(dof: int, alpha: float) -> float:
 
 
 def _emit(report: dict, json_target: str | None, human_lines: list[str],
-          elapsed: float) -> int:
+          elapsed: float, spool=None) -> int:
     """Print the human table, closed by the verdict and the elapsed time,
     unless JSON goes to stdout; write JSON if asked.
+
+    spool, a text file of record lines joined by ",\n", becomes the list
+    under report's last key, "transcripts" (report lacks it, and each of its
+    keys sorts before it): it is copied after the indented rest.
 
     Returns the exit code: 2 when the JSON file cannot be written, else 0
     when the report is ok and 1 when it is not.
     """
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    head, tail = json.dumps(report, indent=2, sort_keys=True), "\n"
+    if spool is not None:  # drop the closing "\n}", splice the list in
+        head, tail = head[:-2] + ',\n  "transcripts": [\n', "\n  ]\n}\n"
+
+    def write(handle):
+        handle.write(head)
+        if spool is not None:
+            spool.seek(0)
+            shutil.copyfileobj(spool, handle)
+        handle.write(tail)
+
     if json_target == "-":
-        sys.stdout.write(text)
+        write(sys.stdout)
     else:
         for line in human_lines:
             print(line)
@@ -85,7 +107,7 @@ def _emit(report: dict, json_target: str | None, human_lines: list[str],
         if json_target:
             try:
                 with open(json_target, "w", encoding="utf-8") as handle:
-                    handle.write(text)
+                    write(handle)
             except OSError as exc:
                 return _usage_fail(f"cannot write --json {json_target}: {exc}")
     return 0 if report["ok"] else 1
@@ -149,7 +171,7 @@ def cmd_verify(args) -> int:
                                      per_block)
         for m, block in blocks:
             deviations = verify_swap_block(rule, d, block, m=m)
-            worst = max(worst, float(deviations.max()))
+            worst = float(np.maximum(worst, deviations.max()))  # NaN stays NaN
             cases += len(deviations)
         checks.append({"rule": rule, "cases": cases, "max_deviation": worst,
                        "tol": args.tol, "pass": worst < args.tol})
@@ -203,18 +225,22 @@ def _load_labels(args, d: int, n: int, rng):
                           np.broadcast_to(bells, (count, n, 2)))
 
 
-def _protocol_rounds(d: int, n: int, rounds: int, engine: str, seed: int, rng,
-                     next_labels):
-    """Yield rounds as Transcripts, run in blocks of PROTOCOL_BLOCK_ROUNDS:
-    each block draws its labels, then its outcomes (R, n, 2), and runs
-    through protocol.run_rounds on either engine, which forces the drawn
-    outcomes; the dense engine splits a block into sub-blocks of
-    statevec.block_rows rounds."""
+def _protocol_draws(d: int, n: int, rounds: int, rng, next_labels):
+    """Yield the protocol command's blocks of PROTOCOL_BLOCK_ROUNDS rounds as
+    (cat, bells, outcomes): each block draws its labels, then its outcomes
+    (R, n, 2), which either engine forces."""
     for first in range(0, rounds, PROTOCOL_BLOCK_ROUNDS):
         count = min(PROTOCOL_BLOCK_ROUNDS, rounds - first)
         cat, bells = next_labels(count)
-        outcomes = rng.integers(0, d, (count, n, 2))
-        yield from run_rounds(d, n, cat, bells, outcomes, engine, seed)
+        yield cat, bells, rng.integers(0, d, (count, n, 2))
+
+
+def _protocol_rounds(d: int, n: int, rounds: int, engine: str, seed: int, rng,
+                     next_labels):
+    """Yield the _protocol_draws rounds as Transcripts, through
+    protocol.run_rounds."""
+    for block in _protocol_draws(d, n, rounds, rng, next_labels):
+        yield from run_rounds(d, n, *block, engine, seed)
 
 
 def cmd_protocol(args) -> int:
@@ -229,55 +255,63 @@ def cmd_protocol(args) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         return _usage_fail(f"bad labels source: {exc}")
 
-    start = time.perf_counter()
-    key_counts = np.zeros((d, d), dtype=int)
-    transcripts = []
-    recoveries = 0
-    for transcript in _protocol_rounds(d, n, args.rounds, args.engine, seed, rng,
-                                       next_labels):
-        record = transcript_to_json_dict(transcript)
-        recoveries += record["ok"]
-        key_counts[transcript.key[0], transcript.key[1]] += 1
-        if args.json:
-            transcripts.append(record)
-    elapsed = time.perf_counter() - start
+    # Rounds run as protocol.round_blocks' field arrays (the dense engine
+    # splits a block into sub-blocks of statevec.block_rows rounds), which
+    # give the verdicts, the key tally and the records; records go to the
+    # spool one line each, block by block.
+    spooled = args.json and args.rounds
+    with tempfile.TemporaryFile("w+", encoding="utf-8") if spooled else nullcontext() as spool:
+        start = time.perf_counter()
+        key_counts = np.zeros((d, d), dtype=int)
+        recoveries, separator = 0, ""
+        for block in _protocol_draws(d, n, args.rounds, rng, next_labels):
+            for cat, bells, fields in round_blocks(d, n, *block, args.engine):
+                ok, records = round_records(d, n, seed, args.engine, cat, bells, fields)
+                recoveries += int(np.count_nonzero(ok))
+                np.add.at(key_counts, np.divmod(fields[2], d), 1)
+                if spool is not None:
+                    spool.write(separator + ",\n".join(
+                        "    " + json.dumps(record, sort_keys=True) for record in records))
+                    separator = ",\n"
+        elapsed = time.perf_counter() - start
 
-    success_rate = recoveries / args.rounds if args.rounds else None
-    chi = None
-    dof = d * d - 1
-    if args.rounds >= 5 * d * d:
-        expected = args.rounds / (d * d)
-        statistic = float(((key_counts - expected) ** 2 / expected).sum())
-        critical = chi_square_critical(dof, 0.001)
-        chi = {"statistic": statistic, "critical": critical, "dof": dof,
-               "alpha": 0.001, "pass": statistic < critical}
+        success_rate = recoveries / args.rounds if args.rounds else None
+        chi = None
+        dof = d * d - 1
+        if args.rounds >= 5 * d * d:
+            expected = args.rounds / (d * d)
+            statistic = float(((key_counts - expected) ** 2 / expected).sum())
+            critical = chi_square_critical(dof, 0.001)
+            chi = {"statistic": statistic, "critical": critical, "dof": dof,
+                   "alpha": 0.001, "pass": statistic < critical}
 
-    ok = (success_rate in (None, 1.0)) and (chi is None or chi["pass"])
-    report = {
-        "command": "protocol",
-        "parameters": {"d": d, "n": n, "rounds": args.rounds, "seed": seed,
-                       "engine": args.engine, "labels": args.labels},
-        "success_rate": success_rate,
-        "key_counts": key_counts.tolist(),
-        "chi_square": chi,
-        "transcripts": transcripts,
-        "ok": ok,
-    }
-    lines = [f"protocol: d={d} n={n} rounds={args.rounds} "
-             f"engine={args.engine} labels={args.labels} seed={seed}"]
-    if args.rounds:
-        lines.append(f"  recovery success rate {success_rate:.4f} "
-                     f"({recoveries}/{args.rounds})")
-        lines.append(f"  key counts: min {key_counts.min()} "
-                     f"max {key_counts.max()} over {d * d} values")
-        if chi:
-            lines.append(f"  key chi-square {chi['statistic']:.2f} vs "
-                         f"critical {chi['critical']:.2f} "
-                         f"(dof {dof}, alpha 0.001)   "
-                         f"{'PASS' if chi['pass'] else 'FAIL'}")
-    else:
-        lines.append("  no rounds requested")
-    return _emit(report, args.json, lines, elapsed)
+        ok = (success_rate in (None, 1.0)) and (chi is None or chi["pass"])
+        report = {
+            "command": "protocol",
+            "parameters": {"d": d, "n": n, "rounds": args.rounds, "seed": seed,
+                           "engine": args.engine, "labels": args.labels},
+            "success_rate": success_rate,
+            "key_counts": key_counts.tolist(),
+            "chi_square": chi,
+            "ok": ok,
+        }
+        if not spooled:
+            report["transcripts"] = []
+        lines = [f"protocol: d={d} n={n} rounds={args.rounds} "
+                 f"engine={args.engine} labels={args.labels} seed={seed}"]
+        if args.rounds:
+            lines.append(f"  recovery success rate {success_rate:.4f} "
+                         f"({recoveries}/{args.rounds})")
+            lines.append(f"  key counts: min {key_counts.min()} "
+                         f"max {key_counts.max()} over {d * d} values")
+            if chi:
+                lines.append(f"  key chi-square {chi['statistic']:.2f} vs "
+                             f"critical {chi['critical']:.2f} "
+                             f"(dof {dof}, alpha 0.001)   "
+                             f"{'PASS' if chi['pass'] else 'FAIL'}")
+        else:
+            lines.append("  no rounds requested")
+        return _emit(report, args.json, lines, elapsed, spool)
 
 
 def cmd_collude(args) -> int:

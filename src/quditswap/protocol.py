@@ -22,8 +22,13 @@ Particle ids: cat particle i is i (1..n); party i's Bell pair sits on
 Both engines rewrite labels with _party_rewrite: bell_measure_block on
 the black node's fragment first, under the measuring party's role signs,
 _ROLE_SIGNS, so every step reads its outcome in the protocol convention
-above, at n = 2 too. Rounds run in blocks through run_rounds on either
-engine; run_round is a block of one. The symbolic engine rewrites a
+above, at n = 2 too. Rounds run in blocks through round_blocks on either
+engine, which yields integer field arrays; run_rounds turns them into
+Transcripts, and run_round is a block of one. One array recovery,
+recover_rounds, checks every recovery identity and the announcement of a
+block of rounds; the one-view recoveries and transcript_to_json_dict are
+its one-row calls, and round_records turns its rows into the JSON
+records the protocol command streams. The symbolic engine rewrites a
 block as label arrays, one row per round under its own outcomes, one
 block call per step. The dense engine runs one step, _dense_step, on a
 block of branches that share one particle layout: their cat labels and
@@ -195,7 +200,7 @@ def _dense_step(d: int, n: int, bell, i: int, block: _Block) -> _Block:
     rows, u1, u2 = np.arange(count)[:, None], measured[..., 0], measured[..., 1]
     post = overlaps[rows, u1, u2]
     probabilities = np.sum(np.abs(post) ** 2, axis=2)
-    wrong = np.argwhere(np.abs(probabilities - 1.0 / d**2) > 1e-9)
+    wrong = np.argwhere(~(np.abs(probabilities - 1.0 / d**2) <= 1e-9))  # NaN fails
     if len(wrong):
         row, code = wrong[0]
         raise RuntimeError(f"party {i} outcome ({code // d},{code % d}) has probability "
@@ -228,10 +233,10 @@ def _finish_block(d: int, n: int, block: _Block):
     dense = block.amps.reshape((count,) + (d,) * n).transpose([0] + axes)
     amps = np.einsum("bj,bj->b", cat_amplitudes(d, block.labels).conj(),
                      dense.reshape(count, -1))
-    if np.any(np.abs(np.abs(amps) - 1.0) > 1e-9):
+    if not np.all(np.abs(np.abs(amps) - 1.0) <= 1e-9):  # NaN fails
         raise RuntimeError("dense end state is not the announced cat state")
     roots = np.array([zeta(d, t) for t in range(d)])
-    if np.any(np.abs(amps - roots[block.phase]) > 1e-9):
+    if not np.all(np.abs(amps - roots[block.phase]) <= 1e-9):
         raise RuntimeError("dense global phase disagrees with the register")
     codes = block.codes
     return codes[..., 0], block.labels, codes[:, 0, 1], codes[:, 1:, 1], block.phase
@@ -275,17 +280,21 @@ def _transcripts(configs, engine: str, d: int, n: int, steps, announced, key, fi
                               for field in (steps, announced, key, finals, phase)))]
 
 
-def run_rounds(d: int, n: int, cat, bells, outcomes, engine: str = "symbolic",
-               seed: int | None = None) -> list[Transcript]:
-    """Run a block of R rounds of one d and n on either engine, as Transcripts.
+def round_blocks(d: int, n: int, cat, bells, outcomes, engine: str = "symbolic"):
+    """Run a block of R rounds of one d and n on either engine, as field arrays.
 
     cat holds each round's cat labels (R, n), bells its Bell label pairs
     (R, n, 2) and outcomes its (k_i, l_i) per party (R, n, 2), in the
-    protocol convention; seed goes into each round's config. The
-    statevector engine runs sub-blocks of block_rows(d, n + 2) rounds (so
-    ValueError over the cap), and checks every step of every round, all
-    d^2 outcomes, and each end cat and phase from amplitudes.
+    protocol convention. Yields, per sub-block in round order, its labels
+    mod d and the five fields _transcripts reads: (cat, bells, (steps,
+    announced, key, finals, phase)). The statevector engine runs sub-blocks
+    of block_rows(d, n + 2) rounds (so ValueError over the cap), and checks
+    every step of every round, all d^2 outcomes, and each end cat and phase
+    from amplitudes; the symbolic engine runs the block as one.
     """
+    validate_dimension(d)
+    if n < 2:
+        raise ValueError("the protocol needs at least 2 parties")
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     cat, bells, outcomes = (reduce_labels(d, x) for x in (cat, bells, outcomes))
@@ -294,16 +303,21 @@ def run_rounds(d: int, n: int, cat, bells, outcomes, engine: str = "symbolic",
                                                     (count, n, 2)):
         raise ValueError(f"{n} parties but label shapes {cat.shape} and {bells.shape} "
                          f"and outcome shape {outcomes.shape}")
-    configs = [ProtocolConfig(d, n, c, b, seed=seed)
-               for c, b in zip(cat.tolist(), bells.tolist())]
     rows, run = ((block_rows(d, n + 2), _dense_rounds) if engine == "statevector"
                  else (max(1, count), _symbolic_rounds))
-    transcripts: list[Transcript] = []
     for start in range(0, count, rows):
         part = slice(start, start + rows)
-        transcripts += _transcripts(configs[part], engine, d, n,
-                                    *run(d, n, cat[part], bells[part], outcomes[part]))
-    return transcripts
+        yield cat[part], bells[part], run(d, n, cat[part], bells[part], outcomes[part])
+
+
+def run_rounds(d: int, n: int, cat, bells, outcomes, engine: str = "symbolic",
+               seed: int | None = None) -> list[Transcript]:
+    """round_blocks as Transcripts; seed goes into each round's config."""
+    return [transcript
+            for cat, bells, fields in round_blocks(d, n, cat, bells, outcomes, engine)
+            for transcript in _transcripts(
+                (ProtocolConfig(d, n, c, b, seed=seed)
+                 for c, b in zip(cat.tolist(), bells.tolist())), engine, d, n, *fields)]
 
 
 def run_round(config: ProtocolConfig, engine: str = "symbolic",
@@ -333,32 +347,68 @@ def make_party_views(transcript: Transcript) -> tuple[PartyView, ...]:
         for i in range(2, config.n + 1))
 
 
-def recover_second_dit(view: PartyView) -> int:
-    """Party i alone reconstructs v'1 + l1 from its view.
+def recover_rounds(d: int, cat, bells, steps, announced, key, finals):
+    """Every recovery of a block of R rounds, on round_blocks' arrays.
 
-    announced[i] reveals l_i; the party's final Bell second label is
-    u_i - l1 - l_i, so l1 follows, and v'1 is public.
+    cat (R, n) and bells (R, n, 2) hold the rounds' labels; steps (R, n),
+    announced (R, n), key (R,) and finals (R, n - 1) are round_blocks'
+    first four fields, with label pairs coded a * d + b. Party i >= 2 reads
+    l_i = announced[i] - v'_i; its final Bell second label is
+    u_i - l1 - l_i, so l1 follows, and v'1 is public. Its share is
+    k_i = v_i - (final Bell first label); the announcement's first slot
+    v1 + k1 + ... + kn then pins k1 once all of 2..n pool their shares.
+
+    Returns per row the second key dit v'1 + l1 each party 2..n recovers
+    alone (R, n - 1), the first key dit u1 - k1 they recover pooled (R,),
+    and ok (R,): every recovery gives the key and the announcement is
+    (v1 + k1 + ... + kn, v'2 + l2, ..., v'n + ln).
     """
-    d, i = view.d, view.party
-    l_i = (view.announced[i - 1] - view.bell_labels[i - 1][1]) % d
-    l_1 = (view.cat_labels[i - 1] - l_i - view.final_bell[1]) % d
-    return (view.bell_labels[0][1] + l_1) % d
+    (k, l), (final_k, final_l) = np.divmod(steps, d), np.divmod(finals, d)
+    v, vp = bells[..., 0], bells[..., 1]
+    second = (vp[:, :1] + cat[:, 1:] - (announced[:, 1:] - vp[:, 1:]) - final_l) % d
+    k_1 = announced[:, 0] - v[:, 0] - np.sum(v[:, 1:] - final_k, axis=1)
+    first = (cat[:, 0] - k_1) % d
+    expected = np.concatenate([v[:, :1] + np.sum(k, axis=1, keepdims=True),
+                               vp[:, 1:] + l[:, 1:]], axis=1) % d
+    ok = ((first == key // d) & np.all(second == (key % d)[:, None], axis=1)
+          & np.all(announced == expected, axis=1))
+    return second, first, ok
+
+
+def _recover_views(views):
+    """recover_rounds on the one row that views of one round show: their
+    public labels and announcement, and each view's final Bell in its
+    party's column. A view holds no other party's final Bell, outcome or
+    key: those stay 0, so only the viewing parties' dits are meaningful."""
+    view = views[0]
+    d, n = view.d, view.n
+    finals = np.zeros((1, n - 1), dtype=int)
+    for other in views:
+        finals[0, other.party - 2] = reduce_labels(d, other.final_bell) @ (d, 1)
+    return recover_rounds(d, reduce_labels(d, [view.cat_labels]),
+                          reduce_labels(d, [view.bell_labels]), np.zeros((1, n), dtype=int),
+                          reduce_labels(d, [view.announced]), np.zeros(1, dtype=int), finals)
+
+
+def recover_second_dit(view: PartyView) -> int:
+    """Party i alone reconstructs v'1 + l1 from its view: recover_rounds
+    on the view's one row."""
+    return int(_recover_views([view])[0][0, view.party - 2])
 
 
 def recover_first_dit_pooled(views, announced) -> int:
-    """All parties 2..n pool k_i shares to reconstruct u1 - k1.
+    """All parties 2..n pool k_i shares to reconstruct u1 - k1: recover_rounds
+    on the views' one row.
 
-    Each share is k_i = v_i - (final Bell first label); the announcement's
-    first slot is v1 + k1 + ... + kn, which then pins k1. Views that
-    disagree on d, n, the labels or the announcement, or with the announced
-    argument, raise ValueError. Views of different rounds that agree on all
-    of these cannot be told apart: they are the views of one round with
-    the same public data, and the dit returned is that round's.
+    Views that disagree on d, n, the labels or the announcement, or with the
+    announced argument, raise ValueError. Views of different rounds that
+    agree on all of these cannot be told apart: they are the views of one
+    round with the same public data, and the dit returned is that round's.
     """
     views = tuple(views)
     if not views:
         raise InsufficientSharesError("no shares supplied")
-    d, n = views[0].d, views[0].n
+    n = views[0].n
     public = {(v.d, v.n, v.cat_labels, v.bell_labels, v.announced) for v in views}
     if len(public) > 1 or tuple(announced) != views[0].announced:
         raise ValueError("views disagree with each other or with the announcement")
@@ -369,12 +419,7 @@ def recover_first_dit_pooled(views, announced) -> int:
     if contributed != list(range(2, n + 1)):
         missing = sorted(set(range(2, n + 1)) - set(contributed))
         raise InsufficientSharesError(f"missing shares from parties {missing}")
-    k_sum = sum(view.bell_labels[view.party - 1][0] - view.final_bell[0]
-                for view in views)
-    v1 = views[0].bell_labels[0][0]
-    u1 = views[0].cat_labels[0]
-    k1 = (announced[0] - v1 - k_sum) % d
-    return (u1 - k1) % d
+    return int(_recover_views(views)[1][0])
 
 
 def collusion_posterior(d: int, transcript: Transcript, known_parties):
@@ -453,33 +498,41 @@ def oracle_view_counts(config: ProtocolConfig, known_parties) -> dict[tuple, lis
             for view, firsts in counts.items()}
 
 
+def round_records(d: int, n: int, seed, engine: str, cat, bells, fields):
+    """A block of rounds' verdicts and JSON records, from round_blocks' arrays.
+
+    Returns recover_rounds' ok (R,) and an iterator of the records in
+    transcript_to_json_dict's form, built one at a time as it is read.
+    """
+    steps, announced, key, finals, _ = fields
+    second, first, ok = recover_rounds(d, cat, bells, steps, announced, key, finals)
+    rows = zip(*(field.tolist() for field in (cat, bells, steps, announced, key,
+                                               second, first, ok)))
+    records = ({"d": d, "n": n, "seed": seed, "engine": engine,
+                "cat_labels": labels, "bell_labels": pairs,
+                "outcomes": [{"party": i, "k": c // d, "l": c % d}
+                             for i, c in enumerate(codes, 1)],
+                "announced": public, "key": [code // d, code % d],
+                "recovered": {"second_per_party": alone, "first_pooled": pooled},
+                "ok": good}
+               for labels, pairs, codes, public, code, alone, pooled, good in rows)
+    return ok, records
+
+
 def transcript_to_json_dict(transcript: Transcript) -> dict:
-    """Flat JSON form of one round, recovery results included.
+    """Flat JSON form of one round, recovery results included: round_records
+    on the transcript's one row.
 
     ok holds when every recovery gives the key and the announcement is
     (v1 + k1 + ... + kn, v'2 + l2, ..., v'n + ln).
     """
     config = transcript.config
-    d, outcomes = config.d, transcript.outcomes
-    views = make_party_views(transcript)
-    second = [recover_second_dit(view) for view in views]
-    first = recover_first_dit_pooled(views, transcript.announced)
-    k_total = sum(k for k, _ in outcomes)
-    announced = ((config.bell_labels[0][0] + k_total) % d,) + tuple(
-        (vp + l) % d for (_, vp), (_, l) in zip(config.bell_labels[1:], outcomes[1:]))
-    ok = (first == transcript.key[0] and all(s == transcript.key[1] for s in second)
-          and transcript.announced == announced)
-    return {
-        "d": config.d,
-        "n": config.n,
-        "seed": config.seed,
-        "engine": transcript.engine,
-        "cat_labels": list(config.cat_labels),
-        "bell_labels": [list(pair) for pair in config.bell_labels],
-        "outcomes": [{"party": i + 1, "k": k, "l": l}
-                     for i, (k, l) in enumerate(transcript.outcomes)],
-        "announced": list(transcript.announced),
-        "key": list(transcript.key),
-        "recovered": {"second_per_party": second, "first_pooled": first},
-        "ok": ok,
-    }
+    d = config.d
+    fields = (np.array([transcript.outcomes]) @ (d, 1), np.array([transcript.announced]),
+              np.array([transcript.key]) @ (d, 1),
+              np.array([transcript.final_bells]) @ (d, 1),
+              np.array([transcript.phase_power]))
+    _, records = round_records(d, config.n, config.seed, transcript.engine,
+                               np.array([config.cat_labels]),
+                               np.array([config.bell_labels]), fields)
+    return next(records)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -19,9 +20,9 @@ from quditswap.protocol import ProtocolConfig, run_round, transcript_to_json_dic
 # byte of them is a change of behaviour.
 REPORT_DIGESTS = {
     "protocol-symbolic":
-        "30175b196614c412798de75de40c8a47e78aeb3979e5684f7670abed4c93261f",
+        "f6cb690ba09e33c232759ffdc622fb1185ad4ad800eeba92cf6168421f83a6da",
     "protocol-dense":
-        "90c3f9386e4522379b45dfdf286fb9d7528f5eb1df873dc9779b5ecb4aece5e9",
+        "c491760b4d76ba1f035232cc4226be296e5af8147c1e43b600f7da6a548e386c",
     "collude-oracle":
         "02b72067d2039f42e5b5f88db214bc771cf6f2cb45748bea169cf2aab721202e",
     "collude-oracle-d3":
@@ -30,6 +31,18 @@ REPORT_DIGESTS = {
         "63a52ee1faa68658b2669df6114a5cb8e0b2aa7d9c7bb9584e334090118c499d",
     "verify-sampled-d3":
         "795156506532c2810939efc97149ffe3e04868e407e947dbe06df2827456a8c4",
+}
+
+
+# sha256 of the two protocol reports above re-serialized whole as
+# json.dumps(report, indent=2, sort_keys=True) + "\n", the layout from before
+# transcripts were written one per line: they pin the reports' content,
+# value for value, across that change of layout.
+CONTENT_DIGESTS = {
+    "protocol-symbolic":
+        "30175b196614c412798de75de40c8a47e78aeb3979e5684f7670abed4c93261f",
+    "protocol-dense":
+        "90c3f9386e4522379b45dfdf286fb9d7528f5eb1df873dc9779b5ecb4aece5e9",
 }
 
 
@@ -127,6 +140,22 @@ def test_verify_refuses_over_cap_before_any_block(monkeypatch, capsys):
     monkeypatch.setattr(cli, "verify_swap_block", no_block)
     assert run_cli(["verify", "--d", "3", "--n", "4", "--seed", "1"]) == 2
     assert "amplitudes" in capsys.readouterr().err
+
+
+def test_verify_fails_on_a_nan_deviation(monkeypatch, capsys):
+    # NaN compares false with everything: the running maximum must keep it,
+    # and the rule must fail
+    original = cli.verify_swap_block
+
+    def nan_last(rule, d, rows, m=None):
+        deviations = original(rule, d, rows, m=m)
+        deviations[-1] = np.nan
+        return deviations
+
+    monkeypatch.setattr(cli, "verify_swap_block", nan_last)
+    assert run_cli(["verify", "--d", "2", "--n", "3", "--seed", "1"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("max deviation nan") == 3 and out.count("   FAIL") == 3
 
 
 def test_verify_rejects_bad_dimension():
@@ -246,6 +275,56 @@ def test_protocol_blocks_are_forced_rounds(monkeypatch, capsys, engine, budget, 
             run_round(config, engine, forced_outcomes=forced))
 
 
+@pytest.mark.parametrize("role, signs", [(0, (0, 1)), (1, (1, 0))])
+def test_protocol_verdicts_are_the_one_round_verdicts(monkeypatch, capsys, role, signs):
+    # A zero sign drops k or l from one role's rewrite, so some rounds fail
+    # their recovery identities. The command's array verdicts must be
+    # transcript_to_json_dict's one-round verdicts, record for record, and
+    # the command must fail.
+    roles = protocol._ROLE_SIGNS
+    monkeypatch.setattr(protocol, "_ROLE_SIGNS", roles[:role] + (signs,) + roles[role + 1:])
+    monkeypatch.setattr(cli, "PROTOCOL_BLOCK_ROUNDS", 3)
+    assert run_cli(["protocol", "--d", "3", "--n", "4", "--rounds", "8",
+                    "--labels", "random", "--seed", "17", "--json", "-"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False and report["success_rate"] < 1
+    records = report["transcripts"]
+    assert len(records) == 8 and not all(record["ok"] for record in records)
+    for record in records:
+        config = ProtocolConfig(3, 4, record["cat_labels"], record["bell_labels"],
+                                seed=record["seed"])
+        forced = [(step["k"], step["l"]) for step in record["outcomes"]]
+        assert record == transcript_to_json_dict(run_round(config, forced_outcomes=forced))
+
+
+def test_protocol_report_streams_one_record_per_line(capsys):
+    # The report is the indented, key-sorted JSON of everything but the
+    # transcripts, which sort last and hold one compact record per line.
+    assert run_cli(["protocol", "--d", "3", "--n", "3", "--rounds", "5",
+                    "--labels", "random", "--seed", "2", "--json", "-"]) == 0
+    text = capsys.readouterr().out
+    report = json.loads(text)
+    records = report.pop("transcripts")
+    head = json.dumps(report, indent=2, sort_keys=True)[:-2]
+    lines = ",\n".join("    " + json.dumps(record, sort_keys=True) for record in records)
+    assert text == head + ',\n  "transcripts": [\n' + lines + "\n  ]\n}\n"
+    assert len(records) == 5
+
+
+def test_protocol_report_memory_is_flat_in_rounds(tmp_path):
+    # Records stream through a spool block by block, so the traced peak of
+    # eight blocks of rounds stays near that of one.
+    peaks = []
+    for rounds in (1024, 8192):
+        tracemalloc.start()
+        assert run_cli(["protocol", "--d", "7", "--n", "5", "--rounds", str(rounds),
+                        "--labels", "random", "--seed", "401",
+                        "--json", str(tmp_path / "report.json")]) == 0
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
+
+
 def test_collude_rounds_are_forced_rounds(monkeypatch):
     # collude takes its rounds from the protocol command's block path. Each
     # transcript the posterior sees is run_round replayed under its own
@@ -281,6 +360,8 @@ def test_protocol_bench_sized_symbolic(capsys):
     assert len(report["transcripts"]) == 4000
     assert all(record["ok"] for record in report["transcripts"])
     assert sha256(text) == REPORT_DIGESTS["protocol-symbolic"]
+    assert (sha256(json.dumps(report, indent=2, sort_keys=True) + "\n")
+            == CONTENT_DIGESTS["protocol-symbolic"])
 
 
 def test_protocol_bench_sized_dense(capsys):
@@ -294,6 +375,8 @@ def test_protocol_bench_sized_dense(capsys):
     assert len(report["transcripts"]) == 100
     assert all(record["ok"] for record in report["transcripts"])
     assert sha256(text) == REPORT_DIGESTS["protocol-dense"]
+    assert (sha256(json.dumps(report, indent=2, sort_keys=True) + "\n")
+            == CONTENT_DIGESTS["protocol-dense"])
 
 
 def test_verify_bench_sized_exhaustive(capsys):

@@ -199,6 +199,37 @@ def test_pooled_recovery_rejects_views_of_different_rounds():
     assert recover_first_dit_pooled(mixed, first.announced) == joint.key[0] == 1
 
 
+def test_array_recovery_is_the_per_party_arithmetic():
+    # recover_rounds against the paper's recovery, party by party in Python
+    # integers, on arbitrary field arrays (mostly not rounds of the
+    # protocol, so ok is mostly false) and on rounds run by the engine
+    rng = np.random.default_rng(3)
+    for d, n in ((2, 2), (3, 4), (7, 5)):
+        count = 50
+        cat, bells = rng.integers(0, d, (count, n)), rng.integers(0, d, (count, n, 2))
+        outcomes = rng.integers(0, d, (count, n, 2))
+        (_, _, ran), = protocol.round_blocks(d, n, cat, bells, outcomes)
+        noise = (rng.integers(0, d * d, (count, n)), rng.integers(0, d, (count, n)),
+                 rng.integers(0, d * d, count), rng.integers(0, d * d, (count, n - 1)))
+        for steps, announced, key, finals in (ran[:4], noise):
+            second, first, ok = protocol.recover_rounds(d, cat, bells, steps, announced,
+                                                        key, finals)
+            for r in range(count):
+                c, b, a = cat[r].tolist(), bells[r].tolist(), announced[r].tolist()
+                f = [divmod(x, d) for x in finals[r].tolist()]
+                o = [divmod(x, d) for x in steps[r].tolist()]
+                alone = [(b[0][1] + c[i] - (a[i] - b[i][1]) - f[i - 1][1]) % d
+                         for i in range(1, n)]
+                k_1 = a[0] - b[0][0] - sum(b[i][0] - f[i - 1][0] for i in range(1, n))
+                pooled = (c[0] - k_1) % d
+                expected = [(b[0][0] + sum(k for k, _ in o)) % d] + [
+                    (b[i][1] + o[i][1]) % d for i in range(1, n)]
+                assert second[r].tolist() == alone and first[r] == pooled
+                assert ok[r] == (pooled == key[r] // d and alone == [key[r] % d] * (n - 1)
+                                 and a == expected)
+            assert ok.all() if steps is ran[0] else not ok.all()
+
+
 def test_collusion_posterior_uniform_for_strict_subsets():
     rng = np.random.default_rng(44)
     for d, n in ((2, 3), (3, 4)):
@@ -378,6 +409,39 @@ def test_dense_engine_checks_end_state_and_phase(monkeypatch):
         oracle_view_counts(zero_config(2, 3), [2])
     assert run_round(config, engine="symbolic",
                      forced_outcomes=forced).outcomes == tuple(forced)
+
+
+def test_dense_checks_fail_on_nan(monkeypatch):
+    # NaN compares false with everything, so each dense check passes only a
+    # value within its tolerance: NaN overlaps fail the step's probability
+    # check, NaN end cats the modulus check and NaN roots the phase check.
+    overlap_pass, finish = protocol.cat_overlaps, protocol._finish_block
+    amplitudes, root = protocol.cat_amplitudes, protocol.zeta
+
+    def nan_overlaps(*args):
+        rest, overlaps = overlap_pass(*args)
+        return rest, overlaps * np.nan
+
+    def nan_end_cats(d, n, block):
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "cat_amplitudes",
+                          lambda d, labels: amplitudes(d, labels) * np.nan)
+            return finish(d, n, block)
+
+    config = random_config(3, 3, np.random.default_rng(2))
+    forced = [(1, 2), (0, 1), (2, 2)]
+    for name, fault, message in (
+            ("cat_overlaps", nan_overlaps, r"party 1 outcome \(0,0\) has probability nan"),
+            ("_finish_block", nan_end_cats, "not the announced cat state"),
+            ("zeta", lambda d, t: root(d, t) * np.nan, "global phase disagrees")):
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, name, fault)
+            with pytest.raises(RuntimeError, match=message):
+                run_round(config, engine="statevector", forced_outcomes=forced)
+            with pytest.raises(RuntimeError, match=message):
+                enumerate_oracle_branches(zero_config(2, 3))
+    assert run_round(config, engine="statevector", forced_outcomes=forced).outcomes == \
+        tuple(forced)
 
 
 def test_block_checks_read_every_row(monkeypatch):
