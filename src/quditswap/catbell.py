@@ -35,12 +35,17 @@ def cat_state(d: int, particles, labels) -> StateVector:
 
 
 def reduce_labels(d: int, labels) -> np.ndarray:
-    """Integer labels mod d as an int array, exact past int64 too (where
-    numpy's own inference may round a list to float64)."""
-    try:
-        return np.asarray(labels, dtype=int) % d
-    except OverflowError:
-        return (np.asarray(labels, dtype=object) % d).astype(int)
+    """Integer labels mod d as an int array, exact past int64: the one label
+    reducer. Only a signed integer array skips the check of each element
+    (numpy infers [2**63 + 1, -1] as float64 and [True, 2] as integers),
+    which refuses a float, complex, bool or string label with ValueError."""
+    if isinstance(labels, np.ndarray) and labels.dtype.kind == "i":
+        return labels % d
+    values = np.asarray(labels, dtype=object)
+    if not all(isinstance(u, (int, np.integer)) and not isinstance(u, bool)
+               for u in values.flat):
+        raise ValueError(f"labels must be integers, got {labels!r}")
+    return (values % d).astype(int)
 
 
 def cat_support(d: int, labels, places=None):
@@ -96,7 +101,7 @@ def cat_via_circuit(d: int, particles, digits) -> StateVector:
     Agrees with cat_state(d, particles, digits) amplitude for amplitude.
     """
     particles = tuple(particles)
-    digits = tuple(int(u) % d for u in digits)
+    digits = tuple(reduce_labels(d, digits).tolist())
     if len(particles) < 2:
         raise ValueError("a cat state needs at least 2 particles")
     state = basis_state(d, particles, digits)
@@ -119,7 +124,7 @@ def expand_basis_in_bell(d: int, digits) -> list[tuple[complex, tuple[int, int]]
 def expand_basis_in_cat(d: int, digits) -> list[tuple[complex, tuple[int, ...]]]:
     """Expand |u1, ..., un> = (1/sqrt(d)) sum_j zeta^(-j*u1) |Psi(j, u2-u1, ..., un-u1)>."""
     validate_dimension(d)
-    digits = tuple(int(u) % d for u in digits)
+    digits = tuple(reduce_labels(d, digits).tolist())
     if len(digits) < 2:
         raise ValueError("need at least 2 digits")
     u1 = digits[0]

@@ -36,8 +36,8 @@ from itertools import islice, product
 import numpy as np
 
 from .core import validate_dimension
-from .protocol import (ENGINES, ProtocolConfig, collusion_posterior,
-                       oracle_view_counts, round_blocks, round_records, run_rounds)
+from .protocol import (ENGINES, ProtocolConfig, collusion_counts, oracle_view_counts,
+                       round_blocks, round_records)
 from .statevec import block_rows, checked_size
 from .swapcalc import RULES, verify_swap_block
 
@@ -169,8 +169,8 @@ def cmd_verify(args) -> int:
         else:
             blocks = _sampled_blocks(rng, d, width, positions, args.samples,
                                      per_block)
-        for m, block in blocks:
-            deviations = verify_swap_block(rule, d, block, m=m)
+        for m, block in blocks:  # an int array skips reduce_labels' element check
+            deviations = verify_swap_block(rule, d, np.asarray(block), m=m)
             worst = float(np.maximum(worst, deviations.max()))  # NaN stays NaN
             cases += len(deviations)
         checks.append({"rule": rule, "cases": cases, "max_deviation": worst,
@@ -233,14 +233,6 @@ def _protocol_draws(d: int, n: int, rounds: int, rng, next_labels):
         count = min(PROTOCOL_BLOCK_ROUNDS, rounds - first)
         cat, bells = next_labels(count)
         yield cat, bells, rng.integers(0, d, (count, n, 2))
-
-
-def _protocol_rounds(d: int, n: int, rounds: int, engine: str, seed: int, rng,
-                     next_labels):
-    """Yield the _protocol_draws rounds as Transcripts, through
-    protocol.run_rounds."""
-    for block in _protocol_draws(d, n, rounds, rng, next_labels):
-        yield from run_rounds(d, n, *block, engine, seed)
 
 
 def cmd_protocol(args) -> int:
@@ -335,15 +327,16 @@ def cmd_collude(args) -> int:
     seed = _pick_seed(args)
     rng = np.random.default_rng(seed)
     next_labels = _random_labels(rng, d, n)
-    uniform = (Fraction(1, d),) * d
     start = time.perf_counter()
 
+    # The protocol command's rounds, as round_blocks' field arrays: a round
+    # passes when each first key dit has the same count for the coalition.
     rounds_ok, posterior = True, None
-    for transcript in _protocol_rounds(d, n, args.rounds, "symbolic", seed, rng,
-                                       next_labels):
-        result = collusion_posterior(d, transcript, known)
-        posterior = [str(f) for f in result]
-        rounds_ok &= result == uniform
+    for block in _protocol_draws(d, n, args.rounds, rng, next_labels):
+        for cat, bells, (steps, announced, *_) in round_blocks(d, n, *block):
+            counts = collusion_counts(d, cat, bells, steps, announced, known)
+            rounds_ok &= bool(np.all(counts == counts[:, :1]))
+            posterior = [str(Fraction(c, d ** len(missing))) for c in counts[-1].tolist()]
 
     oracle = None
     if args.oracle:

@@ -23,23 +23,25 @@ Both engines rewrite labels with _party_rewrite: bell_measure_block on
 the black node's fragment first, under the measuring party's role signs,
 _ROLE_SIGNS, so every step reads its outcome in the protocol convention
 above, at n = 2 too. Rounds run in blocks through round_blocks on either
-engine, which yields integer field arrays; run_rounds turns them into
-Transcripts, and run_round is a block of one. One array recovery,
-recover_rounds, checks every recovery identity and the announcement of a
-block of rounds; the one-view recoveries and transcript_to_json_dict are
-its one-row calls, and round_records turns its rows into the JSON
-records the protocol command streams. The symbolic engine rewrites a
-block as label arrays, one row per round under its own outcomes, one
-block call per step. The dense engine runs one step, _dense_step, on a
-block of branches that share one particle layout: their cat labels and
-amplitudes are arrays with one row per branch, rewritten under all d^2
-outcomes and measured by one cat_overlaps pass, which reads every
-probability, outcome, end cat and phase from the amplitudes. A block of
-statevector rounds starts with one branch per round and keeps each
-round's own outcome; the oracle streams all (d^2)^n branches of one
-round in such blocks to enumerate_oracle_branches and oracle_view_counts.
-Both size blocks by block_rows, which refuses a d^(n+2) step over the
-amplitude cap before any allocation.
+engine, which yields integer field arrays, the one round record;
+run_round is a block of one, turned into a Transcript. One array
+recovery, recover_rounds, checks every recovery identity and the
+announcement of a block of rounds; the one-view recoveries and
+transcript_to_json_dict are its one-row calls, and round_records turns
+its rows into the JSON records the protocol command streams.
+collusion_counts reads the same arrays for a coalition's view of the
+first key dit; collusion_posterior is its one-row call. The symbolic
+engine rewrites a block as label arrays, one row per round under its own
+outcomes, one block call per step. The dense engine runs one step,
+_dense_step, on a block of branches that share one particle layout:
+their cat labels and amplitudes are arrays with one row per branch,
+rewritten under all d^2 outcomes and measured by one cat_overlaps pass,
+which reads every probability, outcome, end cat and phase from the
+amplitudes. A block of statevector rounds starts with one branch per
+round and keeps each round's own outcome; the oracle streams all (d^2)^n
+branches of one round in such blocks to enumerate_oracle_branches and
+oracle_view_counts. Both size blocks by block_rows, which refuses a
+d^(n+2) step over the amplitude cap before any allocation.
 """
 
 from __future__ import annotations
@@ -82,15 +84,13 @@ class ProtocolConfig:
         validate_dimension(self.d)
         if self.n < 2:
             raise ValueError("the protocol needs at least 2 parties")
-        cat = tuple(int(u) % self.d for u in self.cat_labels)
-        bells = tuple((int(v) % self.d, int(vp) % self.d)
-                      for v, vp in self.bell_labels)
-        if len(cat) != self.n:
-            raise ValueError(f"{self.n} parties but {len(cat)} cat labels")
-        if len(bells) != self.n:
-            raise ValueError(f"{self.n} parties but {len(bells)} Bell label pairs")
-        object.__setattr__(self, "cat_labels", cat)
-        object.__setattr__(self, "bell_labels", bells)
+        cat, bells = (reduce_labels(self.d, x) for x in (self.cat_labels, self.bell_labels))
+        if cat.shape != (self.n,):
+            raise ValueError(f"{self.n} parties but {cat.size} cat labels")
+        if bells.shape != (self.n, 2):
+            raise ValueError(f"{self.n} parties but Bell labels of shape {bells.shape}")
+        object.__setattr__(self, "cat_labels", tuple(cat.tolist()))
+        object.__setattr__(self, "bell_labels", tuple(map(tuple, bells.tolist())))
 
 
 @dataclass(frozen=True, slots=True)
@@ -310,19 +310,9 @@ def round_blocks(d: int, n: int, cat, bells, outcomes, engine: str = "symbolic")
         yield cat[part], bells[part], run(d, n, cat[part], bells[part], outcomes[part])
 
 
-def run_rounds(d: int, n: int, cat, bells, outcomes, engine: str = "symbolic",
-               seed: int | None = None) -> list[Transcript]:
-    """round_blocks as Transcripts; seed goes into each round's config."""
-    return [transcript
-            for cat, bells, fields in round_blocks(d, n, cat, bells, outcomes, engine)
-            for transcript in _transcripts(
-                (ProtocolConfig(d, n, c, b, seed=seed)
-                 for c, b in zip(cat.tolist(), bells.tolist())), engine, d, n, *fields)]
-
-
 def run_round(config: ProtocolConfig, engine: str = "symbolic",
               forced_outcomes=None, rng=None) -> Transcript:
-    """Execute one round: run_rounds on a block of one.
+    """Execute one round: round_blocks on a block of one, as a Transcript.
 
     Each step takes forced_outcomes[i - 1], a (k_i, l_i) pair, or else its
     own draw rng.integers(0, d, size=2), recorded as drawn (rng falls back
@@ -331,8 +321,9 @@ def run_round(config: ProtocolConfig, engine: str = "symbolic",
     if forced_outcomes is None:
         rng = np.random.default_rng(config.seed if rng is None else rng)
         forced_outcomes = [rng.integers(0, config.d, size=2) for _ in range(config.n)]
-    return run_rounds(config.d, config.n, [config.cat_labels], [config.bell_labels],
-                      [forced_outcomes], engine, config.seed)[0]
+    (_, _, fields), = round_blocks(config.d, config.n, [config.cat_labels],
+                                   [config.bell_labels], [forced_outcomes], engine)
+    return _transcripts([config], engine, config.d, config.n, *fields)[0]
 
 
 def make_party_views(transcript: Transcript) -> tuple[PartyView, ...]:
@@ -422,34 +413,43 @@ def recover_first_dit_pooled(views, announced) -> int:
     return int(_recover_views(views)[1][0])
 
 
-def collusion_posterior(d: int, transcript: Transcript, known_parties):
-    """Exact posterior of the first key dit for a strict subset of parties.
+def _coalition(n: int, known_parties) -> list[int]:
+    """known_parties, sorted without repeats; ValueError outside 2..n."""
+    known = sorted({int(i) for i in known_parties})
+    if not set(known) <= set(range(2, n + 1)):
+        raise ValueError(f"colluding parties must lie in 2..{n}")
+    return known
 
-    The subset knows the announcement and its own k_i; each remaining k_j
-    stays uniform, and the posterior is their convolution (uniform whenever
-    at least one party is missing). Returns d Fractions summing to 1.
-    """
+
+def collusion_counts(d: int, cat, bells, steps, announced, known_parties) -> np.ndarray:
+    """Per round of a block, on round_blocks' cat, bells, steps and announced:
+    how many choices of the missing parties' k_j give each first key dit
+    u1 - k1 = base + (their sum), where the coalition, a strict subset of
+    2..n, knows base = u1 - a1 + v1 + (its own k_i). Counts (R, d), one
+    convolution with the uniform k_j per missing party; a row sums to d^missing."""
+    n = cat.shape[1]
+    known = _coalition(n, known_parties)
+    if len(known) == n - 1:
+        raise ValueError("every party 2..n is colluding; use recover_first_dit_pooled")
+    k = steps // d
+    base = (cat[:, 0] - announced[:, 0] + bells[:, 0, 0]
+            + np.sum(k[:, [i - 1 for i in known]], axis=1)) % d
+    counts = (base[:, None] == np.arange(d)).astype(int)
+    for _ in range(n - 1 - len(known)):
+        counts = sum(np.roll(counts, t, axis=1) for t in range(d))
+    return counts
+
+
+def collusion_posterior(d: int, transcript: Transcript, known_parties):
+    """Exact posterior of the first key dit for a strict subset of parties:
+    collusion_counts on the transcript's one row, as d Fractions summing
+    to 1 (uniform whenever at least one party is missing)."""
     config = transcript.config
-    n = config.n
     if d != config.d:
         raise ValueError(f"dimension {d} differs from the transcript's {config.d}")
-    known = set(int(i) for i in known_parties)
-    others = set(range(2, n + 1))
-    if not known <= others:
-        raise ValueError(f"colluding parties must lie in 2..{n}")
-    if known == others:
-        raise ValueError(
-            "every party 2..n is colluding; use recover_first_dit_pooled")
-
-    u1 = config.cat_labels[0]
-    v1 = config.bell_labels[0][0]
-    known_k = sum(transcript.outcomes[i - 1][0] for i in known)
-    base = (u1 - transcript.announced[0] + v1 + known_k) % d
-
-    counts = [int(w == base) for w in range(d)]
-    for _ in others - known:
-        counts = [sum(counts[(w - t) % d] for t in range(d)) for w in range(d)]
-    return tuple(Fraction(c, d ** len(others - known)) for c in counts)
+    cat, bells, (steps, announced, *_) = _row(transcript)
+    counts = collusion_counts(d, cat, bells, steps, announced, known_parties)[0].tolist()
+    return tuple(Fraction(c, sum(counts)) for c in counts)
 
 
 def _oracle_blocks(config: ProtocolConfig):
@@ -485,9 +485,7 @@ def oracle_view_counts(config: ProtocolConfig, known_parties) -> dict[tuple, lis
     dit u1 - k1: d counts. A class is what the coalition sees, (announced,
     its outcomes ((k_i, l_i), ...) in party order)."""
     d, n = config.d, config.n
-    known = sorted({int(i) for i in known_parties})
-    if not set(known) <= set(range(2, n + 1)):
-        raise ValueError(f"colluding parties must lie in 2..{n}")
+    known = _coalition(n, known_parties)
     counts: dict[tuple, list[int]] = {}
     for steps, announced, key, _, _ in _oracle_blocks(config):
         views = np.concatenate([announced, steps[:, [i - 1 for i in known]]], axis=1)
@@ -519,6 +517,15 @@ def round_records(d: int, n: int, seed, engine: str, cat, bells, fields):
     return ok, records
 
 
+def _row(transcript: Transcript):
+    """The transcript as round_blocks' one-row arrays: (cat, bells, fields)."""
+    config, d = transcript.config, transcript.config.d
+    return (np.array([config.cat_labels]), np.array([config.bell_labels]),
+            (np.array([transcript.outcomes]) @ (d, 1), np.array([transcript.announced]),
+             np.array([transcript.key]) @ (d, 1),
+             np.array([transcript.final_bells]) @ (d, 1), np.array([transcript.phase_power])))
+
+
 def transcript_to_json_dict(transcript: Transcript) -> dict:
     """Flat JSON form of one round, recovery results included: round_records
     on the transcript's one row.
@@ -527,12 +534,6 @@ def transcript_to_json_dict(transcript: Transcript) -> dict:
     (v1 + k1 + ... + kn, v'2 + l2, ..., v'n + ln).
     """
     config = transcript.config
-    d = config.d
-    fields = (np.array([transcript.outcomes]) @ (d, 1), np.array([transcript.announced]),
-              np.array([transcript.key]) @ (d, 1),
-              np.array([transcript.final_bells]) @ (d, 1),
-              np.array([transcript.phase_power]))
-    _, records = round_records(d, config.n, config.seed, transcript.engine,
-                               np.array([config.cat_labels]),
-                               np.array([config.bell_labels]), fields)
+    _, records = round_records(config.d, config.n, config.seed, transcript.engine,
+                               *_row(transcript))
     return next(records)

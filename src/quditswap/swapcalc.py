@@ -76,8 +76,7 @@ class CatFragment:
     def __post_init__(self):
         validate_dimension(self.d)
         object.__setattr__(self, "particles", tuple(self.particles))
-        object.__setattr__(self, "labels",
-                           tuple(int(u) % self.d for u in self.labels))
+        object.__setattr__(self, "labels", tuple(reduce_labels(self.d, self.labels).tolist()))
         if len(self.particles) < 2:
             raise ValueError("a fragment holds at least 2 particles")
         if len(set(self.particles)) != len(self.particles):
@@ -154,7 +153,7 @@ def bell_measure(register: Register, pair, outcome: SwapOutcome | None = None,
     d = register.d
     if outcome is None:
         outcome = np.random.default_rng(rng).integers(0, d, size=2)
-    outcome = SwapOutcome(int(outcome[0]) % d, int(outcome[1]) % d)
+    outcome = SwapOutcome(*reduce_labels(d, outcome).tolist())
     measured, residual, delta, particles = bell_measure_block(
         d, (frag_p.particles, frag_q.particles), (frag_p.labels, frag_q.labels),
         pair, outcome)

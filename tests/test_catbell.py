@@ -9,9 +9,11 @@ from numpy.testing import assert_allclose
 
 from quditswap.catbell import (bell_state, cat_amplitudes, cat_state,
                                cat_via_circuit, expand_basis_in_bell,
-                               expand_basis_in_cat)
+                               expand_basis_in_cat, reduce_labels)
 from quditswap.core import pack_index, zeta
+from quditswap.protocol import ProtocolConfig, run_round
 from quditswap.statevec import basis_state, inner_product, permute_to
+from quditswap.swapcalc import CatFragment, Register, bell_measure
 
 
 def closed_form_loop(d, labels):
@@ -60,6 +62,32 @@ def test_labels_past_int64_reduce_exactly():
         expected = cat_amplitudes(d, [[u % d for u in labels]]).tobytes()
         assert cat_amplitudes(d, [labels]).tobytes() == expected
         assert cat_state(d, range(len(labels)), labels).amps.tobytes() == expected
+
+
+def test_non_integer_labels_are_refused():
+    # reduce_labels is the one label reducer, so no entry point truncates a
+    # label or an outcome the way int() would (1.9 -> 1, 0.7 -> 0)
+    register = Register(3, (CatFragment(3, (1, 2, 3), (0, 0, 0)),
+                            CatFragment(3, (4, 5), (0, 0))))
+    config = ProtocolConfig(3, 3, (0,) * 3, ((0, 0),) * 3)
+    for bad in (1.9, 0.7, 2 + 0j, True, np.bool_(False), np.float64(1.0), "1"):
+        calls = (lambda: reduce_labels(3, [1, bad]),
+                 lambda: ProtocolConfig(3, 3, (bad, 0, 0), ((0, 0),) * 3),
+                 lambda: ProtocolConfig(3, 3, (0,) * 3, ((0, bad),) + ((0, 0),) * 2),
+                 lambda: CatFragment(3, (0, 1), (bad, 0)),
+                 lambda: bell_measure(register, (1, 5), outcome=(bad, 1)),
+                 lambda: run_round(config, forced_outcomes=[(bad, 1)] + [(0, 0)] * 2))
+        for call in calls:
+            with pytest.raises(ValueError, match="labels must be integers"):
+                call()
+    for array in (np.array([1.9, 2.5]), np.array([True, False]), np.array(["1", "2"])):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            reduce_labels(3, array)
+    assert reduce_labels(3, np.array([2**63 + 1], dtype=np.uint64)).tolist() == [
+        (2**63 + 1) % 3]
+    assert reduce_labels(3, [np.int64(-1), 2**70]).tolist() == [2, 2**70 % 3]
+    assert ProtocolConfig(3, 3, (4, -1, 2**70), ((3, 5),) * 3).cat_labels == (
+        1, 2, 2**70 % 3)
 
 
 def test_bell_state_qubit_case():

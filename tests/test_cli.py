@@ -2,18 +2,21 @@ import hashlib
 import json
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from quditswap import cli, protocol, statevec
 from quditswap.cli import chi_square_critical, main
-from quditswap.protocol import ProtocolConfig, run_round, transcript_to_json_dict
+from quditswap.protocol import (ProtocolConfig, collusion_posterior, run_round,
+                                transcript_to_json_dict)
 
 
 # sha256 of the seed-401 --json reports of the four benchmark commands, of
 # one collude --oracle report at d = 3 with two parties missing (the bench
-# command has d = 2 and one) and of one sampled verify report. The protocol
+# command has d = 2 and one), of one collude report of 4,000 posterior
+# rounds and of one sampled verify report. The protocol
 # and collude reports hold integers and one chi-square float computed from
 # counts; the verify reports hold float deviations, whose every operation
 # verify_swap_block fixes, so they are exact too. A change that moves any
@@ -27,6 +30,8 @@ REPORT_DIGESTS = {
         "02b72067d2039f42e5b5f88db214bc771cf6f2cb45748bea169cf2aab721202e",
     "collude-oracle-d3":
         "a01538fd354e6d1bfa2d0f367a5cf2b609edef29b90c29630d27b2d990af2b31",
+    "collude-rounds":
+        "6376d70876ccb8354947e4ceaeb3c3c5b0546d8eb2c90c09f9ab7944d8356fb8",
     "verify-exhaustive":
         "63a52ee1faa68658b2669df6114a5cb8e0b2aa7d9c7bb9584e334090118c499d",
     "verify-sampled-d3":
@@ -326,26 +331,61 @@ def test_protocol_report_memory_is_flat_in_rounds(tmp_path):
 
 
 def test_collude_rounds_are_forced_rounds(monkeypatch):
-    # collude takes its rounds from the protocol command's block path. Each
-    # transcript the posterior sees is run_round replayed under its own
-    # labels and outcomes; blocks of 3 rounds leave a partial last block.
-    posterior, seen = cli.collusion_posterior, []
+    # collude takes its rounds from the protocol command's block path, as
+    # round_blocks' arrays; blocks of 3 rounds leave a partial last block.
+    # Each row collusion_counts sees is the command's draw, its announcement
+    # is run_round's replayed under the row's labels and outcomes, and its
+    # counts are collusion_posterior on that replay.
+    counts, seen = cli.collusion_counts, []
 
-    def capture(d, transcript, known):
-        seen.append(transcript)
-        return posterior(d, transcript, known)
+    def capture(d, cat, bells, steps, announced, known):
+        result = counts(d, cat, bells, steps, announced, known)
+        seen.append((cat, bells, steps, announced, known, result))
+        return result
 
     monkeypatch.setattr(cli, "PROTOCOL_BLOCK_ROUNDS", 3)
-    monkeypatch.setattr(cli, "collusion_posterior", capture)
+    monkeypatch.setattr(cli, "collusion_counts", capture)
     assert run_cli(["collude", "--d", "3", "--n", "4", "--missing", "3",
                     "--rounds", "8", "--seed", "17"]) == 0
-    assert len(seen) == 8 and len({t.config for t in seen}) > 1
+    assert [len(block[0]) for block in seen] == [3, 3, 2]
     rng = np.random.default_rng(17)
-    assert seen == list(cli._protocol_rounds(3, 4, 8, "symbolic", 17, rng,
-                                             cli._random_labels(rng, 3, 4)))
-    for transcript in seen:
-        assert transcript == run_round(transcript.config,
-                                       forced_outcomes=transcript.outcomes)
+    draws = cli._protocol_draws(3, 4, 8, rng, cli._random_labels(rng, 3, 4))
+    rows = []
+    for (cat, bells, steps, announced, known, result), draw in zip(seen, draws):
+        assert known == [2, 4]
+        assert [cat.tolist(), bells.tolist(), steps.tolist()] == [
+            draw[0].tolist(), draw[1].tolist(), (draw[2] @ (3, 1)).tolist()]
+        for row in zip(cat.tolist(), bells.tolist(), draw[2].tolist(),
+                       announced.tolist(), result.tolist()):
+            replay = run_round(ProtocolConfig(3, 4, row[0], row[1]),
+                               forced_outcomes=row[2])
+            assert list(replay.announced) == row[3]
+            assert collusion_posterior(3, replay, known) == tuple(
+                Fraction(c, 3) for c in row[4])
+            rows.append(row)
+    assert len(rows) == 8 and len({str(row[:2]) for row in rows}) > 1
+
+
+def test_collude_rounds_build_no_transcripts(monkeypatch, capsys):
+    # collude --rounds reads round_blocks' arrays: no round becomes a
+    # Transcript and no ProtocolConfig is made
+    def refuse(*args):
+        raise AssertionError("collude --rounds built a Transcript or a ProtocolConfig")
+
+    monkeypatch.setattr(protocol, "_transcripts", refuse)
+    monkeypatch.setattr(ProtocolConfig, "__post_init__", refuse)
+    assert run_cli(["collude", "--d", "3", "--n", "4", "--missing", "3",
+                    "--rounds", "50", "--seed", "1"]) == 0
+    assert "[1/3, 1/3, 1/3]" in capsys.readouterr().out
+
+
+def test_collude_rounds_report_bytes(capsys):
+    # 4,000 posterior rounds at d=7 n=5, four blocks of the command's draws
+    assert run_cli(["collude", "--d", "7", "--n", "5", "--missing", "3",
+                    "--rounds", "4000", "--seed", "401", "--json", "-"]) == 0
+    text = capsys.readouterr().out
+    assert json.loads(text)["uniform"] is True
+    assert sha256(text) == REPORT_DIGESTS["collude-rounds"]
 
 
 def test_protocol_bench_sized_symbolic(capsys):

@@ -231,14 +231,26 @@ def test_array_recovery_is_the_per_party_arithmetic():
 
 
 def test_collusion_posterior_uniform_for_strict_subsets():
+    # On one Transcript, and on a block of round_blocks' arrays, where each
+    # row's collusion_counts is collusion_posterior on the row's replay
     rng = np.random.default_rng(44)
     for d, n in ((2, 3), (3, 4)):
         transcript = run_round(random_config(d, n, rng), rng=rng)
+        cat, bells, outcomes = (rng.integers(0, d, shape)
+                                for shape in ((6, n), (6, n, 2), (6, n, 2)))
+        (_, _, (steps, announced, *_)), = protocol.round_blocks(d, n, cat, bells, outcomes)
+        replays = [run_round(ProtocolConfig(d, n, *labels), forced_outcomes=forced)
+                   for *labels, forced in zip(cat, bells, outcomes)]
         parties = range(2, n + 1)
         for size in range(0, n - 1):
             for subset in itertools.combinations(parties, size):
                 posterior = collusion_posterior(d, transcript, subset)
                 assert posterior == (Fraction(1, d),) * d
+                counts = protocol.collusion_counts(d, cat, bells, steps, announced, subset)
+                assert counts.shape == (6, d)
+                for row, replay in zip(counts.tolist(), replays):
+                    assert tuple(Fraction(c, d ** (n - 1 - size)) for c in row) == \
+                        collusion_posterior(d, replay, subset)
 
 
 def test_collusion_posterior_rejects_mismatched_dimension():
@@ -259,12 +271,18 @@ def test_statevector_rounds_beyond_the_old_cap():
 
 def test_collusion_posterior_signals_full_set():
     transcript = run_round(zero_config(3, 3), forced_outcomes=[(1, 2)] * 3)
+    cat, bells, (steps, announced, *_) = protocol._row(transcript)
+    arrays = (cat, bells, steps, announced)
     with pytest.raises(ValueError, match="every party 2..n is colluding"):
         collusion_posterior(3, transcript, {2, 3})
-    with pytest.raises(ValueError):
-        collusion_posterior(3, transcript, {1})
-    with pytest.raises(ValueError):
-        collusion_posterior(3, transcript, {4})
+    with pytest.raises(ValueError, match="every party 2..n is colluding"):
+        protocol.collusion_counts(3, *arrays, {2, 3})
+    for outside in ({1}, {4}, {2, 0}):
+        for call in (lambda: collusion_posterior(3, transcript, outside),
+                     lambda: protocol.collusion_counts(3, *arrays, outside),
+                     lambda: oracle_view_counts(transcript.config, outside)):
+            with pytest.raises(ValueError, match=r"^colluding parties must lie in 2\.\.3$"):
+                call()
 
 
 def test_oracle_branches_exhaust_the_round():
@@ -448,7 +466,7 @@ def test_block_checks_read_every_row(monkeypatch):
     # The budget makes blocks of 3 branches at d=2, n=3. A fault in only the
     # last row of each multi-row block is caught, whether it sits in a step's
     # overlaps or rewrite or in the end check's reference cats. The same
-    # faults in the last round of a statevector run_rounds block of 3
+    # faults in the last round of a statevector round_blocks block of 3
     # rounds are caught too, at party 1, where that block already has 3 rows.
     def last_row_scaled(d, particles, amps, pair):
         rest, overlaps = overlap_pass(d, particles, amps, pair)
@@ -478,9 +496,9 @@ def test_block_checks_read_every_row(monkeypatch):
 
     def rounds():
         rng = np.random.default_rng(4)
-        return protocol.run_rounds(2, 3, rng.integers(0, 2, (3, 3)),
-                                   rng.integers(0, 2, (3, 3, 2)),
-                                   rng.integers(0, 2, (3, 3, 2)), "statevector")
+        return list(protocol.round_blocks(2, 3, rng.integers(0, 2, (3, 3)),
+                                          rng.integers(0, 2, (3, 3, 2)),
+                                          rng.integers(0, 2, (3, 3, 2)), "statevector"))
 
     overlap_pass, finish = protocol.cat_overlaps, protocol._finish_block
     rewrite, amplitudes = protocol.bell_measure_block, protocol.cat_amplitudes
@@ -514,7 +532,7 @@ def test_block_checks_read_every_row(monkeypatch):
     monkeypatch.setattr(protocol, "_finish_block", finish)
     assert len(enumerate_oracle_branches(config)) == 64
     assert sum(map(sum, oracle_view_counts(config, [3]).values())) == 64
-    assert len(rounds()) == 3
+    assert [len(cat) for cat, _, _ in rounds()] == [3]
 
 
 def test_oracle_is_the_symbolic_engine_under_forced_outcomes(monkeypatch):
@@ -547,8 +565,8 @@ def test_library_dense_calls_refuse_over_cap_before_building(monkeypatch):
     with pytest.raises(ValueError, match="cap"):
         run_round(config, "statevector", forced_outcomes=[(1, 2)] * 4)
     with pytest.raises(ValueError, match="cap"):
-        protocol.run_rounds(3, 4, [config.cat_labels], [config.bell_labels],
-                            [[(1, 2)] * 4], "statevector")
+        list(protocol.round_blocks(3, 4, [config.cat_labels], [config.bell_labels],
+                                   [[(1, 2)] * 4], "statevector"))
     with pytest.raises(ValueError, match="cap"):
         enumerate_oracle_branches(config)
     with pytest.raises(ValueError, match="cap"):
