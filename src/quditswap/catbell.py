@@ -34,16 +34,20 @@ def cat_state(d: int, particles, labels) -> StateVector:
     return StateVector(d, particles, cat_amplitudes(d, labels))
 
 
+def is_integer(u) -> bool:
+    """An int or numpy integer, not a bool: the element check of labels and ids."""
+    return isinstance(u, (int, np.integer)) and not isinstance(u, bool)
+
+
 def reduce_labels(d: int, labels) -> np.ndarray:
     """Integer labels mod d as an int array, exact past int64: the one label
-    reducer. Only a signed integer array skips the check of each element
+    reducer. Only a signed integer array skips is_integer on each element
     (numpy infers [2**63 + 1, -1] as float64 and [True, 2] as integers),
     which refuses a float, complex, bool or string label with ValueError."""
     if isinstance(labels, np.ndarray) and labels.dtype.kind == "i":
         return labels % d
     values = np.asarray(labels, dtype=object)
-    if not all(isinstance(u, (int, np.integer)) and not isinstance(u, bool)
-               for u in values.flat):
+    if not all(map(is_integer, values.flat)):
         raise ValueError(f"labels must be integers, got {labels!r}")
     return (values % d).astype(int)
 

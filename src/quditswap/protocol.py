@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catbell import cat_amplitudes, cat_state, reduce_labels
+from .catbell import cat_amplitudes, cat_state, cat_support, is_integer, reduce_labels
 from .core import validate_dimension, zeta
 from .statevec import StateVector, block_rows, cat_overlaps, kron_rows
 from .swapcalc import bell_measure_block
@@ -224,15 +224,13 @@ def _dense_step(d: int, n: int, bell, i: int, block: _Block) -> _Block:
 def _finish_block(d: int, n: int, block: _Block):
     """Certify a block of finished branches; return the fields _transcripts reads.
 
-    One cat_amplitudes call gives every announced cat; each overlap with the
-    dense end cat, permuted into register order, must have modulus 1 and
-    equal zeta^phase_power, both within 1e-9.
+    One cat_support call reads every announced cat on the dense end state, at
+    its register particles' digits in dense order; each overlap, d products,
+    must have modulus 1 and equal zeta^phase_power, both within 1e-9.
     """
-    count = len(block.phase)
-    axes = [1 + block.dense.index(p) for p in block.particles]
-    dense = block.amps.reshape((count,) + (d,) * n).transpose([0] + axes)
-    amps = np.einsum("bj,bj->b", cat_amplitudes(d, block.labels).conj(),
-                     dense.reshape(count, -1))
+    places = [d ** (n - 1 - block.dense.index(p)) for p in block.particles]
+    index, values = cat_support(d, block.labels, places)
+    amps = np.sum(values.conj() * np.take_along_axis(block.amps, index, axis=1), axis=1)
     if not np.all(np.abs(np.abs(amps) - 1.0) <= 1e-9):  # NaN fails
         raise RuntimeError("dense end state is not the announced cat state")
     roots = np.array([zeta(d, t) for t in range(d)])
@@ -329,12 +327,9 @@ def run_round(config: ProtocolConfig, engine: str = "symbolic",
 def make_party_views(transcript: Transcript) -> tuple[PartyView, ...]:
     config = transcript.config
     return tuple(
-        PartyView(party=i, d=config.d, n=config.n,
-                  cat_labels=config.cat_labels,
-                  bell_labels=config.bell_labels,
-                  outcome=transcript.outcomes[i - 1],
-                  final_bell=transcript.final_bells[i - 2],
-                  announced=transcript.announced)
+        PartyView(party=i, d=config.d, n=config.n, cat_labels=config.cat_labels,
+                  bell_labels=config.bell_labels, outcome=transcript.outcomes[i - 1],
+                  final_bell=transcript.final_bells[i - 2], announced=transcript.announced)
         for i in range(2, config.n + 1))
 
 
@@ -414,11 +409,11 @@ def recover_first_dit_pooled(views, announced) -> int:
 
 
 def _coalition(n: int, known_parties) -> list[int]:
-    """known_parties, sorted without repeats; ValueError outside 2..n."""
-    known = sorted({int(i) for i in known_parties})
-    if not set(known) <= set(range(2, n + 1)):
+    """known_parties sorted without repeats; ValueError unless each is_integer in 2..n."""
+    ids = list(known_parties)
+    if not all(is_integer(i) and 2 <= i <= n for i in ids):
         raise ValueError(f"colluding parties must lie in 2..{n}")
-    return known
+    return sorted(set(map(int, ids)))
 
 
 def collusion_counts(d: int, cat, bells, steps, announced, known_parties) -> np.ndarray:
@@ -426,7 +421,8 @@ def collusion_counts(d: int, cat, bells, steps, announced, known_parties) -> np.
     how many choices of the missing parties' k_j give each first key dit
     u1 - k1 = base + (their sum), where the coalition, a strict subset of
     2..n, knows base = u1 - a1 + v1 + (its own k_i). Counts (R, d), one
-    convolution with the uniform k_j per missing party; a row sums to d^missing."""
+    convolution with the uniform k_j per missing party, which flattens any base:
+    uniform on any arrays, rounds or not (oracle_view_counts reads amplitudes)."""
     n = cat.shape[1]
     known = _coalition(n, known_parties)
     if len(known) == n - 1:

@@ -126,6 +126,10 @@ def test_cat_state_validation():
         cat_state(2, (0, 1), (0, 0, 0))
     with pytest.raises(ValueError):
         bell_state(2, (0, 1, 2), (0, 0, 0))
+    with pytest.raises(ValueError, match="^a cat state needs at least 2 particles$"):
+        cat_via_circuit(2, (0,), (0,))
+    with pytest.raises(ValueError, match="^need at least 2 digits$"):
+        expand_basis_in_cat(2, (1,))
 
 
 def gram_is_identity(states, tol=1e-9):

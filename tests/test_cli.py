@@ -474,6 +474,11 @@ def test_protocol_malformed_labels_file_is_a_usage_error(tmp_path, capsys):
         assert run_cli(["protocol", "--d", "3", "--n", "3", "--rounds", "1",
                         "--labels", str(labels)]) == 2
         assert "bad labels source" in capsys.readouterr().err
+    labels.write_text(json.dumps({"cat_labels": [1, 2, 3], "bell_labels": [[0, 0]] * 3}))
+    assert run_cli(["protocol", "--d", "3", "--n", "3", "--rounds", "1",
+                    "--labels", str(labels)]) == 2
+    assert capsys.readouterr().err == \
+        "error: bad labels source: labels file holds values outside 0..2\n"
 
 
 def test_protocol_prints_derived_seed(capsys):
@@ -577,6 +582,12 @@ def test_collude_oracle_cap(capsys):
                     "--oracle", "--seed", "1"])
     assert code == 2
     assert "refusing" in capsys.readouterr().err
+    # the amplitude cap is checked before the branch cap
+    assert run_cli(["collude", "--d", "16", "--n", "5", "--missing", "2",
+                    "--oracle", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: refusing: state of 7 dimension-16 qudits needs 268435456 amplitudes, "
+        "above the 16777216 cap; lower --d or --n\n")
 
 
 def test_chi_square_critical_close_to_exact():

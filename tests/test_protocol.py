@@ -148,6 +148,10 @@ def test_run_round_validation():
         ProtocolConfig(2, 1, (0,), ((0, 0),))
     with pytest.raises(ValueError):
         ProtocolConfig(2, 3, (0, 0), ((0, 0),) * 3)
+    with pytest.raises(ValueError, match=r"^3 parties but Bell labels of shape \(2, 2\)$"):
+        ProtocolConfig(2, 3, (0, 0, 0), ((0, 0),) * 2)
+    with pytest.raises(ValueError, match="^the protocol needs at least 2 parties$"):
+        list(protocol.round_blocks(2, 1, [[0]], [[(0, 0)]], [[(0, 0)]]))
 
 
 def test_party_view_shape():
@@ -277,7 +281,7 @@ def test_collusion_posterior_signals_full_set():
         collusion_posterior(3, transcript, {2, 3})
     with pytest.raises(ValueError, match="every party 2..n is colluding"):
         protocol.collusion_counts(3, *arrays, {2, 3})
-    for outside in ({1}, {4}, {2, 0}):
+    for outside in ({1}, {4}, {2, 0}, {2.7}, {True}, {"2"}):
         for call in (lambda: collusion_posterior(3, transcript, outside),
                      lambda: protocol.collusion_counts(3, *arrays, outside),
                      lambda: oracle_view_counts(transcript.config, outside)):
@@ -416,9 +420,13 @@ def test_dense_engine_checks_end_state_and_phase(monkeypatch):
 
     # an end phase that is no power of zeta disagrees with the register too
     monkeypatch.setattr(protocol, "bell_measure_block", rewrite)
-    amplitudes = protocol.cat_amplitudes
-    monkeypatch.setattr(protocol, "cat_amplitudes",
-                        lambda d, labels: amplitudes(d, labels) * np.exp(0.1j))
+    support = protocol.cat_support
+
+    def turned(d, labels, places):
+        index, values = support(d, labels, places)
+        return index, values * np.exp(0.1j)
+
+    monkeypatch.setattr(protocol, "cat_support", turned)
     with pytest.raises(RuntimeError, match="global phase disagrees"):
         run_round(config, engine="statevector", forced_outcomes=forced)
     with pytest.raises(RuntimeError, match="global phase disagrees"):
@@ -433,24 +441,22 @@ def test_dense_checks_fail_on_nan(monkeypatch):
     # NaN compares false with everything, so each dense check passes only a
     # value within its tolerance: NaN overlaps fail the step's probability
     # check, NaN end cats the modulus check and NaN roots the phase check.
-    overlap_pass, finish = protocol.cat_overlaps, protocol._finish_block
-    amplitudes, root = protocol.cat_amplitudes, protocol.zeta
+    overlap_pass = protocol.cat_overlaps
+    support, root = protocol.cat_support, protocol.zeta
 
     def nan_overlaps(*args):
         rest, overlaps = overlap_pass(*args)
         return rest, overlaps * np.nan
 
-    def nan_end_cats(d, n, block):
-        with monkeypatch.context() as patch:
-            patch.setattr(protocol, "cat_amplitudes",
-                          lambda d, labels: amplitudes(d, labels) * np.nan)
-            return finish(d, n, block)
+    def nan_end_cats(d, labels, places):
+        index, values = support(d, labels, places)
+        return index, values * np.nan
 
     config = random_config(3, 3, np.random.default_rng(2))
     forced = [(1, 2), (0, 1), (2, 2)]
     for name, fault, message in (
             ("cat_overlaps", nan_overlaps, r"party 1 outcome \(0,0\) has probability nan"),
-            ("_finish_block", nan_end_cats, "not the announced cat state"),
+            ("cat_support", nan_end_cats, "not the announced cat state"),
             ("zeta", lambda d, t: root(d, t) * np.nan, "global phase disagrees")):
         with monkeypatch.context() as patch:
             patch.setattr(protocol, name, fault)
@@ -481,18 +487,12 @@ def test_block_checks_read_every_row(monkeypatch):
             measured[-1, -1] = measured[-1, 0]
         return measured, residual, delta, particles
 
-    def last_row_scaled_cat(d, labels):
-        amps = amplitudes(d, labels)
-        if len(amps) > 1:
-            amps[-1] *= factor
-        return amps
-
-    def end_check_scaled(d, n, block):
-        # the start cats and Bell factors also come from cat_amplitudes;
-        # scale only the end check's reference cats
-        with monkeypatch.context() as patch:
-            patch.setattr(protocol, "cat_amplitudes", last_row_scaled_cat)
-            return finish(d, n, block)
+    def end_check_scaled(d, labels, places):
+        # only the end check reads reference cats through cat_support
+        index, values = support(d, labels, places)
+        if len(values) > 1:
+            values[-1] *= factor
+        return index, values
 
     def rounds():
         rng = np.random.default_rng(4)
@@ -500,8 +500,8 @@ def test_block_checks_read_every_row(monkeypatch):
                                           rng.integers(0, 2, (3, 3, 2)),
                                           rng.integers(0, 2, (3, 3, 2)), "statevector"))
 
-    overlap_pass, finish = protocol.cat_overlaps, protocol._finish_block
-    rewrite, amplitudes = protocol.bell_measure_block, protocol.cat_amplitudes
+    overlap_pass, support = protocol.cat_overlaps, protocol.cat_support
+    rewrite = protocol.bell_measure_block
     config = zero_config(2, 3)
     monkeypatch.setattr(statevec, "BLOCK_AMPLITUDES", 3 * 2 ** 5)
     monkeypatch.setattr(protocol, "cat_overlaps", last_row_scaled)
@@ -520,7 +520,7 @@ def test_block_checks_read_every_row(monkeypatch):
     with pytest.raises(RuntimeError, match="party 1's outcomes name 3 Bell states"):
         rounds()
     monkeypatch.setattr(protocol, "bell_measure_block", rewrite)
-    monkeypatch.setattr(protocol, "_finish_block", end_check_scaled)
+    monkeypatch.setattr(protocol, "cat_support", end_check_scaled)
     for factor, message in ((np.exp(0.1j), "global phase disagrees"),
                             (1.1, "not the announced cat state")):
         with pytest.raises(RuntimeError, match=message):
@@ -529,7 +529,7 @@ def test_block_checks_read_every_row(monkeypatch):
             oracle_view_counts(config, [3])
         with pytest.raises(RuntimeError, match=message):
             rounds()
-    monkeypatch.setattr(protocol, "_finish_block", finish)
+    monkeypatch.setattr(protocol, "cat_support", support)
     assert len(enumerate_oracle_branches(config)) == 64
     assert sum(map(sum, oracle_view_counts(config, [3]).values())) == 64
     assert [len(cat) for cat, _, _ in rounds()] == [3]

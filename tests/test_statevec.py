@@ -32,6 +32,8 @@ def test_basis_state_length_mismatch():
 def test_duplicate_particles_rejected():
     with pytest.raises(ValueError):
         basis_state(2, (0, 0), (1, 1))
+    with pytest.raises(ValueError, match=r"^expected 4 amplitudes, got shape \(3,\)$"):
+        StateVector(2, (0, 1), np.zeros(3))
 
 
 def test_hadamard_qubit():
@@ -108,6 +110,8 @@ def test_tensor_examples():
 def test_tensor_rejects_overlap():
     with pytest.raises(ValueError):
         tensor(basis_state(2, (0,), (0,)), basis_state(2, (0,), (1,)))
+    with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
+        tensor(basis_state(2, (0,), (0,)), basis_state(3, (1,), (1,)))
 
 
 def test_tensor_checks_cap_before_allocating(monkeypatch):
@@ -159,6 +163,16 @@ def test_permute_round_trip():
     assert abs(inner_product(state, permute_to(state, (5, 6, 4))) - 1) < 1e-12
 
 
+def test_permute_and_inner_product_refuse_other_particles():
+    state = basis_state(2, (0, 1), (0, 0))
+    with pytest.raises(ValueError, match=r"^\(0, 2\) is not a permutation of \(0, 1\)$"):
+        permute_to(state, (0, 2))
+    with pytest.raises(ValueError, match=r"^particle 5 not in state \(0, 1\)$"):
+        apply_hadamard(state, 5)
+    with pytest.raises(ValueError, match="^states are over different particle sets$"):
+        inner_product(state, basis_state(2, (0, 2), (0, 0)))
+
+
 def test_project_self_and_orthogonal():
     bell = bell_state(2, (1, 2), (0, 0))
     probability, post = project_onto(bell, bell)
@@ -192,6 +206,8 @@ def test_project_requires_subset_and_unit_reference():
     state = basis_state(2, (0, 1), (0, 0))
     with pytest.raises(ValueError):
         project_onto(state, basis_state(2, (5,), (0,)))
+    with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
+        project_onto(state, basis_state(3, (0,), (0,)))
     bad = StateVector(2, (0,), np.array([2.0, 0.0]))
     with pytest.raises(ValueError):
         project_onto(state, bad)

@@ -51,6 +51,10 @@ def test_register_validation():
         Register(2, (fragment, CatFragment(3, (2, 3), (0, 0))))
     register = Register(2, (fragment,), phase_power=5)
     assert register.phase_power == 1
+    with pytest.raises(ValueError, match="^particle 7 not in register$"):
+        register.fragment_of(7)
+    with pytest.raises(ValueError, match="^register holds no fragments$"):
+        to_statevector(Register(2, ()))
 
 
 def test_bell_bell_worked_example():
