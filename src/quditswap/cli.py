@@ -41,8 +41,9 @@ from .protocol import (ENGINES, ProtocolConfig, collusion_counts, oracle_view_co
 from .statevec import block_rows, checked_size
 from .swapcalc import RULES, verify_swap_block
 
-# bounds the streamed oracle walk's time, not its memory: 2^16 branches take seconds
-MAX_ORACLE_BRANCHES = 1 << 16
+# bounds the oracle's leaf pass, whose integer work grows with the branch
+# count: 2^18 branches take about a second; its dense work grows with d^n
+MAX_ORACLE_BRANCHES = 1 << 18
 
 # protocol draws labels and outcomes, and rewrites rounds, in blocks of
 # this many rounds. Its time is flat from 64 rounds up at d=7 n=5; a

@@ -38,8 +38,11 @@ their cat labels and amplitudes are arrays with one row per branch,
 rewritten under all d^2 outcomes and measured by one cat_overlaps pass,
 which reads every probability, outcome, end cat and phase from the
 amplitudes. A block of statevector rounds starts with one branch per
-round and keeps each round's own outcome; the oracle streams all (d^2)^n
-branches of one round in such blocks to enumerate_oracle_branches and
+round and keeps each round's own outcome. The oracle runs the step once
+per cat-label class at each level, since branches with one cat's labels
+hold one state up to a power of zeta, which it checks from the
+amplitudes; it then streams all (d^2)^n branches of one round, read
+through integer class tables, to enumerate_oracle_branches and
 oracle_view_counts. Both size blocks by block_rows, which refuses a
 d^(n+2) step over the amplitude cap before any allocation.
 """
@@ -55,7 +58,7 @@ import numpy as np
 
 from .catbell import cat_amplitudes, cat_state, cat_support, is_integer, reduce_labels
 from .core import validate_dimension, zeta
-from .statevec import StateVector, block_rows, cat_overlaps, kron_rows
+from .statevec import StateVector, block_rows, cat_overlaps, checked_size, kron_rows
 from .swapcalc import bell_measure_block
 
 ENGINES = ("symbolic", "statevector")
@@ -141,7 +144,8 @@ def measurement_pair(n: int, i: int) -> tuple[int, int]:
 
 
 class _Block(NamedTuple):
-    """B dense branches at one depth, sharing one layout.
+    """B dense branches, or oracle class representatives, at one depth,
+    sharing one layout.
 
     particles orders the register's cat, whose labels are (B, len); dense
     orders the cat amplitudes (B, d^len); phase (B,) is each branch's power
@@ -221,8 +225,8 @@ def _dense_step(d: int, n: int, bell, i: int, block: _Block) -> _Block:
                                   step.reshape(size, 1, 2)], axis=1))
 
 
-def _finish_block(d: int, n: int, block: _Block):
-    """Certify a block of finished branches; return the fields _transcripts reads.
+def _finish_block(d: int, n: int, block: _Block) -> None:
+    """Certify a block of finished branches, or raise RuntimeError.
 
     One cat_support call reads every announced cat on the dense end state, at
     its register particles' digits in dense order; each overlap, d products,
@@ -236,23 +240,24 @@ def _finish_block(d: int, n: int, block: _Block):
     roots = np.array([zeta(d, t) for t in range(d)])
     if not np.all(np.abs(amps - roots[block.phase]) <= 1e-9):
         raise RuntimeError("dense global phase disagrees with the register")
-    codes = block.codes
-    return codes[..., 0], block.labels, codes[:, 0, 1], codes[:, 1:, 1], block.phase
 
 
 def _dense_rounds(d: int, n: int, cat, bells, outcomes):
     """A block of rounds on the dense step: one branch per round, keeping
-    each round's own outcome (k, l) at every step; _finish_block's fields."""
+    each round's own outcome (k, l) at every step; certified by
+    _finish_block, as the five field arrays _transcripts reads."""
     block, first = _dense_start(d, n, cat), np.arange(len(cat)) * d * d
     for i in range(1, n + 1):
         block = _dense_step(d, n, bells[:, i - 1], i, block).rows(
             first + outcomes[:, i - 1] @ (d, 1))
-    return _finish_block(d, n, block)
+    _finish_block(d, n, block)
+    codes = block.codes
+    return codes[..., 0], block.labels, codes[:, 0, 1], codes[:, 1:, 1], block.phase
 
 
 def _symbolic_rounds(d: int, n: int, cat, bells, outcomes):
     """A block of rounds on label arrays, one bell_measure_block per step;
-    the fields _finish_block returns."""
+    the fields _dense_rounds returns."""
     particles, labels = tuple(range(1, n + 1)), cat
     codes, phase = [], 0
     for i in range(1, n + 1):
@@ -448,25 +453,82 @@ def collusion_posterior(d: int, transcript: Transcript, known_parties):
     return tuple(Fraction(c, sum(counts)) for c in counts)
 
 
+def _class_step(d: int, n: int, bell, i: int, classes: _Block):
+    """Party i's step on a level's cat-label classes: _dense_step once per
+    class, in blocks of block_rows(d, n + 2) classes.
+
+    Each child joins the class of its cat labels; the first child to land in
+    a class is copied out as its representative. Every child must equal its
+    class's representative times zeta^(phase difference), within 1e-9, so by
+    linearity of the step every branch of a class is its representative up
+    to zeta^(phase power). Returns the next level's classes and the (3, C,
+    d^2) tables of each (class, outcome)'s child class, measured Bell code
+    u1 * d + u2 and phase delta.
+    """
+    rows, count, size = block_rows(d, n + 2), len(classes.phase), d ** n
+    cap, places = min(size, count * d * d), d ** np.arange(n - 1, -1, -1)
+    slot = np.full(size, -1)  # class of each packed cat-label tuple
+    labels, amps = np.empty((cap, n), dtype=int), np.empty((cap, size), dtype=complex)
+    phase, tables = np.empty(cap, dtype=int), np.empty((3, count, d * d), dtype=int)
+    roots, found = np.array([zeta(d, t) for t in range(d)]), 0
+    for start in range(0, count, rows):
+        block = classes.rows(slice(start, start + rows))
+        children = _dense_step(d, n, bell, i, block)
+        keys = children.labels % d @ places
+        fresh, first = np.unique(keys, return_index=True)
+        new = slot[fresh] < 0
+        fresh, first, end = fresh[new], first[new], found + np.count_nonzero(new)
+        slot[fresh] = np.arange(found, end)
+        labels[found:end], amps[found:end] = children.labels[first], children.amps[first]
+        phase[found:end], found = children.phase[first], end
+        member = slot[keys]
+        turn = roots[(children.phase - phase[member]) % d][:, None]
+        wrong = np.argwhere(~np.all(np.abs(children.amps - turn * amps[member]) <= 1e-9,
+                                    axis=1))  # NaN fails
+        if len(wrong):
+            code = wrong[0, 0] % (d * d)
+            raise RuntimeError(f"party {i} outcome ({code // d},{code % d}) is not its cat "
+                               f"label class's state times a power of zeta")
+        delta = children.phase - np.repeat(block.phase, d * d)
+        tables[:, start:start + len(block.phase)] = np.reshape(
+            [member, children.codes[:, -1, 1], delta % d], (3, -1, d * d))
+    return _Block(children.particles, children.dense, labels[:found], amps[:found],
+                  phase[:found], np.zeros((found, 0, 2), dtype=int)), tables
+
+
 def _oracle_blocks(config: ProtocolConfig):
-    """Yield _finish_block's fields per block of finished branches of one
-    round, walked depth-first: each level's children are split into blocks
-    of block_rows(d, n + 2) branches (so ValueError over the cap), so they
-    come in lexicographic outcome order and memory stays flat. Each step's
-    1/d^2 probabilities on d^2 distinct labels, and each end cat and phase,
-    are checked: the walk is an exhaustive cross-engine certificate."""
+    """Yield the five field arrays _transcripts reads per block of finished
+    branches of one round, all (d^2)^n in lexicographic outcome order.
+
+    A class pass runs the dense step once per cat-label class at each party
+    step (at most d^n classes; _class_step, so ValueError over the cap),
+    checking each step's 1/d^2 probabilities on d^2 distinct labels and that
+    every child is its class's state up to a power of zeta; _finish_block
+    then certifies each final class's end cat and phase. That covers every
+    branch: the walk is an exhaustive cross-engine certificate. A leaf pass
+    then reads each branch's fields through the class tables, one integer
+    gather per step, in blocks of at most BLOCK_AMPLITUDES integers per
+    (rows, n) field array, so memory stays flat.
+    """
     d, n = config.d, config.n
-    rows = block_rows(d, n + 2)
-
-    def walk(i, block):
-        if i > n:
-            yield _finish_block(d, n, block)
-            return
-        children = _dense_step(d, n, config.bell_labels[i - 1], i, block)
-        for start in range(0, len(children.phase), rows):
-            yield from walk(i + 1, children.rows(slice(start, start + rows)))
-
-    yield from walk(1, _dense_start(d, n, np.array([config.cat_labels])))
+    # a level holds up to d^n representatives of d^n amplitudes, one per
+    # branch of the round; as n >= 2, this also checks each d^(n+2) step
+    checked_size(d, 2 * n)
+    classes, tables = _dense_start(d, n, np.array([config.cat_labels])), []
+    for i in range(1, n + 1):
+        classes, table = _class_step(d, n, config.bell_labels[i - 1], i, classes)
+        tables.append(table)
+    _finish_block(d, n, classes)
+    width, rows = d * d, block_rows(n, 1)  # rows of n integers
+    for start in range(0, width ** n, rows):
+        leaves = np.arange(start, min(start + rows, width ** n))
+        steps = leaves[:, None] // width ** np.arange(n - 1, -1, -1) % width
+        node, phase, codes = np.zeros(len(leaves), dtype=int), 0, []
+        for (child, code, delta), step in zip(tables, steps.T):
+            codes.append(code[node, step])
+            phase = phase + delta[node, step]
+            node = child[node, step]
+        yield steps, classes.labels[node], codes[0], np.stack(codes[1:], axis=1), phase % d
 
 
 def enumerate_oracle_branches(config: ProtocolConfig) -> list[Transcript]:
@@ -479,17 +541,30 @@ def oracle_view_counts(config: ProtocolConfig, known_parties) -> dict[tuple, lis
     """Per view class of the coalition known_parties (in 2..n, else
     ValueError), in walk order, how many oracle branches give each first key
     dit u1 - k1: d counts. A class is what the coalition sees, (announced,
-    its outcomes ((k_i, l_i), ...) in party order)."""
+    its outcomes ((k_i, l_i), ...) in party order). Each block is tallied on
+    one integer key per branch, its view's digits, merged with the classes
+    so far by np.unique, each class keeping the walk position it first
+    appeared at."""
     d, n = config.d, config.n
     known = _coalition(n, known_parties)
-    counts: dict[tuple, list[int]] = {}
+    bases = np.array([d] * n + [d * d] * len(known))
+    places = np.cumprod(np.append(1, bases[:0:-1]))[::-1]
+    keys, first, seen = np.empty(0, dtype=int), np.empty(0, dtype=int), 0
+    tally = np.empty((0, d), dtype=int)
     for steps, announced, key, _, _ in _oracle_blocks(config):
-        views = np.concatenate([announced, steps[:, [i - 1 for i in known]]], axis=1)
-        for view, first in zip(views.tolist(), (key // d).tolist()):
-            counts.setdefault(tuple(view), [0] * d)[first] += 1
-    pairs = list(product(range(d), repeat=2))
-    return {(view[:n], tuple(pairs[c] for c in view[n:])): firsts
-            for view, firsts in counts.items()}
+        views = np.concatenate([announced, steps[:, [i - 1 for i in known]]], axis=1) @ places
+        old = tally
+        keys, index, inverse = np.unique(np.concatenate([keys, views]), return_index=True,
+                                         return_inverse=True)
+        first = np.concatenate([first, seen + np.arange(len(views))])[index]
+        tally = np.zeros((len(keys), d), dtype=int)
+        tally[inverse[:len(old)]] = old
+        np.add.at(tally, (inverse[len(old):], key // d), 1)
+        seen += len(views)
+    order, pairs = np.argsort(first), list(product(range(d), repeat=2))
+    digits = [(keys[order] // place % base).tolist() for place, base in zip(places, bases)]
+    views = zip(*digits[:n], *([pairs[c] for c in column] for column in digits[n:]))
+    return {(view[:n], view[n:]): firsts for view, firsts in zip(views, tally[order].tolist())}
 
 
 def round_records(d: int, n: int, seed, engine: str, cat, bells, fields):

@@ -577,6 +577,17 @@ def test_collude_usage_errors():
     assert run_cli(["collude", "--d", "2", "--n", "3"]) == 2  # flag required
 
 
+def test_collude_oracle_at_the_branch_cap(capsys):
+    # (8^2)^3 = 2^18 branches, the most the command walks: it passes and
+    # every view class is balanced
+    assert 64 ** 3 == cli.MAX_ORACLE_BRANCHES
+    code = run_cli(["collude", "--d", "8", "--n", "3", "--missing", "2",
+                    "--oracle", "--seed", "1", "--json", "-"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["ok"] is True
+    assert report["oracle"]["branches"] == 64 ** 3 and report["oracle"]["balanced"]
+
+
 def test_collude_oracle_cap(capsys):
     code = run_cli(["collude", "--d", "5", "--n", "4", "--missing", "2",
                     "--oracle", "--seed", "1"])

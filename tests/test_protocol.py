@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from quditswap import protocol, statevec
+from quditswap.catbell import cat_amplitudes
 from quditswap.core import MAX_AMPLITUDES
 from quditswap.protocol import (InsufficientSharesError, PartyView,
                                 ProtocolConfig, collusion_posterior,
@@ -440,7 +441,8 @@ def test_dense_engine_checks_end_state_and_phase(monkeypatch):
 def test_dense_checks_fail_on_nan(monkeypatch):
     # NaN compares false with everything, so each dense check passes only a
     # value within its tolerance: NaN overlaps fail the step's probability
-    # check, NaN end cats the modulus check and NaN roots the phase check.
+    # check, NaN end cats the modulus check and NaN roots the phase check,
+    # or in the oracle first the class check, which reads the roots too.
     overlap_pass = protocol.cat_overlaps
     support, root = protocol.cat_support, protocol.zeta
 
@@ -454,15 +456,18 @@ def test_dense_checks_fail_on_nan(monkeypatch):
 
     config = random_config(3, 3, np.random.default_rng(2))
     forced = [(1, 2), (0, 1), (2, 2)]
-    for name, fault, message in (
-            ("cat_overlaps", nan_overlaps, r"party 1 outcome \(0,0\) has probability nan"),
-            ("cat_support", nan_end_cats, "not the announced cat state"),
-            ("zeta", lambda d, t: root(d, t) * np.nan, "global phase disagrees")):
+    probability = r"party 1 outcome \(0,0\) has probability nan"
+    for name, fault, message, oracle_message in (
+            ("cat_overlaps", nan_overlaps, probability, probability),
+            ("cat_support", nan_end_cats, "not the announced cat state",
+             "not the announced cat state"),
+            ("zeta", lambda d, t: root(d, t) * np.nan, "global phase disagrees",
+             r"party 1 outcome \(0,0\) is not its cat label class's state")):
         with monkeypatch.context() as patch:
             patch.setattr(protocol, name, fault)
             with pytest.raises(RuntimeError, match=message):
                 run_round(config, engine="statevector", forced_outcomes=forced)
-            with pytest.raises(RuntimeError, match=message):
+            with pytest.raises(RuntimeError, match=oracle_message):
                 enumerate_oracle_branches(zero_config(2, 3))
     assert run_round(config, engine="statevector", forced_outcomes=forced).outcomes == \
         tuple(forced)
@@ -552,6 +557,88 @@ def test_oracle_is_the_symbolic_engine_under_forced_outcomes(monkeypatch):
             assert enumerate_oracle_branches(config) == expected
 
 
+def test_class_walk_is_the_per_branch_dense_engine(monkeypatch):
+    # The oracle runs the dense step once per cat-label class and reads each
+    # branch's fields through integer tables; the statevector rounds run it
+    # on every branch on its own. Field for field, in outcome order, the two
+    # agree, with the default blocks and with one row per block; the walk
+    # hands _dense_step at most n * d^n rows, one per class per level.
+    step, default = protocol._dense_step, statevec.BLOCK_AMPLITUDES
+    received = []
+
+    def counted(d, n, bell, i, block):
+        received.append(len(block.phase))
+        return step(d, n, bell, i, block)
+
+    rng = np.random.default_rng(20)
+    monkeypatch.setattr(protocol, "_dense_step", counted)
+    for d, n in ((2, 2), (3, 2), (2, 3), (3, 3), (2, 4)):
+        config = random_config(d, n, rng)
+        outcomes = list(itertools.product(itertools.product(range(d), repeat=2), repeat=n))
+        count = len(outcomes)
+        expected = [np.concatenate(field) for field in zip(*(
+            fields for _, _, fields in protocol.round_blocks(
+                d, n, [config.cat_labels] * count, [config.bell_labels] * count, outcomes,
+                "statevector")))]
+        for budget in (default, 1):
+            monkeypatch.setattr(statevec, "BLOCK_AMPLITUDES", budget)
+            received.clear()
+            walk = [np.concatenate(field) for field in zip(*protocol._oracle_blocks(config))]
+            assert [field.shape for field in walk] == [field.shape for field in expected]
+            assert all(np.array_equal(a, b) for a, b in zip(walk, expected))
+            assert sum(received) <= n * d ** n
+    monkeypatch.setattr(statevec, "BLOCK_AMPLITUDES", default)
+    received.clear()
+    assert sum(map(sum, oracle_view_counts(random_config(2, 7, rng), [2]).values())) == 4 ** 7
+    assert sum(received) <= 469  # 1 + 4 + 16 + 64 + 3 * 128, against 5,461 branches
+
+
+@pytest.mark.parametrize("d, n", [(2, 3), (3, 3)])
+def test_class_check_catches_a_phase_on_one_branch(monkeypatch, d, n):
+    # A global phase on every child of the last class row at the last step
+    # keeps each probability at 1/d^2 and the d^2 outcomes distinct. Those
+    # children are no class's representative (each class already has a
+    # member), so the end check, which reads representatives only, never
+    # sees them: only the class check, which compares every child with its
+    # class's representative, catches the fault.
+    overlap_pass = protocol.cat_overlaps
+
+    def last_row_turned(d, particles, amps, pair):
+        rest, overlaps = overlap_pass(d, particles, amps, pair)
+        if pair == protocol.measurement_pair(n, n) and len(overlaps) > 1:
+            overlaps[-1] *= np.exp(0.1j)
+        return rest, overlaps
+
+    config = random_config(d, n, np.random.default_rng(d + n))
+    monkeypatch.setattr(protocol, "cat_overlaps", last_row_turned)
+    message = f"party {n} outcome \\(0,0\\) is not its cat label class's state"
+    with pytest.raises(RuntimeError, match=message):
+        enumerate_oracle_branches(config)
+    with pytest.raises(RuntimeError, match=message):
+        oracle_view_counts(config, [2])
+    monkeypatch.setattr(protocol, "cat_overlaps", overlap_pass)
+    assert len(enumerate_oracle_branches(config)) == d ** (2 * n)
+
+
+def test_end_check_reads_the_dense_order():
+    # A finished block whose dense order is a permutation of its register
+    # particles, amplitudes transposed to match: the end check places each
+    # particle at its dense digit, so it passes this block and fails the
+    # same amplitudes left in register order.
+    d, n, rng = 3, 3, np.random.default_rng(19)
+    particles, dense = (1, 8, 10), (10, 1, 8)
+    labels, phase = rng.integers(0, d, (5, n)), rng.integers(0, d, 5)
+    roots = np.array([protocol.zeta(d, t) for t in range(d)])
+    register = cat_amplitudes(d, labels) * roots[phase][:, None]
+    axes = [1 + particles.index(p) for p in dense]
+    amps = register.reshape((5,) + (d,) * n).transpose([0] + axes).reshape(5, -1)
+    assert not np.allclose(amps, register)
+    block = protocol._Block(particles, dense, labels, amps, phase, np.zeros((5, n, 2), int))
+    protocol._finish_block(d, n, block)
+    with pytest.raises(RuntimeError, match="not the announced cat state"):
+        protocol._finish_block(d, n, block._replace(amps=register))
+
+
 def test_library_dense_calls_refuse_over_cap_before_building(monkeypatch):
     # with the cap at 3^5, d=3 n=4 needs 3^6-amplitude dense steps: every
     # library entry point of the dense engine refuses before kron_rows runs
@@ -572,6 +659,23 @@ def test_library_dense_calls_refuse_over_cap_before_building(monkeypatch):
     with pytest.raises(ValueError, match="cap"):
         oracle_view_counts(config, [2])
     assert run_round(config, forced_outcomes=[(1, 2)] * 4).key == (2, 2)
+
+
+def test_oracle_refuses_more_branches_than_the_cap(monkeypatch):
+    # A level of the oracle's class pass holds up to d^n representatives of
+    # d^n amplitudes, one per branch. With the cap at 2^10, d=2 n=6 rounds
+    # run on steps of 2^8 amplitudes, but the oracle's 2^12 branches are
+    # refused before any step runs.
+    monkeypatch.setattr(statevec, "MAX_AMPLITUDES", 2**10)
+    config = zero_config(2, 6)
+    with monkeypatch.context() as patch:
+        patch.setattr(protocol, "_dense_step", None)
+        with pytest.raises(ValueError, match="4096 amplitudes, above the 1024 cap"):
+            enumerate_oracle_branches(config)
+        with pytest.raises(ValueError, match="4096 amplitudes, above the 1024 cap"):
+            oracle_view_counts(config, [2])
+    transcript = run_round(config, "statevector", forced_outcomes=[(1, 0)] * 6)
+    assert transcript.outcomes == ((1, 0),) * 6
 
 
 def test_transcript_json_dict_schema():
