@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import validate_dimension
 from .protocol import (ENGINES, ProtocolConfig, collusion_counts, oracle_view_counts,
-                       round_blocks, round_records)
+                       recover_rounds, round_blocks, round_records)
 from .statevec import block_rows, checked_size
 from .swapcalc import RULES, verify_swap_block
 
@@ -259,12 +259,11 @@ def cmd_protocol(args) -> int:
         recoveries, separator = 0, ""
         for block in _protocol_draws(d, n, args.rounds, rng, next_labels):
             for cat, bells, fields in round_blocks(d, n, *block, args.engine):
-                ok, records = round_records(d, n, seed, args.engine, cat, bells, fields)
+                ok, lines = round_records(d, n, seed, args.engine, cat, bells, fields)
                 recoveries += int(np.count_nonzero(ok))
                 np.add.at(key_counts, np.divmod(fields[2], d), 1)
                 if spool is not None:
-                    spool.write(separator + ",\n".join(
-                        "    " + json.dumps(record, sort_keys=True) for record in records))
+                    spool.write(separator + ",\n".join("    " + line for line in lines))
                     separator = ",\n"
         elapsed = time.perf_counter() - start
 
@@ -331,12 +330,15 @@ def cmd_collude(args) -> int:
     start = time.perf_counter()
 
     # The protocol command's rounds, as round_blocks' field arrays: a round
-    # passes when each first key dit has the same count for the coalition.
+    # passes when it satisfies every recovery identity and the announcement
+    # (recover_rounds' ok, which collusion_counts' convolution assumes) and
+    # each first key dit has the same count for the coalition.
     rounds_ok, posterior = True, None
     for block in _protocol_draws(d, n, args.rounds, rng, next_labels):
-        for cat, bells, (steps, announced, *_) in round_blocks(d, n, *block):
+        for cat, bells, (steps, announced, key, finals, _) in round_blocks(d, n, *block):
             counts = collusion_counts(d, cat, bells, steps, announced, known)
-            rounds_ok &= bool(np.all(counts == counts[:, :1]))
+            ok = recover_rounds(d, cat, bells, steps, announced, key, finals)[2]
+            rounds_ok &= bool(np.all(ok) and np.all(counts == counts[:, :1]))
             posterior = [str(Fraction(c, d ** len(missing))) for c in counts[-1].tolist()]
 
     oracle = None
@@ -364,7 +366,8 @@ def cmd_collude(args) -> int:
         lines.append("  no rounds requested")
     else:
         lines.append(f"  posterior over first key dit: [{', '.join(posterior)}]")
-        lines.append(f"  exactly uniform across {args.rounds} random rounds: "
+        lines.append(f"  recovery identities hold and posterior exactly uniform "
+                     f"across {args.rounds} random rounds: "
                      f"{'PASS' if rounds_ok else 'FAIL'}")
     if oracle:
         lines.append(f"  oracle: {oracle['branches']} branches in "

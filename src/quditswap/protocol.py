@@ -27,8 +27,9 @@ engine, which yields integer field arrays, the one round record;
 run_round is a block of one, turned into a Transcript. One array
 recovery, recover_rounds, checks every recovery identity and the
 announcement of a block of rounds; the one-view recoveries and
-transcript_to_json_dict are its one-row calls, and round_records turns
-its rows into the JSON records the protocol command streams.
+transcript_to_json_dict are its one-row calls, and round_records fills
+one % template per block from its rows, giving the JSON record lines the
+protocol command streams (transcript_to_json_dict parses its one line).
 collusion_counts reads the same arrays for a coalition's view of the
 first key dit; collusion_posterior is its one-row call. The symbolic
 engine rewrites a block as label arrays, one row per round under its own
@@ -49,6 +50,7 @@ d^(n+2) step over the amplitude cap before any allocation.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, repeat
@@ -542,50 +544,66 @@ def oracle_view_counts(config: ProtocolConfig, known_parties) -> dict[tuple, lis
     ValueError), in walk order, how many oracle branches give each first key
     dit u1 - k1: d counts. A class is what the coalition sees, (announced,
     its outcomes ((k_i, l_i), ...) in party order). Each block is tallied on
-    one integer key per branch, its view's digits, merged with the classes
-    so far by np.unique, each class keeping the walk position it first
-    appeared at."""
+    one integer key per branch, its view's digits. A class is numbered in
+    the order it first appears; only a block's keys not seen before are
+    merged, by searchsorted, into the sorted keys so far and their numbers."""
     d, n = config.d, config.n
     known = _coalition(n, known_parties)
     bases = np.array([d] * n + [d * d] * len(known))
     places = np.cumprod(np.append(1, bases[:0:-1]))[::-1]
-    keys, first, seen = np.empty(0, dtype=int), np.empty(0, dtype=int), 0
-    tally = np.empty((0, d), dtype=int)
+    keys, ids, found = np.empty(0, dtype=int), np.empty(0, dtype=int), 0
+    tally = np.zeros((0, d), dtype=int)  # by class number, grown by doubling
     for steps, announced, key, _, _ in _oracle_blocks(config):
         views = np.concatenate([announced, steps[:, [i - 1 for i in known]]], axis=1) @ places
-        old = tally
-        keys, index, inverse = np.unique(np.concatenate([keys, views]), return_index=True,
-                                         return_inverse=True)
-        first = np.concatenate([first, seen + np.arange(len(views))])[index]
-        tally = np.zeros((len(keys), d), dtype=int)
-        tally[inverse[:len(old)]] = old
-        np.add.at(tally, (inverse[len(old):], key // d), 1)
-        seen += len(views)
-    order, pairs = np.argsort(first), list(product(range(d), repeat=2))
-    digits = [(keys[order] // place % base).tolist() for place, base in zip(places, bases)]
+        fresh, first, inverse = np.unique(views, return_index=True, return_inverse=True)
+        at = np.searchsorted(keys, fresh)
+        new = np.append(keys, -1)[at] != fresh
+        number = np.append(ids, -1)[at]
+        count = int(np.count_nonzero(new))
+        number[np.flatnonzero(new)[np.argsort(first[new])]] = found + np.arange(count)
+        keys, ids = np.insert(keys, at[new], fresh[new]), np.insert(ids, at[new], number[new])
+        found += count
+        if found > len(tally):
+            grow = max(found, 2 * len(tally)) - len(tally)
+            tally = np.concatenate([tally, np.zeros((grow, d), dtype=int)])
+        np.add.at(tally, (number[inverse], key // d), 1)
+    ordered, pairs = np.empty(found, dtype=int), list(product(range(d), repeat=2))
+    ordered[ids] = keys
+    digits = [(ordered // place % base).tolist() for place, base in zip(places, bases)]
     views = zip(*digits[:n], *([pairs[c] for c in column] for column in digits[n:]))
-    return {(view[:n], view[n:]): firsts for view, firsts in zip(views, tally[order].tolist())}
+    return {(view[:n], view[n:]): firsts
+            for view, firsts in zip(views, tally[:found].tolist())}
 
 
 def round_records(d: int, n: int, seed, engine: str, cat, bells, fields):
-    """A block of rounds' verdicts and JSON records, from round_blocks' arrays.
+    """A block of rounds' verdicts and JSON record lines, from round_blocks' arrays.
 
-    Returns recover_rounds' ok (R,) and an iterator of the records in
-    transcript_to_json_dict's form, built one at a time as it is read.
+    Returns recover_rounds' ok (R,) and an iterator of the record lines, each
+    json.dumps(record, sort_keys=True) of transcript_to_json_dict's record,
+    filled one at a time as it is read from one % template. The template
+    writes the keys in sorted order, with d, n, seed, engine and the party
+    numbers as literal text; one integer row per round fills the rest, and
+    ok goes in as true or false.
     """
     steps, announced, key, finals, _ = fields
+    if cat.shape[1:] != (n,):
+        raise ValueError(f"{n} parties but cat labels of shape {cat.shape}")
     second, first, ok = recover_rounds(d, cat, bells, steps, announced, key, finals)
-    rows = zip(*(field.tolist() for field in (cat, bells, steps, announced, key,
-                                               second, first, ok)))
-    records = ({"d": d, "n": n, "seed": seed, "engine": engine,
-                "cat_labels": labels, "bell_labels": pairs,
-                "outcomes": [{"party": i, "k": c // d, "l": c % d}
-                             for i, c in enumerate(codes, 1)],
-                "announced": public, "key": [code // d, code % d],
-                "recovered": {"second_per_party": alone, "first_pooled": pooled},
-                "ok": good}
-               for labels, pairs, codes, public, code, alone, pooled, good in rows)
-    return ok, records
+    ints, pairs = ", ".join(["%d"] * n), ", ".join(["[%d, %d]"] * n)
+    outcomes = ", ".join(f'{{"k": %d, "l": %d, "party": {i}}}' for i in range(1, n + 1))
+    template = (f'{{"announced": [{ints}], "bell_labels": [{pairs}], '
+                f'"cat_labels": [{ints}], "d": {d}, '
+                f'"engine": {json.dumps(engine).replace("%", "%%")}, "key": [%d, %d], '
+                f'"n": {n}, "ok": %s, "outcomes": [{outcomes}], "recovered": '
+                f'{{"first_pooled": %d, "second_per_party": [{ints[4:]}]}}, '  # n - 1 ints
+                f'"seed": {json.dumps(seed)}}}')
+    table = np.column_stack([announced, bells.reshape(-1, 2 * n), cat, *np.divmod(key, d),
+                             np.stack(np.divmod(steps, d), axis=-1).reshape(-1, 2 * n),
+                             first, second])
+    cut, words = 4 * n + 2, ("false", "true")  # ok follows the key pair
+    lines = (template % (*row[:cut], words[good], *row[cut:])
+             for row, good in zip(table.tolist(), ok.tolist()))
+    return ok, lines
 
 
 def _row(transcript: Transcript):
@@ -598,13 +616,14 @@ def _row(transcript: Transcript):
 
 
 def transcript_to_json_dict(transcript: Transcript) -> dict:
-    """Flat JSON form of one round, recovery results included: round_records
-    on the transcript's one row.
+    """Flat JSON form of one round, recovery results included: round_records'
+    line for the transcript's one row, parsed, so it is the protocol report's
+    record.
 
     ok holds when every recovery gives the key and the announcement is
     (v1 + k1 + ... + kn, v'2 + l2, ..., v'n + ln).
     """
     config = transcript.config
-    _, records = round_records(config.d, config.n, config.seed, transcript.engine,
-                               *_row(transcript))
-    return next(records)
+    _, lines = round_records(config.d, config.n, config.seed, transcript.engine,
+                             *_row(transcript))
+    return json.loads(next(lines))

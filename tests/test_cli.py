@@ -379,6 +379,30 @@ def test_collude_rounds_build_no_transcripts(monkeypatch, capsys):
     assert "[1/3, 1/3, 1/3]" in capsys.readouterr().out
 
 
+def test_collude_rounds_fail_on_a_leaky_announcement(monkeypatch, capsys):
+    # Rounds that announce a1 = v1 + k1 leak the first key dit to any
+    # coalition, yet collusion_counts' convolution stays uniform on them:
+    # collude --rounds must fail through recover_rounds' announcement check.
+    blocks = cli.round_blocks
+
+    def leak(d, n, *draw):
+        for cat, bells, (steps, announced, *rest) in blocks(d, n, *draw):
+            announced = announced.copy()
+            announced[:, 0] = (bells[:, 0, 0] + steps[:, 0] // d) % d
+            counts = cli.collusion_counts(d, cat, bells, steps, announced, [2, 4])
+            assert np.all(counts == counts[:, :1])
+            yield cat, bells, (steps, announced, *rest)
+
+    argv = ["collude", "--d", "3", "--n", "4", "--missing", "3", "--rounds", "2000",
+            "--seed", "401", "--json", "-"]
+    assert run_cli(argv) == 0
+    assert json.loads(capsys.readouterr().out)["uniform"] is True
+    monkeypatch.setattr(cli, "round_blocks", leak)
+    assert run_cli(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["uniform"] is False and report["ok"] is False
+
+
 def test_collude_rounds_report_bytes(capsys):
     # 4,000 posterior rounds at d=7 n=5, four blocks of the command's draws
     assert run_cli(["collude", "--d", "7", "--n", "5", "--missing", "3",

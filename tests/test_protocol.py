@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -694,3 +695,75 @@ def test_transcript_json_dict_schema():
         "recovered": {"second_per_party": [1, 1], "first_pooled": 1},
         "ok": True,
     }
+
+
+def dict_record_lines(d, n, seed, engine, cat, bells, fields):
+    """The protocol record encoder from before the % template, kept as the
+    reference: one dict per round, then json.dumps(record, sort_keys=True)."""
+    steps, announced, key, finals, _ = fields
+    second, first, ok = protocol.recover_rounds(d, cat, bells, steps, announced, key, finals)
+    rows = zip(*(field.tolist() for field in (cat, bells, steps, announced, key,
+                                               second, first, ok)))
+    records = ({"d": d, "n": n, "seed": seed, "engine": engine,
+                "cat_labels": labels, "bell_labels": pairs,
+                "outcomes": [{"party": i, "k": c // d, "l": c % d}
+                             for i, c in enumerate(codes, 1)],
+                "announced": public, "key": [code // d, code % d],
+                "recovered": {"second_per_party": alone, "first_pooled": pooled},
+                "ok": good}
+               for labels, pairs, codes, public, code, alone, pooled, good in rows)
+    return [json.dumps(record, sort_keys=True) for record in records]
+
+
+@pytest.mark.parametrize("d, n", [(2, 2), (3, 4), (7, 5), (16, 3)])
+def test_round_records_are_the_dict_encoder(monkeypatch, d, n):
+    # round_records fills one % template per block; its lines must be the
+    # dict encoder's byte for byte, on both engines, for seeds None, 0 and
+    # 2^64 - 1, and on rounds whose ok is false: a zero sign in one role
+    # (as in test_protocol_verdicts_are_the_one_round_verdicts) makes the
+    # symbolic rewrite drop k or l, which the dense engine refuses.
+    rng = np.random.default_rng(d * n)
+
+    def lines_agree(engine, count, names):
+        draw = (rng.integers(0, d, (count, n)), rng.integers(0, d, (count, n, 2)),
+                rng.integers(0, d, (count, n, 2)))
+        verdicts = []
+        for cat, bells, fields in protocol.round_blocks(d, n, *draw, engine):
+            for name, seed in itertools.product(names, (None, 0, 2**64 - 1)):
+                ok, lines = protocol.round_records(d, n, seed, name, cat, bells, fields)
+                lines = list(lines)
+                assert lines == dict_record_lines(d, n, seed, name, cat, bells, fields)
+                assert [json.loads(line)["ok"] for line in lines] == ok.tolist()
+            verdicts += ok.tolist()
+        assert len(verdicts) == count
+        return verdicts
+
+    for engine in protocol.ENGINES:
+        assert all(lines_agree(engine, 2 if d**n > 999 else 40, [engine]))
+    roles = protocol._ROLE_SIGNS
+    for role, signs in ((0, (0, 1)), (1, (1, 0))):
+        monkeypatch.setattr(protocol, "_ROLE_SIGNS",
+                            roles[:role] + (signs,) + roles[role + 1:])
+        verdicts = lines_agree("symbolic", 40, protocol.ENGINES)
+        assert not all(verdicts)
+    block = next(protocol.round_blocks(d, n, [[0] * n], [[[0, 0]] * n], [[[0, 0]] * n]))
+    record = json.loads(next(protocol.round_records(d, n, 0, "symbolic", *block)[1]))
+    assert len(record["recovered"]["second_per_party"]) == n - 1
+    with pytest.raises(ValueError, match="parties but cat labels"):
+        protocol.round_records(d, n + 1, 0, "symbolic", *block)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_oracle_view_counts_merge_across_blocks(monkeypatch, rows):
+    # Leaf blocks of one or seven branches make most classes first appear
+    # in a later block, where only the new keys merge into the keys so far;
+    # the tally must equal the one-block tally, class for class and in
+    # walk order.
+    d, n = 3, 3
+    config = random_config(d, n, np.random.default_rng(33))
+    coalitions = [known for size in range(n)
+                  for known in itertools.combinations(range(2, n + 1), size)]
+    whole = [list(oracle_view_counts(config, known).items()) for known in coalitions]
+    monkeypatch.setattr(statevec, "BLOCK_AMPLITUDES", rows * n)
+    assert [list(oracle_view_counts(config, known).items())
+            for known in coalitions] == whole
