@@ -9,10 +9,10 @@ from .core import (MAX_AMPLITUDES, MAX_DIMENSION, pack_index, phase_exponent,
 from .protocol import (InsufficientSharesError, PartyView, ProtocolConfig,
                        Transcript, collusion_counts, collusion_posterior,
                        enumerate_oracle_branches, make_party_views,
-                       oracle_view_counts, recover_first_dit_pooled,
-                       recover_rounds, recover_second_dit, round_blocks,
-                       round_records, run_round,
-                       transcript_to_json_dict)
+                       oracle_view_counts, oracle_view_tally,
+                       recover_first_dit_pooled, recover_rounds,
+                       recover_second_dit, round_blocks, round_records,
+                       run_round, transcript_to_json_dict)
 from .statevec import (StateVector, apply_controlled_shift, apply_hadamard,
                        basis_state, hadamard_matrix, inner_product,
                        permute_to, project_onto, tensor)
@@ -31,9 +31,10 @@ __all__ = [
     "bell_state", "cat_amplitudes", "cat_state", "cat_via_circuit",
     "collusion_counts", "collusion_posterior", "enumerate_oracle_branches",
     "expand_basis_in_bell", "expand_basis_in_cat", "hadamard_matrix",
-    "inner_product", "make_party_views", "oracle_view_counts", "pack_index",
-    "permute_to", "phase_exponent", "project_onto", "recover_first_dit_pooled",
-    "recover_rounds", "recover_second_dit", "round_blocks", "round_records",
-    "run_round", "tensor", "to_statevector", "transcript_to_json_dict",
-    "validate_dimension", "verify_swap_block", "verify_swap_identity", "zeta",
+    "inner_product", "make_party_views", "oracle_view_counts", "oracle_view_tally",
+    "pack_index", "permute_to", "phase_exponent", "project_onto",
+    "recover_first_dit_pooled", "recover_rounds", "recover_second_dit",
+    "round_blocks", "round_records", "run_round", "tensor", "to_statevector",
+    "transcript_to_json_dict", "validate_dimension", "verify_swap_block",
+    "verify_swap_identity", "zeta",
 ]

@@ -42,9 +42,14 @@ amplitudes. A block of statevector rounds starts with one branch per
 round and keeps each round's own outcome. The oracle runs the step once
 per cat-label class at each level, since branches with one cat's labels
 hold one state up to a power of zeta, which it checks from the
-amplitudes; it then streams all (d^2)^n branches of one round, read
-through integer class tables, to enumerate_oracle_branches and
-oracle_view_counts. Both size blocks by block_rows, which refuses a
+amplitudes (_oracle_classes). One integer walk, _oracle_paths, then
+streams all (d^2)^n branches of one round as each branch's class node at
+every level, read through the class tables. Two consumers gather from the
+nodes: _oracle_blocks the five field arrays that enumerate_oracle_branches
+turns into Transcripts, and oracle_view_tally, which reads only party 1's
+measured code and the final class, a coalition's view classes and their
+first-dit counts as arrays; oracle_view_counts is that tally as a dict.
+The rounds and the oracle size blocks by block_rows, which refuses a
 d^(n+2) step over the amplitude cap before any allocation.
 """
 
@@ -498,19 +503,16 @@ def _class_step(d: int, n: int, bell, i: int, classes: _Block):
                   phase[:found], np.zeros((found, 0, 2), dtype=int)), tables
 
 
-def _oracle_blocks(config: ProtocolConfig):
-    """Yield the five field arrays _transcripts reads per block of finished
-    branches of one round, all (d^2)^n in lexicographic outcome order.
+def _oracle_classes(config: ProtocolConfig):
+    """The oracle's class pass and its certificate: the final level's
+    classes and the per-step class tables _class_step returns.
 
-    A class pass runs the dense step once per cat-label class at each party
-    step (at most d^n classes; _class_step, so ValueError over the cap),
-    checking each step's 1/d^2 probabilities on d^2 distinct labels and that
-    every child is its class's state up to a power of zeta; _finish_block
-    then certifies each final class's end cat and phase. That covers every
-    branch: the walk is an exhaustive cross-engine certificate. A leaf pass
-    then reads each branch's fields through the class tables, one integer
-    gather per step, in blocks of at most BLOCK_AMPLITUDES integers per
-    (rows, n) field array, so memory stays flat.
+    The dense step runs once per cat-label class at each party step (at
+    most d^n classes; _class_step, so ValueError over the cap), checking
+    each step's 1/d^2 probabilities on d^2 distinct labels and that every
+    child is its class's state up to a power of zeta; _finish_block then
+    certifies each final class's end cat and phase. That covers every
+    branch: the walk is an exhaustive cross-engine certificate.
     """
     d, n = config.d, config.n
     # a level holds up to d^n representatives of d^n amplitudes, one per
@@ -521,16 +523,37 @@ def _oracle_blocks(config: ProtocolConfig):
         classes, table = _class_step(d, n, config.bell_labels[i - 1], i, classes)
         tables.append(table)
     _finish_block(d, n, classes)
+    return classes, tables
+
+
+def _oracle_paths(d: int, n: int, tables):
+    """Yield per block of finished branches, all (d^2)^n in lexicographic
+    outcome order, their outcome codes steps (rows, n) and the n + 1 arrays
+    of each branch's class node at levels 0..n, read through the child
+    tables by one integer gather per step. Blocks hold at most
+    BLOCK_AMPLITUDES integers per (rows, n) array, so memory stays flat."""
     width, rows = d * d, block_rows(n, 1)  # rows of n integers
     for start in range(0, width ** n, rows):
         leaves = np.arange(start, min(start + rows, width ** n))
         steps = leaves[:, None] // width ** np.arange(n - 1, -1, -1) % width
-        node, phase, codes = np.zeros(len(leaves), dtype=int), 0, []
-        for (child, code, delta), step in zip(tables, steps.T):
-            codes.append(code[node, step])
-            phase = phase + delta[node, step]
-            node = child[node, step]
-        yield steps, classes.labels[node], codes[0], np.stack(codes[1:], axis=1), phase % d
+        nodes = [np.zeros(len(leaves), dtype=int)]
+        for (child, _, _), step in zip(tables, steps.T):
+            nodes.append(child[nodes[-1], step])
+        yield steps, nodes
+
+
+def _oracle_blocks(config: ProtocolConfig):
+    """Yield the five field arrays _transcripts reads per block of finished
+    branches of one round: _oracle_classes, then each _oracle_paths block's
+    measured codes and phase deltas gathered at its nodes."""
+    d, n = config.d, config.n
+    classes, tables = _oracle_classes(config)
+    for steps, nodes in _oracle_paths(d, n, tables):
+        cells = list(zip(nodes, steps.T))
+        codes = [code[cell] for (_, code, _), cell in zip(tables, cells)]
+        phase = sum(delta[cell] for (_, _, delta), cell in zip(tables, cells))
+        yield (steps, classes.labels[nodes[-1]], codes[0], np.stack(codes[1:], axis=1),
+               phase % d)
 
 
 def enumerate_oracle_branches(config: ProtocolConfig) -> list[Transcript]:
@@ -539,22 +562,30 @@ def enumerate_oracle_branches(config: ProtocolConfig) -> list[Transcript]:
             _transcripts(repeat(config), "statevector", config.d, config.n, *fields)]
 
 
-def oracle_view_counts(config: ProtocolConfig, known_parties) -> dict[tuple, list[int]]:
+def oracle_view_tally(config: ProtocolConfig, known_parties):
     """Per view class of the coalition known_parties (in 2..n, else
     ValueError), in walk order, how many oracle branches give each first key
-    dit u1 - k1: d counts. A class is what the coalition sees, (announced,
-    its outcomes ((k_i, l_i), ...) in party order). Each block is tallied on
-    one integer key per branch, its view's digits. A class is numbered in
-    the order it first appears; only a block's keys not seen before are
-    merged, by searchsorted, into the sorted keys so far and their numbers."""
+    dit u1 - k1, as arrays (views, counts).
+
+    A class is what the coalition sees: the announced cat and its outcomes
+    in party order. views (C, n + 2 * len(known)) holds its digits,
+    (announced, k_i, l_i, ...), and counts (C, d) its branches per first
+    dit. After _oracle_classes certifies the walk, each _oracle_paths block
+    is tallied on one integer key per branch, those digits in base d: one
+    key per final class plus the known parties' outcome codes, and the first
+    dit from party 1's measured code. A class is numbered in the order it
+    first appears; only a block's keys not seen before are merged, by
+    searchsorted, into the sorted keys so far and their numbers."""
     d, n = config.d, config.n
-    known = _coalition(n, known_parties)
-    bases = np.array([d] * n + [d * d] * len(known))
-    places = np.cumprod(np.append(1, bases[:0:-1]))[::-1]
+    known = [i - 1 for i in _coalition(n, known_parties)]
+    places = d ** np.arange(n + 2 * len(known) - 1, -1, -1)
+    classes, tables = _oracle_classes(config)
+    finals, key_dit = classes.labels @ places[:n], tables[0][1][0] // d
     keys, ids, found = np.empty(0, dtype=int), np.empty(0, dtype=int), 0
     tally = np.zeros((0, d), dtype=int)  # by class number, grown by doubling
-    for steps, announced, key, _, _ in _oracle_blocks(config):
-        views = np.concatenate([announced, steps[:, [i - 1 for i in known]]], axis=1) @ places
+    for steps, nodes in _oracle_paths(d, n, tables):
+        # an outcome code k * d + l at l's place puts k at the place above it
+        views = finals[nodes[-1]] + steps[:, known] @ places[n + 1::2]
         fresh, first, inverse = np.unique(views, return_index=True, return_inverse=True)
         at = np.searchsorted(keys, fresh)
         new = np.append(keys, -1)[at] != fresh
@@ -566,13 +597,20 @@ def oracle_view_counts(config: ProtocolConfig, known_parties) -> dict[tuple, lis
         if found > len(tally):
             grow = max(found, 2 * len(tally)) - len(tally)
             tally = np.concatenate([tally, np.zeros((grow, d), dtype=int)])
-        np.add.at(tally, (number[inverse], key // d), 1)
-    ordered, pairs = np.empty(found, dtype=int), list(product(range(d), repeat=2))
+        np.add.at(tally, (number[inverse], key_dit[steps[:, 0]]), 1)
+    ordered = np.empty(found, dtype=int)
     ordered[ids] = keys
-    digits = [(ordered // place % base).tolist() for place, base in zip(places, bases)]
-    views = zip(*digits[:n], *([pairs[c] for c in column] for column in digits[n:]))
-    return {(view[:n], view[n:]): firsts
-            for view, firsts in zip(views, tally[:found].tolist())}
+    return ordered[:, None] // places % d, tally[:found]
+
+
+def oracle_view_counts(config: ProtocolConfig, known_parties) -> dict[tuple, list[int]]:
+    """oracle_view_tally as a dict, in walk order: from each view class,
+    (announced, ((k_i, l_i), ...) of the known parties in party order), to
+    its d counts."""
+    views, counts = oracle_view_tally(config, known_parties)
+    n = config.n
+    return {(tuple(view[:n]), tuple(zip(view[n::2], view[n + 1::2]))): firsts
+            for view, firsts in zip(views.tolist(), counts.tolist())}
 
 
 def round_records(d: int, n: int, seed, engine: str, cat, bells, fields):

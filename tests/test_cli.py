@@ -570,6 +570,42 @@ def test_collude_oracle_builds_no_transcripts(monkeypatch, capsys):
     assert "64 branches" in out and "balanced first dit: PASS" in out
 
 
+def test_collude_oracle_builds_no_dict(monkeypatch, capsys):
+    # collude --oracle reads oracle_view_tally's arrays; the dict view is
+    # for library callers, and both pinned oracle reports keep their bytes
+    def no_dict(*args):
+        raise AssertionError("collude --oracle built the view-class dict")
+
+    for module in (protocol, cli):
+        monkeypatch.setattr(module, "oracle_view_counts", no_dict, raising=False)
+    for argv, name in ((["--d", "2", "--n", "7", "--missing", "3", "--seed", "401"],
+                        "collude-oracle"),
+                       (["--d", "3", "--n", "4", "--missing", "2,4", "--seed", "5"],
+                        "collude-oracle-d3")):
+        assert run_cli(["collude", *argv, "--oracle", "--json", "-"]) == 0
+        assert sha256(capsys.readouterr().out) == REPORT_DIGESTS[name]
+
+
+def test_collude_oracle_fails_on_an_unbalanced_class(monkeypatch, capsys):
+    # A tally whose second class gives first dit 0 on both its branches is
+    # a leak, although the first class is balanced: the command must say so
+    # and exit 1.
+    def leaky(config, known):
+        views = np.zeros((2, config.n + 2 * len(known)), dtype=int)
+        return views, np.array([[1, 1], [2, 0]])
+
+    monkeypatch.setattr(cli, "oracle_view_tally", leaky)
+    argv = ["collude", "--d", "2", "--n", "3", "--missing", "2", "--rounds", "0",
+            "--oracle", "--seed", "1"]
+    assert run_cli(argv) == 1
+    assert "  oracle: 4 branches in 2 view classes, balanced first dit: FAIL" in (
+        capsys.readouterr().out.splitlines())
+    assert run_cli(argv + ["--json", "-"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["oracle"] == {"branches": 4, "view_classes": 2, "balanced": False}
+    assert report["ok"] is False
+
+
 def test_collude_zero_rounds_reports_no_posterior(capsys):
     argv = ["collude", "--d", "2", "--n", "3", "--missing", "2",
             "--rounds", "0", "--seed", "1"]

@@ -767,3 +767,24 @@ def test_oracle_view_counts_merge_across_blocks(monkeypatch, rows):
     monkeypatch.setattr(statevec, "BLOCK_AMPLITUDES", rows * n)
     assert [list(oracle_view_counts(config, known).items())
             for known in coalitions] == whole
+
+
+@pytest.mark.parametrize("d, n", [(2, 3), (3, 3), (2, 4)])
+def test_oracle_view_tally_is_the_dict(monkeypatch, d, n):
+    # For every coalition, the array tally, decoded here digit by digit, is
+    # oracle_view_counts' dict item for item and in walk order: with the
+    # default leaf blocks and with blocks of one and seven branches, where
+    # most classes first appear in a later block.
+    config = random_config(d, n, np.random.default_rng(d * n))
+    for budget in (statevec.BLOCK_AMPLITUDES, n, 7 * n):
+        monkeypatch.setattr(statevec, "BLOCK_AMPLITUDES", budget)
+        for size in range(n):
+            for known in itertools.combinations(range(2, n + 1), size):
+                views, counts = protocol.oracle_view_tally(config, known)
+                assert views.dtype.kind == counts.dtype.kind == "i"
+                assert views.shape == (len(counts), n + 2 * size)
+                assert counts.shape == (len(counts), d)
+                decoded = [((tuple(view[:n]), tuple((view[n + 2 * j], view[n + 2 * j + 1])
+                                                    for j in range(size))), firsts)
+                           for view, firsts in zip(views.tolist(), counts.tolist())]
+                assert decoded == list(oracle_view_counts(config, known).items())
