@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +139,62 @@ def test_verify_samples_draw_labels_then_m_per_case(monkeypatch):
             m = int(rng.integers(2, 5)) if rule == "white" else None
             expected.append((m, flat))
     assert Counter((m, row) for m, rows in blocks for row in rows) == Counter(expected)
+
+
+def test_verify_exhaustive_blocks_are_the_tuples_in_order(monkeypatch):
+    # 50 rows a block: 81 = 50 + 31 and 729 = 14 * 50 + 29 split every rule
+    monkeypatch.setattr(statevec, "BLOCK_AMPLITUDES", 3**4 * 50)
+    per_block = statevec.block_rows(3, 4)
+    blocks = spy_blocks(monkeypatch)
+    assert run_cli(["verify", "--d", "3", "--n", "4", "--rule", "all",
+                    "--seed", "1"]) == 0
+    bell = [rows for _, rows in blocks if len(rows[0]) == 4]
+    black = [rows for m, rows in blocks if m is None and len(rows[0]) == 6]
+    white = [(m, rows) for m, rows in blocks if m is not None]
+    assert [m for m, _ in white] == [2, 3, 4] * (len(white) // 3)
+    assert all(white[i][1] == white[i + 1][1] == white[i + 2][1]
+               for i in range(0, len(white), 3))
+    for width, cut in ((4, bell), (6, black), (6, [rows for _, rows in white[::3]])):
+        assert [len(rows) for rows in cut] == (
+            [per_block] * (3**width // per_block) + [3**width % per_block])
+        assert sum(cut, []) == list(product(range(3), repeat=width))
+
+
+def test_verify_without_seed_reports_a_seed_that_replays(tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert run_cli(["verify", "--d", "2", "--n", "3", "--json", str(first)]) == 0
+    seed = json.loads(first.read_bytes())["parameters"]["seed"]
+    assert isinstance(seed, int) and 0 <= seed < 1 << 64
+    assert run_cli(["verify", "--d", "2", "--n", "3", "--seed", str(seed),
+                    "--json", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
+
+
+def fresh_verify(argv):
+    """Run verify argv in a fresh interpreter; return whether numpy.random
+    was loaded after `import numpy` alone and after the run, and the exit code."""
+    script = ("import sys, numpy; before = 'numpy.random' in sys.modules\n"
+              "from quditswap.cli import main\n"
+              "code = main(['verify', *sys.argv[1:]])\n"
+              "print(before, 'numpy.random' in sys.modules, code)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120).stdout
+    before, after, code = out.split()[-3:]
+    return before == "True", after == "True", int(code)
+
+
+def test_exhaustive_verify_leaves_numpy_random_unloaded():
+    # numpy 2.x loads numpy.random on first access to np.random, 1.x at import
+    before, after, code = fresh_verify(["--d", "2", "--n", "3", "--seed", "1"])
+    if before:
+        pytest.skip("import numpy alone loads numpy.random")
+    assert (after, code) == (False, 0)
+    assert fresh_verify(["--d", "2", "--n", "3", "--samples", "3",
+                         "--seed", "1"])[1:] == (True, 0)
 
 
 def test_verify_refuses_over_cap_before_any_block(monkeypatch, capsys):
