@@ -34,19 +34,20 @@ collusion_counts reads the same arrays for a coalition's view of the
 first key dit; collusion_posterior is its one-row call. The symbolic
 engine rewrites a block as label arrays, one row per round under its own
 outcomes, one block call per step. The dense engine runs one step,
-_dense_step, on a block of branches that share one particle layout:
-their cat labels and amplitudes are arrays with one row per branch,
-rewritten under all d^2 outcomes and measured by one cat_overlaps pass,
-which reads every probability, outcome, end cat and phase from the
-amplitudes. A block of statevector rounds starts with one branch per
-round and keeps each round's own outcome. The oracle runs the step once
-per cat-label class at each level, since branches with one cat's labels
-hold one state up to a power of zeta, which it checks from the
-amplitudes (_oracle_classes). One integer walk, _oracle_paths, then
-streams all (d^2)^n branches of one round as each branch's class node at
-every level, read through the class tables. Two consumers gather from the
-nodes: _oracle_blocks the five field arrays that enumerate_oracle_branches
-turns into Transcripts, and oracle_view_tally, which reads only party 1's
+_dense_step, on a block of branches that share one particle order. A
+block is only their state: cat labels, amplitudes in register order and
+phase, one row per branch, rewritten under all d^2 outcomes and measured
+by one cat_overlaps pass, residuals in the rewritten register order, which
+reads every probability, outcome, end cat and phase from the amplitudes.
+A block of statevector rounds starts with one branch per round and keeps
+each round's own outcome. The oracle runs the step once per cat-label
+class at each level, since branches with one cat's labels hold one state
+up to a power of zeta, which it checks from the amplitudes
+(_oracle_classes). One integer walk, _oracle_paths, then streams all
+(d^2)^n branches of one round as each branch's class node at every level,
+read through the class tables. Two consumers gather from the nodes:
+_oracle_blocks the five field arrays that enumerate_oracle_branches turns
+into Transcripts, and oracle_view_tally, which reads only party 1's
 measured code and the final class, a coalition's view classes and their
 first-dit counts as arrays; oracle_view_counts is that tally as a dict.
 The rounds and the oracle size blocks by block_rows, which refuses a
@@ -151,25 +152,18 @@ def measurement_pair(n: int, i: int) -> tuple[int, int]:
 
 
 class _Block(NamedTuple):
-    """B dense branches, or oracle class representatives, at one depth,
-    sharing one layout.
-
-    particles orders the register's cat, whose labels are (B, len); dense
-    orders the cat amplitudes (B, d^len); phase (B,) is each branch's power
-    of zeta; codes (B, i, 2) holds, per step so far, the outcome k*d + l and
-    the measured Bell labels u1*d + u2.
-    """
+    """B dense branches, or oracle class representatives, at one depth: the
+    register's cat particles, its labels (B, len), amplitudes (B, d^len) in
+    that particle order, and each branch's power of zeta (B,)."""
 
     particles: tuple[int, ...]
-    dense: tuple[int, ...]
     labels: np.ndarray
     amps: np.ndarray
     phase: np.ndarray
-    codes: np.ndarray
 
     def rows(self, index) -> _Block:
         return self._replace(labels=self.labels[index], amps=self.amps[index],
-                             phase=self.phase[index], codes=self.codes[index])
+                             phase=self.phase[index])
 
 
 def _party_rewrite(d: int, n: int, i: int, particles, labels, bell, outcomes):
@@ -184,29 +178,29 @@ def _party_rewrite(d: int, n: int, i: int, particles, labels, bell, outcomes):
 
 def _dense_start(d: int, n: int, cat) -> _Block:
     """The block of one branch per row of cat labels (B, n): the cat states."""
-    particles = tuple(range(1, n + 1))
-    return _Block(particles, particles, cat, cat_amplitudes(d, cat),
-                  np.zeros(len(cat), dtype=int), np.zeros((len(cat), 0, 2), dtype=int))
+    return _Block(tuple(range(1, n + 1)), cat, cat_amplitudes(d, cat),
+                  np.zeros(len(cat), dtype=int))
 
 
-def _dense_step(d: int, n: int, bell, i: int, block: _Block) -> _Block:
+def _dense_step(d: int, n: int, bell, i: int, block: _Block):
     """Every outcome of party i's Bell measurement on every branch of a block.
 
-    bell holds party i's Bell labels: one pair, or one per row (B, 2). Their
-    amplitudes are tensored after each cat row; one cat_overlaps pass gives
-    every residual, and _party_rewrite names each outcome's measured Bell
-    state and rewritten cat. Each (branch, outcome) probability is checked
-    to be 1/d^2 from the amplitudes, and each branch's d^2 outcomes to name
-    d^2 distinct Bell states. Returns the B * d^2 children in (branch, k, l)
-    order: outcome (k, l) of branch b is row b * d^2 + k * d + l.
+    bell holds party i's Bell labels: one pair, or one per row (B, 2).
+    _party_rewrite names each outcome's measured Bell state and rewritten
+    cat; one cat_overlaps pass over the cat rows tensored with the Bell
+    amplitudes gives every residual in that cat's particle order. Each
+    (branch, outcome) probability is checked to be 1/d^2 from the amplitudes,
+    and each branch's d^2 outcomes to name d^2 distinct Bell states. Returns
+    the B * d^2 children in (branch, k, l) order, outcome (k, l) of branch b
+    at row b * d^2 + k * d + l, and each child's measured code u1 * d + u2.
     """
     count, bell = len(block.phase), np.reshape(bell, (-1, 1, 2))
-    rest, overlaps = cat_overlaps(d, block.dense + bell_particles(n, i),
-                                  kron_rows(block.amps, cat_amplitudes(d, bell[:, 0])),
-                                  measurement_pair(n, i))
     outcomes = np.stack(np.divmod(np.arange(d * d), d), axis=-1)
     measured, residual, delta, particles = _party_rewrite(
         d, n, i, block.particles, block.labels[:, None, :], bell, outcomes)
+    overlaps = cat_overlaps(d, block.particles + bell_particles(n, i),
+                            kron_rows(block.amps, cat_amplitudes(d, bell[:, 0])),
+                            measurement_pair(n, i), particles)
 
     rows, u1, u2 = np.arange(count)[:, None], measured[..., 0], measured[..., 1]
     post = overlaps[rows, u1, u2]
@@ -225,22 +219,18 @@ def _dense_step(d: int, n: int, bell, i: int, block: _Block) -> _Block:
 
     post /= np.sqrt(probabilities)[..., None]
     size = count * d * d
-    step = np.stack(np.broadcast_arrays(np.arange(d * d), named), axis=-1)
-    return _Block(particles, rest, residual.reshape(size, -1), post.reshape(size, -1),
-                  ((block.phase[:, None] + delta) % d).reshape(size),
-                  np.concatenate([np.repeat(block.codes, d * d, axis=0),
-                                  step.reshape(size, 1, 2)], axis=1))
+    return _Block(particles, residual.reshape(size, -1), post.reshape(size, -1),
+                  ((block.phase[:, None] + delta) % d).reshape(size)), named.reshape(size)
 
 
-def _finish_block(d: int, n: int, block: _Block) -> None:
+def _finish_block(d: int, block: _Block) -> None:
     """Certify a block of finished branches, or raise RuntimeError.
 
-    One cat_support call reads every announced cat on the dense end state, at
-    its register particles' digits in dense order; each overlap, d products,
-    must have modulus 1 and equal zeta^phase_power, both within 1e-9.
+    One cat_support call reads every announced cat on the dense end state,
+    whose amplitudes are in register order; each overlap, d products, must
+    have modulus 1 and equal zeta^phase_power, both within 1e-9.
     """
-    places = [d ** (n - 1 - block.dense.index(p)) for p in block.particles]
-    index, values = cat_support(d, block.labels, places)
+    index, values = cat_support(d, block.labels)
     amps = np.sum(values.conj() * np.take_along_axis(block.amps, index, axis=1), axis=1)
     if not np.all(np.abs(np.abs(amps) - 1.0) <= 1e-9):  # NaN fails
         raise RuntimeError("dense end state is not the announced cat state")
@@ -253,13 +243,14 @@ def _dense_rounds(d: int, n: int, cat, bells, outcomes):
     """A block of rounds on the dense step: one branch per round, keeping
     each round's own outcome (k, l) at every step; certified by
     _finish_block, as the five field arrays _transcripts reads."""
-    block, first = _dense_start(d, n, cat), np.arange(len(cat)) * d * d
+    block, first, codes = _dense_start(d, n, cat), np.arange(len(cat)) * d * d, []
     for i in range(1, n + 1):
-        block = _dense_step(d, n, bells[:, i - 1], i, block).rows(
-            first + outcomes[:, i - 1] @ (d, 1))
-    _finish_block(d, n, block)
-    codes = block.codes
-    return codes[..., 0], block.labels, codes[:, 0, 1], codes[:, 1:, 1], block.phase
+        children, measured = _dense_step(d, n, bells[:, i - 1], i, block)
+        chosen = first + outcomes[:, i - 1] @ (d, 1)
+        block = children.rows(chosen)
+        codes.append(measured[chosen])
+    _finish_block(d, block)
+    return outcomes @ (d, 1), block.labels, codes[0], np.stack(codes[1:], axis=1), block.phase
 
 
 def _symbolic_rounds(d: int, n: int, cat, bells, outcomes):
@@ -480,7 +471,7 @@ def _class_step(d: int, n: int, bell, i: int, classes: _Block):
     roots, found = np.array([zeta(d, t) for t in range(d)]), 0
     for start in range(0, count, rows):
         block = classes.rows(slice(start, start + rows))
-        children = _dense_step(d, n, bell, i, block)
+        children, measured = _dense_step(d, n, bell, i, block)
         keys = children.labels % d @ places
         fresh, first = np.unique(keys, return_index=True)
         new = slot[fresh] < 0
@@ -498,9 +489,8 @@ def _class_step(d: int, n: int, bell, i: int, classes: _Block):
                                f"label class's state times a power of zeta")
         delta = children.phase - np.repeat(block.phase, d * d)
         tables[:, start:start + len(block.phase)] = np.reshape(
-            [member, children.codes[:, -1, 1], delta % d], (3, -1, d * d))
-    return _Block(children.particles, children.dense, labels[:found], amps[:found],
-                  phase[:found], np.zeros((found, 0, 2), dtype=int)), tables
+            [member, measured, delta % d], (3, -1, d * d))
+    return _Block(children.particles, labels[:found], amps[:found], phase[:found]), tables
 
 
 def _oracle_classes(config: ProtocolConfig):
@@ -522,7 +512,7 @@ def _oracle_classes(config: ProtocolConfig):
     for i in range(1, n + 1):
         classes, table = _class_step(d, n, config.bell_labels[i - 1], i, classes)
         tables.append(table)
-    _finish_block(d, n, classes)
+    _finish_block(d, classes)
     return classes, tables
 
 

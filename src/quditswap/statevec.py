@@ -7,9 +7,10 @@ states are never mutated.
 
 Every dense measurement runs on cat_overlaps, one pass over the whole Bell
 basis of a measured (black, white) pair for a block of states that share
-one particle list; every Kronecker product, of states or of row blocks, is
-kron_rows. Nothing here samples outcomes. checked_size refuses any array
-over the cap before it is built; block_rows sizes every block of rows.
+one particle list, its residuals in the particle order the caller names;
+every Kronecker product, of states or of row blocks, is kron_rows. Nothing
+here samples outcomes. checked_size refuses any array over the cap before
+it is built; block_rows sizes every block of rows.
 """
 
 from __future__ import annotations
@@ -187,33 +188,32 @@ def project_onto(state: StateVector, reference: StateVector):
     return probability, post
 
 
-def cat_overlaps(d: int, particles, amps, pair):
+def cat_overlaps(d: int, particles, amps, pair, rest):
     """Overlaps of a block of states with all d^2 Bell states on a (black, white) pair.
 
     amps, of shape (B, d**len(particles)), holds B states over the same
-    particles; a single state is the B = 1 call. Returns (rest, overlaps):
-    rest lists the other particles in state order, and overlaps[b, u1, u2],
-    of shape (B, d, d, d**len(rest)), is state b's unnormalized residual
-    <Psi(u1, u2)|state_b> over them. One gather and one length-d DFT over j
-    (a matmul) give every outcome of every state, since
+    particles; a single state is the B = 1 call. rest orders the other
+    particles, exactly the state's particles less the pair (else
+    ValueError). Returns overlaps[b, u1, u2], of shape (B, d, d,
+    d**len(rest)): state b's unnormalized residual <Psi(u1, u2)|state_b>
+    over rest, in rest's order. One transpose, one gather and one length-d
+    DFT over j (a matmul) give every outcome of every state, since
 
         <Psi(u1, u2)|psi> = (1/sqrt(d)) sum_j zeta^(-j*u1) psi[j, j+u2, ...]
     """
-    particles = tuple(particles)
+    particles, order = tuple(particles), tuple(pair) + tuple(rest)
     if len(pair) != 2 or pair[0] == pair[1]:
         raise ValueError(f"a Bell basis needs 2 distinct particles, got {pair}")
-    missing = set(pair) - set(particles)
-    if missing:
-        raise ValueError(f"particles {sorted(missing)} not in state {particles}")
+    if sorted(order) != sorted(particles):
+        raise ValueError(f"pair {pair} and rest {tuple(rest)} do not split "
+                         f"the state's particles {particles}")
     amps = np.asarray(amps)
     if amps.ndim != 2 or amps.shape[1] != d ** len(particles):
         raise ValueError(f"expected (B, {d ** len(particles)}) amplitudes, "
                          f"got shape {amps.shape}")
     count = len(amps)
-    t = np.moveaxis(amps.reshape((count,) + (d,) * len(particles)),
-                    [1 + particles.index(p) for p in pair], (1, 2)).reshape(count, d, d, -1)
+    t = np.transpose(amps.reshape((count,) + (d,) * len(particles)),
+                     [0] + [1 + particles.index(p) for p in order]).reshape(count, d, d, -1)
     j = np.arange(d)
     gathered = t[:, j, (j + j[:, None]) % d]  # [b, u2, j, rest]
-    overlaps = np.swapaxes(hadamard_matrix(d).conj() @ gathered, 1, 2)
-    rest = tuple(p for p in particles if p not in pair)
-    return rest, overlaps
+    return np.swapaxes(hadamard_matrix(d).conj() @ gathered, 1, 2)

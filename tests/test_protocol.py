@@ -424,7 +424,7 @@ def test_dense_engine_checks_end_state_and_phase(monkeypatch):
     monkeypatch.setattr(protocol, "bell_measure_block", rewrite)
     support = protocol.cat_support
 
-    def turned(d, labels, places):
+    def turned(d, labels, places=None):
         index, values = support(d, labels, places)
         return index, values * np.exp(0.1j)
 
@@ -448,10 +448,9 @@ def test_dense_checks_fail_on_nan(monkeypatch):
     support, root = protocol.cat_support, protocol.zeta
 
     def nan_overlaps(*args):
-        rest, overlaps = overlap_pass(*args)
-        return rest, overlaps * np.nan
+        return overlap_pass(*args) * np.nan
 
-    def nan_end_cats(d, labels, places):
+    def nan_end_cats(d, labels, places=None):
         index, values = support(d, labels, places)
         return index, values * np.nan
 
@@ -480,11 +479,11 @@ def test_block_checks_read_every_row(monkeypatch):
     # overlaps or rewrite or in the end check's reference cats. The same
     # faults in the last round of a statevector round_blocks block of 3
     # rounds are caught too, at party 1, where that block already has 3 rows.
-    def last_row_scaled(d, particles, amps, pair):
-        rest, overlaps = overlap_pass(d, particles, amps, pair)
+    def last_row_scaled(d, particles, amps, pair, rest):
+        overlaps = overlap_pass(d, particles, amps, pair, rest)
         if len(overlaps) > 1:
             overlaps[-1] *= 1.1
-        return rest, overlaps
+        return overlaps
 
     def last_row_duplicate(*args):
         measured, residual, delta, particles = rewrite(*args)
@@ -493,7 +492,7 @@ def test_block_checks_read_every_row(monkeypatch):
             measured[-1, -1] = measured[-1, 0]
         return measured, residual, delta, particles
 
-    def end_check_scaled(d, labels, places):
+    def end_check_scaled(d, labels, places=None):
         # only the end check reads reference cats through cat_support
         index, values = support(d, labels, places)
         if len(values) > 1:
@@ -604,11 +603,11 @@ def test_class_check_catches_a_phase_on_one_branch(monkeypatch, d, n):
     # class's representative, catches the fault.
     overlap_pass = protocol.cat_overlaps
 
-    def last_row_turned(d, particles, amps, pair):
-        rest, overlaps = overlap_pass(d, particles, amps, pair)
+    def last_row_turned(d, particles, amps, pair, rest):
+        overlaps = overlap_pass(d, particles, amps, pair, rest)
         if pair == protocol.measurement_pair(n, n) and len(overlaps) > 1:
             overlaps[-1] *= np.exp(0.1j)
-        return rest, overlaps
+        return overlaps
 
     config = random_config(d, n, np.random.default_rng(d + n))
     monkeypatch.setattr(protocol, "cat_overlaps", last_row_turned)
@@ -621,23 +620,21 @@ def test_class_check_catches_a_phase_on_one_branch(monkeypatch, d, n):
     assert len(enumerate_oracle_branches(config)) == d ** (2 * n)
 
 
-def test_end_check_reads_the_dense_order():
-    # A finished block whose dense order is a permutation of its register
-    # particles, amplitudes transposed to match: the end check places each
-    # particle at its dense digit, so it passes this block and fails the
-    # same amplitudes left in register order.
+def test_end_check_reads_the_register_order():
+    # A finished block's amplitudes are in its register order: the end check
+    # passes the block as built and fails the same amplitudes with their
+    # particle axes permuted.
     d, n, rng = 3, 3, np.random.default_rng(19)
-    particles, dense = (1, 8, 10), (10, 1, 8)
+    particles = (1, 8, 10)
     labels, phase = rng.integers(0, d, (5, n)), rng.integers(0, d, 5)
     roots = np.array([protocol.zeta(d, t) for t in range(d)])
-    register = cat_amplitudes(d, labels) * roots[phase][:, None]
-    axes = [1 + particles.index(p) for p in dense]
-    amps = register.reshape((5,) + (d,) * n).transpose([0] + axes).reshape(5, -1)
-    assert not np.allclose(amps, register)
-    block = protocol._Block(particles, dense, labels, amps, phase, np.zeros((5, n, 2), int))
-    protocol._finish_block(d, n, block)
+    amps = cat_amplitudes(d, labels) * roots[phase][:, None]
+    permuted = amps.reshape((5,) + (d,) * n).transpose([0, 3, 1, 2]).reshape(5, -1)
+    assert not np.allclose(amps, permuted)
+    block = protocol._Block(particles, labels, amps, phase)
+    protocol._finish_block(d, block)
     with pytest.raises(RuntimeError, match="not the announced cat state"):
-        protocol._finish_block(d, n, block._replace(amps=register))
+        protocol._finish_block(d, block._replace(amps=permuted))
 
 
 def test_library_dense_calls_refuse_over_cap_before_building(monkeypatch):

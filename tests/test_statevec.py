@@ -219,8 +219,8 @@ def test_cat_overlaps_match_projections():
     pair = (1, 3)
     for d in range(2, 6):
         state = random_state(d, (3, 7, 1, 5, 8), rng)
-        rest, overlaps = cat_overlaps(d, state.particles, state.amps[None], pair)
-        assert rest == tuple(p for p in state.particles if p not in pair)
+        rest = tuple(p for p in state.particles if p not in pair)
+        overlaps = cat_overlaps(d, state.particles, state.amps[None], pair, rest)
         assert overlaps.shape == (1, d, d, d ** len(rest))
         for labels in itertools.product(range(d), repeat=2):
             probability, post = project_onto(state, cat_state(d, pair, labels))
@@ -233,8 +233,9 @@ def test_cat_overlaps_match_projections():
 def test_cat_overlaps_rejects_bad_subsets():
     state = basis_state(2, (0, 1, 2), (0, 0, 0))
     for subset in ((0,), (0, 0), (1, 2, 1), (0, 9)):
+        rest = tuple(p for p in state.particles if p not in subset)
         with pytest.raises(ValueError):
-            cat_overlaps(2, state.particles, state.amps[None], subset)
+            cat_overlaps(2, state.particles, state.amps[None], subset, rest)
 
 
 def test_cat_overlaps_rows_are_single_state_calls():
@@ -242,16 +243,41 @@ def test_cat_overlaps_rows_are_single_state_calls():
     particles, pair = (3, 7, 1, 5), (5, 7)
     for d in range(2, 6):
         rows = np.array([random_state(d, particles, rng).amps for _ in range(4)])
-        rest, overlaps = cat_overlaps(d, particles, rows, pair)
+        overlaps = cat_overlaps(d, particles, rows, pair, (3, 1))
         assert overlaps.shape == (4, d, d, d ** 2)
         for row, expected in zip(rows, overlaps):
-            single_rest, single = cat_overlaps(d, particles, row[None], pair)
-            assert single_rest == rest
+            single = cat_overlaps(d, particles, row[None], pair, (3, 1))
             assert single[0].tobytes() == expected.tobytes()
+
+
+def test_cat_overlaps_orders_the_residual_by_rest():
+    # rest orders the residual axes: any order of the other particles is the
+    # state-order call with its residual axes permuted the same way
+    rng = np.random.default_rng(29)
+    particles, pair = (3, 7, 1, 5, 8), (5, 7)
+    base = (3, 1, 8)
+    for d in range(2, 5):
+        rows = np.array([random_state(d, particles, rng).amps for _ in range(3)])
+        expected = cat_overlaps(d, particles, rows, pair, base)
+        for rest in itertools.permutations(base):
+            axes = [base.index(p) for p in rest]
+            permuted = expected.reshape((3, d, d) + (d,) * 3).transpose(
+                [0, 1, 2] + [3 + a for a in axes]).reshape(expected.shape)
+            overlaps = cat_overlaps(d, particles, rows, pair, rest)
+            assert np.max(np.abs(overlaps - permuted)) < 1e-12
+
+
+def test_cat_overlaps_rejects_a_rest_that_is_not_the_other_particles():
+    state = basis_state(2, (0, 1, 2, 3), (0, 0, 0, 0))
+    for rest in ((2,), (3,), (2, 2), (2, 3, 3), (2, 3, 4), (2, 3, 0), (1, 3), ()):
+        with pytest.raises(ValueError, match="do not split"):
+            cat_overlaps(2, state.particles, state.amps[None], (0, 1), rest)
+    assert cat_overlaps(2, state.particles, state.amps[None], (0, 1), (3, 2)).shape == \
+        (1, 2, 2, 4)
 
 
 def test_cat_overlaps_rejects_a_block_of_the_wrong_shape():
     state = basis_state(2, (0, 1, 2), (0, 0, 0))
     for amps in (state.amps, state.amps[None, :4], state.amps.reshape(1, 2, 4)):
         with pytest.raises(ValueError, match="amplitudes"):
-            cat_overlaps(2, state.particles, amps, (0, 1))
+            cat_overlaps(2, state.particles, amps, (0, 1), (2,))
