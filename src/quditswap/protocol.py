@@ -83,6 +83,13 @@ def bell_particles(n: int, i: int) -> tuple[int, int]:
     return n + 2 * i - 1, n + 2 * i
 
 
+def _check_parties(d: int, n) -> None:
+    """validate_dimension(d); ValueError unless n is_integer and at least 2."""
+    validate_dimension(d)
+    if not (is_integer(n) and n >= 2):
+        raise ValueError("the protocol needs at least 2 parties")
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     d: int
@@ -92,9 +99,7 @@ class ProtocolConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        validate_dimension(self.d)
-        if self.n < 2:
-            raise ValueError("the protocol needs at least 2 parties")
+        _check_parties(self.d, self.n)
         cat, bells = (reduce_labels(self.d, x) for x in (self.cat_labels, self.bell_labels))
         if cat.shape != (self.n,):
             raise ValueError(f"{self.n} parties but {cat.size} cat labels")
@@ -132,7 +137,7 @@ class PartyView:
     announced: tuple[int, ...]
 
     def __post_init__(self):
-        if not 2 <= self.party <= self.n:
+        if not (is_integer(self.party) and 2 <= self.party <= self.n):
             raise ValueError("views exist for parties 2..n only")
 
 
@@ -162,8 +167,7 @@ class _Block(NamedTuple):
     phase: np.ndarray
 
     def rows(self, index) -> _Block:
-        return self._replace(labels=self.labels[index], amps=self.amps[index],
-                             phase=self.phase[index])
+        return _Block(self.particles, *(field[index] for field in self[1:]))
 
 
 def _party_rewrite(d: int, n: int, i: int, particles, labels, bell, outcomes):
@@ -211,9 +215,7 @@ def _dense_step(d: int, n: int, bell, i: int, block: _Block):
         raise RuntimeError(f"party {i} outcome ({code // d},{code % d}) has probability "
                            f"{float(probabilities[row, code])}, not 1/d^2")
     named = u1 * d + u2
-    seen = np.zeros((count, d * d), dtype=bool)
-    seen[rows, named] = True
-    cells = np.count_nonzero(seen, axis=1)
+    cells = 1 + np.count_nonzero(np.diff(np.sort(named, axis=1), axis=1), axis=1)
     if cells.min() < d**2:
         raise RuntimeError(f"party {i}'s outcomes name {cells.min()} Bell states, not d^2")
 
@@ -243,14 +245,13 @@ def _dense_rounds(d: int, n: int, cat, bells, outcomes):
     """A block of rounds on the dense step: one branch per round, keeping
     each round's own outcome (k, l) at every step; certified by
     _finish_block, as the five field arrays _transcripts reads."""
-    block, first, codes = _dense_start(d, n, cat), np.arange(len(cat)) * d * d, []
-    for i in range(1, n + 1):
+    steps, block, codes = outcomes @ (d, 1), _dense_start(d, n, cat), []
+    for i, chosen in enumerate((steps + np.arange(len(cat))[:, None] * d * d).T, 1):
         children, measured = _dense_step(d, n, bells[:, i - 1], i, block)
-        chosen = first + outcomes[:, i - 1] @ (d, 1)
         block = children.rows(chosen)
         codes.append(measured[chosen])
     _finish_block(d, block)
-    return outcomes @ (d, 1), block.labels, codes[0], np.stack(codes[1:], axis=1), block.phase
+    return steps, block.labels, codes[0], np.stack(codes[1:], axis=1), block.phase
 
 
 def _symbolic_rounds(d: int, n: int, cat, bells, outcomes):
@@ -293,20 +294,16 @@ def round_blocks(d: int, n: int, cat, bells, outcomes, engine: str = "symbolic")
     every step of every round, all d^2 outcomes, and each end cat and phase
     from amplitudes; the symbolic engine runs the block as one.
     """
-    validate_dimension(d)
-    if n < 2:
-        raise ValueError("the protocol needs at least 2 parties")
+    _check_parties(d, n)
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     cat, bells, outcomes = (reduce_labels(d, x) for x in (cat, bells, outcomes))
-    count = len(outcomes)
-    if (cat.shape, bells.shape, outcomes.shape) != ((count, n), (count, n, 2),
-                                                    (count, n, 2)):
+    if _round_shape(cat, bells) != n or outcomes.shape != bells.shape:
         raise ValueError(f"{n} parties but label shapes {cat.shape} and {bells.shape} "
                          f"and outcome shape {outcomes.shape}")
     rows, run = ((block_rows(d, n + 2), _dense_rounds) if engine == "statevector"
-                 else (max(1, count), _symbolic_rounds))
-    for start in range(0, count, rows):
+                 else (max(1, len(cat)), _symbolic_rounds))
+    for start in range(0, len(cat), rows):
         part = slice(start, start + rows)
         yield cat[part], bells[part], run(d, n, cat[part], bells[part], outcomes[part])
 
@@ -336,22 +333,35 @@ def make_party_views(transcript: Transcript) -> tuple[PartyView, ...]:
         for i in range(2, config.n + 1))
 
 
+def _round_shape(cat, *fields) -> int:
+    """The party count n of a block of R rounds' arrays: cat (R, n), then as
+    many as given of bells (R, n, 2), steps (R, n), announced (R, n), key
+    (R,) and finals (R, n - 1); ValueError on any other shape."""
+    shapes = [np.shape(field) for field in (cat, *fields)]
+    count, n = shapes[0] if len(shapes[0]) == 2 else (None, 0)
+    expected = [(count, n), (count, n, 2), (count, n), (count, n), (count,), (count, n - 1)]
+    if shapes != expected[:len(shapes)]:
+        raise ValueError(f"round arrays of shapes {shapes}, expected {expected[:len(shapes)]}")
+    return n
+
+
 def recover_rounds(d: int, cat, bells, steps, announced, key, finals):
     """Every recovery of a block of R rounds, on round_blocks' arrays.
 
     cat (R, n) and bells (R, n, 2) hold the rounds' labels; steps (R, n),
     announced (R, n), key (R,) and finals (R, n - 1) are round_blocks'
-    first four fields, with label pairs coded a * d + b. Party i >= 2 reads
-    l_i = announced[i] - v'_i; its final Bell second label is
-    u_i - l1 - l_i, so l1 follows, and v'1 is public. Its share is
-    k_i = v_i - (final Bell first label); the announcement's first slot
-    v1 + k1 + ... + kn then pins k1 once all of 2..n pool their shares.
+    first four fields, with label pairs coded a * d + b; other shapes raise
+    ValueError. Party i >= 2 reads l_i = announced[i] - v'_i; its final Bell
+    second label is u_i - l1 - l_i, so l1 follows, and v'1 is public. Its
+    share is k_i = v_i - (final Bell first label); the announcement's first
+    slot v1 + k1 + ... + kn then pins k1 once all of 2..n pool their shares.
 
     Returns per row the second key dit v'1 + l1 each party 2..n recovers
     alone (R, n - 1), the first key dit u1 - k1 they recover pooled (R,),
     and ok (R,): every recovery gives the key and the announcement is
     (v1 + k1 + ... + kn, v'2 + l2, ..., v'n + ln).
     """
+    _round_shape(cat, bells, steps, announced, key, finals)
     (k, l), (final_k, final_l) = np.divmod(steps, d), np.divmod(finals, d)
     v, vp = bells[..., 0], bells[..., 1]
     second = (vp[:, :1] + cat[:, 1:] - (announced[:, 1:] - vp[:, 1:]) - final_l) % d
@@ -426,7 +436,7 @@ def collusion_counts(d: int, cat, bells, steps, announced, known_parties) -> np.
     2..n, knows base = u1 - a1 + v1 + (its own k_i). Counts (R, d), one
     convolution with the uniform k_j per missing party, which flattens any base:
     uniform on any arrays, rounds or not (oracle_view_counts reads amplitudes)."""
-    n = cat.shape[1]
+    n = _round_shape(cat, bells, steps, announced)
     known = _coalition(n, known_parties)
     if len(known) == n - 1:
         raise ValueError("every party 2..n is colluding; use recover_first_dit_pooled")

@@ -7,10 +7,10 @@ states are never mutated.
 
 Every dense measurement runs on cat_overlaps, one pass over the whole Bell
 basis of a measured (black, white) pair for a block of states that share
-one particle list, its residuals in the particle order the caller names;
-every Kronecker product, of states or of row blocks, is kron_rows. Nothing
-here samples outcomes. checked_size refuses any array over the cap before
-it is built; block_rows sizes every block of rows.
+one particle list, residuals in a given order; every Kronecker product, of
+states or of row blocks, is kron_rows. Nothing here samples outcomes.
+checked_size refuses any array over the cap before it is built; block_rows
+sizes every block of rows.
 """
 
 from __future__ import annotations
@@ -192,12 +192,11 @@ def cat_overlaps(d: int, particles, amps, pair, rest):
     """Overlaps of a block of states with all d^2 Bell states on a (black, white) pair.
 
     amps, of shape (B, d**len(particles)), holds B states over the same
-    particles; a single state is the B = 1 call. rest orders the other
-    particles, exactly the state's particles less the pair (else
-    ValueError). Returns overlaps[b, u1, u2], of shape (B, d, d,
-    d**len(rest)): state b's unnormalized residual <Psi(u1, u2)|state_b>
-    over rest, in rest's order. One transpose, one gather and one length-d
-    DFT over j (a matmul) give every outcome of every state, since
+    particles; a single state is the B = 1 call. rest orders the particles
+    other than the pair, and must list exactly those (else ValueError).
+    overlaps[b, u1, u2], of shape (B, d, d, d**len(rest)), is state b's
+    unnormalized residual <Psi(u1, u2)|state_b> over rest. A transpose, a
+    gather and a length-d DFT over j (a matmul) give every outcome, since
 
         <Psi(u1, u2)|psi> = (1/sqrt(d)) sum_j zeta^(-j*u1) psi[j, j+u2, ...]
     """

@@ -154,6 +154,12 @@ def test_run_round_validation():
         ProtocolConfig(2, 3, (0, 0, 0), ((0, 0),) * 2)
     with pytest.raises(ValueError, match="^the protocol needs at least 2 parties$"):
         list(protocol.round_blocks(2, 1, [[0]], [[(0, 0)]], [[(0, 0)]]))
+    # a party count that is no integer is refused, even one equal to 3
+    for n in (3.0, np.float64(3.0)):
+        with pytest.raises(ValueError, match="^the protocol needs at least 2 parties$"):
+            ProtocolConfig(2, n, (0, 0, 0), ((0, 0),) * 3)
+        with pytest.raises(ValueError, match="^the protocol needs at least 2 parties$"):
+            list(protocol.round_blocks(2, n, [[0] * 3], [[(0, 0)] * 3], [[(0, 0)] * 3]))
 
 
 def test_party_view_shape():
@@ -164,6 +170,10 @@ def test_party_view_shape():
         PartyView(party=1, d=2, n=3, cat_labels=(0, 0, 0),
                   bell_labels=((0, 0),) * 3, outcome=(0, 0),
                   final_bell=(0, 0), announced=(0, 0, 0))
+    # a party id must be an integer: 2.0 would index the recoveries' arrays
+    for party in (2.0, np.float64(2.0), 2.5):
+        with pytest.raises(ValueError, match="^views exist for parties 2..n only$"):
+            dataclasses.replace(views[0], party=party)
 
 
 def test_pooled_recovery_needs_every_share():
@@ -234,6 +244,31 @@ def test_array_recovery_is_the_per_party_arithmetic():
                 assert ok[r] == (pooled == key[r] // d and alone == [key[r] % d] * (n - 1)
                                  and a == expected)
             assert ok.all() if steps is ran[0] else not ok.all()
+
+
+def test_round_arrays_of_mismatched_shapes_are_refused():
+    # recover_rounds and collusion_counts read one block's arrays; any array
+    # whose shape disagrees with cat (R, n) raises instead of broadcasting
+    rng = np.random.default_rng(24)
+    d, n, count = 3, 3, 4
+    cat, bells = rng.integers(0, d, (count, n)), rng.integers(0, d, (count, n, 2))
+    (_, _, (steps, announced, key, finals, _)), = protocol.round_blocks(
+        d, n, cat, bells, rng.integers(0, d, (count, n, 2)))
+    arrays = [cat, bells, steps, announced, key, finals]
+    assert protocol.recover_rounds(d, *arrays)[2].all()
+    # one label row against four rounds, and finals of one column, among them
+    wrong = [(0, cat[:1]), (0, cat[:, :2]), (0, cat[0]), (1, bells[:, :2]),
+             (1, bells[..., :1]), (2, steps[:3]), (2, steps[:, :2]), (3, announced[:, :2]),
+             (3, announced[:, None]), (4, key[:3]), (4, key[:, None]), (5, finals[:, :1]),
+             (5, finals[:, None]), (5, np.concatenate([finals, finals], axis=1))]
+    for place, bad in wrong:
+        mixed = arrays[:place] + [bad] + arrays[place + 1:]
+        with pytest.raises(ValueError, match="round arrays of shapes"):
+            protocol.recover_rounds(d, *mixed)
+        if place < 4:
+            with pytest.raises(ValueError, match="round arrays of shapes"):
+                protocol.collusion_counts(d, *mixed[:4], [2])
+    assert protocol.collusion_counts(d, *arrays[:4], [2]).shape == (count, d)
 
 
 def test_collusion_posterior_uniform_for_strict_subsets():
