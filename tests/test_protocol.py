@@ -170,7 +170,7 @@ def test_party_view_shape():
         PartyView(party=1, d=2, n=3, cat_labels=(0, 0, 0),
                   bell_labels=((0, 0),) * 3, outcome=(0, 0),
                   final_bell=(0, 0), announced=(0, 0, 0))
-    # a party id must be an integer: 2.0 would index the recoveries' arrays
+    # a party id must be an integer: a float one fails the recoveries' indexing
     for party in (2.0, np.float64(2.0), 2.5):
         with pytest.raises(ValueError, match="^views exist for parties 2..n only$"):
             dataclasses.replace(views[0], party=party)
