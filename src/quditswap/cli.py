@@ -69,12 +69,12 @@ def chi_square_survival(x: float, dof: int) -> float:
 
 
 def chi_square_critical(dof: int, alpha: float) -> float:
-    """Upper-tail chi-square critical value, by bisection on the exact tail."""
+    """Upper-tail chi-square critical value, by bisection on the exact tail
+    until the midpoint is an end, as no float lies between them."""
     lo, hi = 0.0, float(dof)
     while chi_square_survival(hi, dof) > alpha:
         lo, hi = hi, 2 * hi
-    for _ in range(100):
-        mid = (lo + hi) / 2
+    while lo < (mid := (lo + hi) / 2) < hi:
         lo, hi = (mid, hi) if chi_square_survival(mid, dof) > alpha else (lo, mid)
     return (lo + hi) / 2
 

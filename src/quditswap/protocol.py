@@ -28,8 +28,12 @@ run_round is a block of one, turned into a Transcript. One array
 recovery, recover_rounds, checks every recovery identity and the
 announcement of a block of rounds; the one-view recoveries and
 transcript_to_json_dict are its one-row calls, and round_records fills
-one % template per block from its rows, giving the JSON record lines the
-protocol command streams (transcript_to_json_dict parses its one line).
+one template from its rows, giving the JSON record lines the protocol
+command streams (transcript_to_json_dict parses its one line): a chunk of
+rows is one byte array, the template's text with its slots padded by NUL,
+which no JSON text holds, filled by one gather of digits, whose bytes less
+their NULs are decoded; a chunk holds no more bytes than a block of
+BLOCK_AMPLITUDES complex amplitudes.
 collusion_counts reads the same arrays for a coalition's view of the
 first key dit; collusion_posterior is its one-row call. The symbolic
 engine rewrites a block as label arrays, one row per round under its own
@@ -64,6 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import statevec
 from .catbell import cat_amplitudes, cat_state, cat_support, is_integer, reduce_labels
 from .core import validate_dimension, zeta
 from .statevec import StateVector, block_rows, cat_overlaps, checked_size, kron_rows
@@ -137,6 +142,7 @@ class PartyView:
     announced: tuple[int, ...]
 
     def __post_init__(self):
+        _check_parties(self.d, self.n)
         if not (is_integer(self.party) and 2 <= self.party <= self.n):
             raise ValueError("views exist for parties 2..n only")
 
@@ -350,17 +356,19 @@ def recover_rounds(d: int, cat, bells, steps, announced, key, finals):
 
     cat (R, n) and bells (R, n, 2) hold the rounds' labels; steps (R, n),
     announced (R, n), key (R,) and finals (R, n - 1) are round_blocks'
-    first four fields, with label pairs coded a * d + b; other shapes raise
-    ValueError. Party i >= 2 reads l_i = announced[i] - v'_i; its final Bell
-    second label is u_i - l1 - l_i, so l1 follows, and v'1 is public. Its
-    share is k_i = v_i - (final Bell first label); the announcement's first
-    slot v1 + k1 + ... + kn then pins k1 once all of 2..n pool their shares.
+    first four fields, with label pairs coded a * d + b; other shapes, or a d
+    that validate_dimension refuses, raise ValueError. Party i >= 2 reads
+    l_i = announced[i] - v'_i; its final Bell second label is u_i - l1 - l_i,
+    so l1 follows, and v'1 is public. Its share is k_i = v_i - (final Bell
+    first label); the announcement's first slot v1 + k1 + ... + kn then pins
+    k1 once all of 2..n pool their shares.
 
     Returns per row the second key dit v'1 + l1 each party 2..n recovers
     alone (R, n - 1), the first key dit u1 - k1 they recover pooled (R,),
     and ok (R,): every recovery gives the key and the announcement is
     (v1 + k1 + ... + kn, v'2 + l2, ..., v'n + ln).
     """
+    validate_dimension(d)
     _round_shape(cat, bells, steps, announced, key, finals)
     (k, l), (final_k, final_l) = np.divmod(steps, d), np.divmod(finals, d)
     v, vp = bells[..., 0], bells[..., 1]
@@ -435,7 +443,9 @@ def collusion_counts(d: int, cat, bells, steps, announced, known_parties) -> np.
     u1 - k1 = base + (their sum), where the coalition, a strict subset of
     2..n, knows base = u1 - a1 + v1 + (its own k_i). Counts (R, d), one
     convolution with the uniform k_j per missing party, which flattens any base:
-    uniform on any arrays, rounds or not (oracle_view_counts reads amplitudes)."""
+    uniform on any arrays, rounds or not (oracle_view_counts reads amplitudes).
+    A d that validate_dimension refuses raises ValueError."""
+    validate_dimension(d)
     n = _round_shape(cat, bells, steps, announced)
     known = _coalition(n, known_parties)
     if len(known) == n - 1:
@@ -618,7 +628,7 @@ def round_records(d: int, n: int, seed, engine: str, cat, bells, fields):
 
     Returns recover_rounds' ok (R,) and an iterator of the record lines, each
     json.dumps(record, sort_keys=True) of transcript_to_json_dict's record,
-    filled one at a time as it is read from one % template. The template
+    filled chunk by chunk as it is read from one template. The template
     writes the keys in sorted order, with d, n, seed, engine and the party
     numbers as literal text; one integer row per round fills the rest, and
     ok goes in as true or false.
@@ -627,21 +637,62 @@ def round_records(d: int, n: int, seed, engine: str, cat, bells, fields):
     if cat.shape[1:] != (n,):
         raise ValueError(f"{n} parties but cat labels of shape {cat.shape}")
     second, first, ok = recover_rounds(d, cat, bells, steps, announced, key, finals)
-    ints, pairs = ", ".join(["%d"] * n), ", ".join(["[%d, %d]"] * n)
-    outcomes = ", ".join(f'{{"k": %d, "l": %d, "party": {i}}}' for i in range(1, n + 1))
+    # NUL marks each slot: the rest is json.dumps output, which escapes every
+    # control character (and, ASCII only, every non-ASCII one), and ASCII
+    # literals, so no NUL is text and NUL can pad the slots
+    ints, pairs = ", ".join(["\0"] * n), ", ".join(["[\0, \0]"] * n)
+    outcomes = ", ".join(f'{{"k": \0, "l": \0, "party": {i}}}' for i in range(1, n + 1))
     template = (f'{{"announced": [{ints}], "bell_labels": [{pairs}], '
-                f'"cat_labels": [{ints}], "d": {d}, '
-                f'"engine": {json.dumps(engine).replace("%", "%%")}, "key": [%d, %d], '
-                f'"n": {n}, "ok": %s, "outcomes": [{outcomes}], "recovered": '
-                f'{{"first_pooled": %d, "second_per_party": [{ints[4:]}]}}, '  # n - 1 ints
-                f'"seed": {json.dumps(seed)}}}')
+                f'"cat_labels": [{ints}], "d": {d}, "engine": {json.dumps(engine)}, '
+                f'"key": [\0, \0], "n": {n}, "ok": \0, "outcomes": [{outcomes}], '
+                f'"recovered": {{"first_pooled": \0, "second_per_party": [{ints[3:]}]}}, '
+                f'"seed": {json.dumps(seed)}}}\n')  # ints[3:] holds n - 1 slots
     table = np.column_stack([announced, bells.reshape(-1, 2 * n), cat, *np.divmod(key, d),
                              np.stack(np.divmod(steps, d), axis=-1).reshape(-1, 2 * n),
                              first, second])
-    cut, words = 4 * n + 2, ("false", "true")  # ok follows the key pair
-    lines = (template % (*row[:cut], words[good], *row[cut:])
-             for row, good in zip(table.tolist(), ok.tolist()))
-    return ok, lines
+    return ok, _fill_lines(template.encode(), 4 * n + 2, table, ok)  # ok follows the key
+
+
+def _fill_lines(template: bytes, cut: int, table, ok):
+    """An iterator of the lines of template, an ASCII text with one NUL per
+    slot and a newline at its end, filled for each row of table (R, slots -
+    1) and ok (R,): table's columns in order, with ok's true or false after
+    the first cut. Each integer slot is as wide as the widest decimal of the
+    table's range, and ok's is 5 bytes. A chunk of rows is one uint8 array of
+    padded lines, the literal broadcast with one digits-table gather
+    scattered into its slot columns; the NUL pads are dropped from its bytes
+    before they are decoded and split. A chunk holds at most 16 bytes per
+    BLOCK_AMPLITUDES, the bytes of a block of complex amplitudes."""
+    if not table.size:
+        return iter(())
+    lo, hi = int(table.min()), int(table.max())
+    width = max(len(str(lo)), len(str(hi)))
+    if hi - lo < table.size:  # one digits row per value from lo to hi
+        values = range(lo, hi + 1)
+    else:  # a sparse range: one per distinct value, and table indexes them
+        values, table = np.unique(table, return_inverse=True)
+        values, table, lo = values.tolist(), table.reshape(len(ok), -1), 0
+    digits = np.array([str(v).encode() for v in values], dtype=f"S{width}")
+    digits = digits.view(np.uint8).reshape(-1, width)
+    pieces = template.split(b"\0")
+    sizes = [width] * cut + [5] + [width] * (len(pieces) - cut - 2)
+    literal = np.frombuffer(b"".join(piece + b"\0" * size for piece, size
+                                     in zip(pieces, sizes)) + pieces[-1], dtype=np.uint8)
+    slots = np.flatnonzero(literal == 0)
+    start = cut * width
+    columns, words = np.delete(slots, range(start, start + 5)), slots[start:start + 5]
+    truth = np.frombuffer(b"falsetrue\0", dtype=np.uint8).reshape(2, 5)
+    rows = max(1, 16 * statevec.BLOCK_AMPLITUDES // len(literal))
+
+    def fill(part):  # one chunk's padded lines; its array is freed on return
+        cells = digits[table[part:part + rows] - lo]
+        chunk = np.tile(literal, (len(cells), 1))
+        chunk[:, columns] = cells.reshape(len(cells), -1)
+        chunk[:, words] = truth[ok[part:part + rows].view(np.uint8)]
+        return chunk.tobytes()
+
+    return (line for part in range(0, len(table), rows)
+            for line in fill(part).replace(b"\0", b"").decode().split("\n")[:-1])
 
 
 def _row(transcript: Transcript):

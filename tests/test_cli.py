@@ -729,6 +729,23 @@ def test_chi_square_critical_close_to_exact():
     assert chi_square_critical(48, 0.001) == pytest.approx(84.037134, abs=1e-4)
 
 
+def test_chi_square_critical_stops_where_100_steps_settle():
+    # the bisection stops once its midpoint is an end, where 100 fixed
+    # steps, the reference here, have settled: both give the same float
+    def hundred_steps(dof, alpha):
+        lo, hi = 0.0, float(dof)
+        while cli.chi_square_survival(hi, dof) > alpha:
+            lo, hi = hi, 2 * hi
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if cli.chi_square_survival(mid, dof) > alpha else (lo, mid)
+        return (lo + hi) / 2
+
+    for alpha in (0.001, 0.05):
+        for dof in range(1, 256):
+            assert chi_square_critical(dof, alpha) == hundred_steps(dof, alpha), (dof, alpha)
+
+
 def test_verify_rejects_nonpositive_samples(capsys):
     assert run_cli(["verify", "--d", "2", "--samples", "0"]) == 2
     assert run_cli(["verify", "--d", "2", "--samples", "-5"]) == 2

@@ -271,6 +271,26 @@ def test_round_arrays_of_mismatched_shapes_are_refused():
     assert protocol.collusion_counts(d, *arrays[:4], [2]).shape == (count, d)
 
 
+def test_round_readers_and_views_refuse_a_bad_dimension():
+    # every round reader and a view refuse a d that validate_dimension
+    # refuses, rather than return fractional dits or raise a raw TypeError
+    transcript = run_round(zero_config(3, 3), forced_outcomes=[(1, 2)] * 3)
+    cat, bells, fields = protocol._row(transcript)
+    for d in (2.5, 3.0, 17, True):
+        with pytest.raises(ValueError, match="^dimension must be"):
+            protocol.recover_rounds(d, cat, bells, *fields[:4])
+        with pytest.raises(ValueError, match="^dimension must be"):
+            protocol.collusion_counts(d, cat, bells, *fields[:2], [2])
+        with pytest.raises(ValueError, match="^dimension must be"):
+            protocol.round_records(d, 3, None, "symbolic", cat, bells, fields)
+    view = make_party_views(transcript)[0]
+    with pytest.raises(ValueError, match="^dimension must be"):
+        dataclasses.replace(view, d=2.5)
+    for n in (3.0, np.float64(3.0), 1):
+        with pytest.raises(ValueError, match="^the protocol needs at least 2 parties$"):
+            dataclasses.replace(view, n=n)
+
+
 def test_collusion_posterior_uniform_for_strict_subsets():
     # On one Transcript, and on a block of round_blocks' arrays, where each
     # row's collusion_counts is collusion_posterior on the row's replay
@@ -783,6 +803,43 @@ def test_round_records_are_the_dict_encoder(monkeypatch, d, n):
     assert len(record["recovered"]["second_per_party"]) == n - 1
     with pytest.raises(ValueError, match="parties but cat labels"):
         protocol.round_records(d, n + 1, 0, "symbolic", *block)
+
+
+def test_round_records_fill_edges(monkeypatch):
+    # round_records' byte fill against the dict encoder where its slot
+    # widths, its digits table and its chunks change: no rows; cat and Bell
+    # labels left unreduced, shifted by +d, -d (slots of two widths, padded)
+    # and far enough that the table takes only the values present; engine
+    # names holding %, NUL and non-ASCII text; and chunks of one row and of
+    # a few, with ok false on both sides of chunk edges.
+    d, n, count = 3, 3, 40
+    rng = np.random.default_rng(25)
+    (cat, bells, fields), = protocol.round_blocks(
+        d, n, rng.integers(0, d, (count, n)), rng.integers(0, d, (count, n, 2)),
+        rng.integers(0, d, (count, n, 2)))
+    steps, announced, key, finals, phase = fields
+    wrong = [2, 3, 5, 6, 39]
+    key = key.copy()
+    key[wrong] = (key[wrong] + 1) % d**2
+    fields = steps, announced, key, finals, phase
+
+    def lines_agree(engine, cat, bells, fields, seed=0):
+        ok, lines = protocol.round_records(d, n, seed, engine, cat, bells, fields)
+        assert list(lines) == dict_record_lines(d, n, seed, engine, cat, bells, fields)
+        return ok.tolist()
+
+    ok, lines = protocol.round_records(d, n, 0, "symbolic", cat[:0], bells[:0],
+                                       tuple(field[:0] for field in fields))
+    assert ok.shape == (0,) and list(lines) == []
+    verdicts = [i not in wrong for i in range(count)]
+    for shift in (d, -d, d * 10**12, -d * 10**15):
+        assert lines_agree("symbolic", cat + shift, bells - shift, fields) == verdicts
+    for engine in ("%d%%s %", "a\x00b\n", "ünï ☃", ""):
+        assert lines_agree(engine, cat, bells, fields, None) == verdicts
+    for budget in (1, 50):  # 16 bytes a unit: chunks of one row, and of a few
+        monkeypatch.setattr(statevec, "BLOCK_AMPLITUDES", budget)
+        assert lines_agree("statevector", cat, bells, fields) == verdicts
+        assert lines_agree("symbolic", cat - d, bells, fields, 2**64 - 1) == verdicts
 
 
 @pytest.mark.parametrize("rows", [1, 7])
