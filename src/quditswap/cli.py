@@ -84,7 +84,7 @@ def _emit(report: dict, json_target: str | None, human_lines: list[str],
     """Print the human table, closed by the verdict and the elapsed time,
     unless JSON goes to stdout; write JSON if asked.
 
-    spool, a text file of record lines joined by ",\n", becomes the list
+    spool, a text file of records each led by ",\n    ", becomes the list
     under report's last key, "transcripts" (report lacks it, and each of its
     keys sorts before it): it is copied after the indented rest.
 
@@ -93,12 +93,12 @@ def _emit(report: dict, json_target: str | None, human_lines: list[str],
     """
     head, tail = json.dumps(report, indent=2, sort_keys=True), "\n"
     if spool is not None:  # drop the closing "\n}", splice the list in
-        head, tail = head[:-2] + ',\n  "transcripts": [\n', "\n  ]\n}\n"
+        head, tail = head[:-2] + ',\n  "transcripts": [', "\n  ]\n}\n"
 
     def write(handle):
         handle.write(head)
         if spool is not None:
-            spool.seek(0)
+            spool.seek(1)  # past the first record's comma
             shutil.copyfileobj(spool, handle)
         handle.write(tail)
 
@@ -255,20 +255,19 @@ def cmd_protocol(args) -> int:
     # Rounds run as protocol.round_blocks' field arrays (the dense engine
     # splits a block into sub-blocks of statevec.block_rows rounds), which
     # give the verdicts, the key tally and the records; records go to the
-    # spool one line each, block by block.
+    # spool as round_records' texts, chunk by chunk.
     spooled = args.json and args.rounds
     with tempfile.TemporaryFile("w+", encoding="utf-8") if spooled else nullcontext() as spool:
         start = time.perf_counter()
         key_counts = np.zeros((d, d), dtype=int)
-        recoveries, separator = 0, ""
+        recoveries = 0
         for block in _protocol_draws(d, n, args.rounds, rng, next_labels):
             for cat, bells, fields in round_blocks(d, n, *block, args.engine):
-                ok, lines = round_records(d, n, seed, args.engine, cat, bells, fields)
+                ok, texts = round_records(d, n, seed, args.engine, cat, bells, fields)
                 recoveries += int(np.count_nonzero(ok))
                 np.add.at(key_counts, np.divmod(fields[2], d), 1)
                 if spool is not None:
-                    spool.write(separator + ",\n".join("    " + line for line in lines))
-                    separator = ",\n"
+                    spool.writelines(texts)
         elapsed = time.perf_counter() - start
 
         success_rate = recoveries / args.rounds if args.rounds else None

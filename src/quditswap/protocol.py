@@ -28,12 +28,12 @@ run_round is a block of one, turned into a Transcript. One array
 recovery, recover_rounds, checks every recovery identity and the
 announcement of a block of rounds; the one-view recoveries and
 transcript_to_json_dict are its one-row calls, and round_records fills
-one template from its rows, giving the JSON record lines the protocol
-command streams (transcript_to_json_dict parses its one line): a chunk of
-rows is one byte array, the template's text with its slots padded by NUL,
-which no JSON text holds, filled by one gather of digits, whose bytes less
-their NULs are decoded; a chunk holds no more bytes than a block of
-BLOCK_AMPLITUDES complex amplitudes.
+one template from its rows into the protocol report's records, each
+",\n", four spaces and its JSON, as the command writes them (and
+transcript_to_json_dict parses one): a chunk of rows is one byte array,
+the template's text with its slots padded by NUL, which no JSON text
+holds, filled by one gather of digits, decoded less the NULs as one text
+of no more bytes than a block of BLOCK_AMPLITUDES complex amplitudes.
 collusion_counts reads the same arrays for a coalition's view of the
 first key dit; collusion_posterior is its one-row call. The symbolic
 engine rewrites a block as label arrays, one row per round under its own
@@ -624,14 +624,14 @@ def oracle_view_counts(config: ProtocolConfig, known_parties) -> dict[tuple, lis
 
 
 def round_records(d: int, n: int, seed, engine: str, cat, bells, fields):
-    """A block of rounds' verdicts and JSON record lines, from round_blocks' arrays.
+    """A block of rounds' verdicts and JSON records, from round_blocks' arrays.
 
-    Returns recover_rounds' ok (R,) and an iterator of the record lines, each
-    json.dumps(record, sort_keys=True) of transcript_to_json_dict's record,
-    filled chunk by chunk as it is read from one template. The template
-    writes the keys in sorted order, with d, n, seed, engine and the party
-    numbers as literal text; one integer row per round fills the rest, and
-    ok goes in as true or false.
+    Returns recover_rounds' ok (R,) and an iterator of texts, one per chunk,
+    filled as read from one template: each round is ",\n", four spaces and
+    json.dumps(record, sort_keys=True) of transcript_to_json_dict's record.
+    The template writes the keys in sorted order, with d, n, seed, engine
+    and the party numbers as literal text; one integer row per round fills
+    the rest, and ok goes in as true or false.
     """
     steps, announced, key, finals, _ = fields
     if cat.shape[1:] != (n,):
@@ -642,27 +642,27 @@ def round_records(d: int, n: int, seed, engine: str, cat, bells, fields):
     # literals, so no NUL is text and NUL can pad the slots
     ints, pairs = ", ".join(["\0"] * n), ", ".join(["[\0, \0]"] * n)
     outcomes = ", ".join(f'{{"k": \0, "l": \0, "party": {i}}}' for i in range(1, n + 1))
-    template = (f'{{"announced": [{ints}], "bell_labels": [{pairs}], '
+    template = (f',\n    {{"announced": [{ints}], "bell_labels": [{pairs}], '
                 f'"cat_labels": [{ints}], "d": {d}, "engine": {json.dumps(engine)}, '
                 f'"key": [\0, \0], "n": {n}, "ok": \0, "outcomes": [{outcomes}], '
                 f'"recovered": {{"first_pooled": \0, "second_per_party": [{ints[3:]}]}}, '
-                f'"seed": {json.dumps(seed)}}}\n')  # ints[3:] holds n - 1 slots
+                f'"seed": {json.dumps(seed)}}}')  # ints[3:] holds n - 1 slots
     table = np.column_stack([announced, bells.reshape(-1, 2 * n), cat, *np.divmod(key, d),
                              np.stack(np.divmod(steps, d), axis=-1).reshape(-1, 2 * n),
                              first, second])
-    return ok, _fill_lines(template.encode(), 4 * n + 2, table, ok)  # ok follows the key
+    return ok, _fill_chunks(template.encode(), 4 * n + 2, table, ok)  # ok follows the key
 
 
-def _fill_lines(template: bytes, cut: int, table, ok):
-    """An iterator of the lines of template, an ASCII text with one NUL per
-    slot and a newline at its end, filled for each row of table (R, slots -
-    1) and ok (R,): table's columns in order, with ok's true or false after
-    the first cut. Each integer slot is as wide as the widest decimal of the
-    table's range, and ok's is 5 bytes. A chunk of rows is one uint8 array of
-    padded lines, the literal broadcast with one digits-table gather
-    scattered into its slot columns; the NUL pads are dropped from its bytes
-    before they are decoded and split. A chunk holds at most 16 bytes per
-    BLOCK_AMPLITUDES, the bytes of a block of complex amplitudes."""
+def _fill_chunks(template: bytes, cut: int, table, ok):
+    """An iterator of texts, one per chunk of rows, each the concatenation
+    of template, an ASCII text with one NUL per slot, filled for each row of
+    table (R, slots - 1) and ok (R,): table's columns in order, with ok's
+    true or false after the first cut. Each integer slot is as wide as the
+    widest decimal of the table's range, and ok's is 5 bytes. A chunk of rows
+    is one uint8 array of padded rows, the literal broadcast with one
+    digits-table gather scattered into its slot columns; the NUL pads are
+    dropped from its bytes before they are decoded. A chunk holds at most 16
+    bytes per BLOCK_AMPLITUDES, the bytes of a block of complex amplitudes."""
     if not table.size:
         return iter(())
     lo, hi = int(table.min()), int(table.max())
@@ -684,15 +684,14 @@ def _fill_lines(template: bytes, cut: int, table, ok):
     truth = np.frombuffer(b"falsetrue\0", dtype=np.uint8).reshape(2, 5)
     rows = max(1, 16 * statevec.BLOCK_AMPLITUDES // len(literal))
 
-    def fill(part):  # one chunk's padded lines; its array is freed on return
+    def fill(part):  # one chunk's padded rows; its array is freed on return
         cells = digits[table[part:part + rows] - lo]
         chunk = np.tile(literal, (len(cells), 1))
         chunk[:, columns] = cells.reshape(len(cells), -1)
         chunk[:, words] = truth[ok[part:part + rows].view(np.uint8)]
         return chunk.tobytes()
 
-    return (line for part in range(0, len(table), rows)
-            for line in fill(part).replace(b"\0", b"").decode().split("\n")[:-1])
+    return (fill(part).replace(b"\0", b"").decode() for part in range(0, len(table), rows))
 
 
 def _row(transcript: Transcript):
@@ -706,13 +705,13 @@ def _row(transcript: Transcript):
 
 def transcript_to_json_dict(transcript: Transcript) -> dict:
     """Flat JSON form of one round, recovery results included: round_records'
-    line for the transcript's one row, parsed, so it is the protocol report's
-    record.
+    text for the transcript's one row, parsed past its leading comma, so it
+    is the protocol report's record.
 
     ok holds when every recovery gives the key and the announcement is
     (v1 + k1 + ... + kn, v'2 + l2, ..., v'n + ln).
     """
     config = transcript.config
-    _, lines = round_records(config.d, config.n, config.seed, transcript.engine,
+    _, texts = round_records(config.d, config.n, config.seed, transcript.engine,
                              *_row(transcript))
-    return json.loads(next(lines))
+    return json.loads(next(texts)[1:])

@@ -363,18 +363,24 @@ def test_protocol_verdicts_are_the_one_round_verdicts(monkeypatch, capsys, role,
         assert record == transcript_to_json_dict(run_round(config, forced_outcomes=forced))
 
 
-def test_protocol_report_streams_one_record_per_line(capsys):
+def test_protocol_report_streams_one_record_per_line(monkeypatch, capsys):
     # The report is the indented, key-sorted JSON of everything but the
     # transcripts, which sort last and hold one compact record per line.
-    assert run_cli(["protocol", "--d", "3", "--n", "3", "--rounds", "5",
-                    "--labels", "random", "--seed", "2", "--json", "-"]) == 0
-    text = capsys.readouterr().out
-    report = json.loads(text)
-    records = report.pop("transcripts")
-    head = json.dumps(report, indent=2, sort_keys=True)[:-2]
-    lines = ",\n".join("    " + json.dumps(record, sort_keys=True) for record in records)
-    assert text == head + ',\n  "transcripts": [\n' + lines + "\n  ]\n}\n"
-    assert len(records) == 5
+    # Each record reaches the spool led by ",\n", and the report drops only
+    # the first one's comma: blocks of 3 rounds, and chunks of the default
+    # size and of one record, put block and chunk edges between records.
+    monkeypatch.setattr(cli, "PROTOCOL_BLOCK_ROUNDS", 3)
+    for budget in (statevec.BLOCK_AMPLITUDES, 1):
+        monkeypatch.setattr(statevec, "BLOCK_AMPLITUDES", budget)
+        assert run_cli(["protocol", "--d", "3", "--n", "3", "--rounds", "8",
+                        "--labels", "random", "--seed", "2", "--json", "-"]) == 0
+        text = capsys.readouterr().out
+        report = json.loads(text)
+        records = report.pop("transcripts")
+        head = json.dumps(report, indent=2, sort_keys=True)[:-2]
+        lines = ",\n".join("    " + json.dumps(record, sort_keys=True) for record in records)
+        assert text == head + ',\n  "transcripts": [\n' + lines + "\n  ]\n}\n"
+        assert len(records) == 8
 
 
 def test_protocol_report_memory_is_flat_in_rounds(tmp_path):

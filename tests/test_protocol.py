@@ -750,8 +750,8 @@ def test_transcript_json_dict_schema():
 
 
 def dict_record_lines(d, n, seed, engine, cat, bells, fields):
-    """The protocol record encoder from before the % template, kept as the
-    reference: one dict per round, then json.dumps(record, sort_keys=True)."""
+    """The protocol record encoder from before the record template, kept as
+    the reference: one dict per round, then json.dumps(record, sort_keys=True)."""
     steps, announced, key, finals, _ = fields
     second, first, ok = protocol.recover_rounds(d, cat, bells, steps, announced, key, finals)
     rows = zip(*(field.tolist() for field in (cat, bells, steps, announced, key,
@@ -767,13 +767,21 @@ def dict_record_lines(d, n, seed, engine, cat, bells, fields):
     return [json.dumps(record, sort_keys=True) for record in records]
 
 
+def report_layout(*args):
+    """dict_record_lines as the protocol report lays its records out, each
+    led by ",\n" and four spaces: the text round_records' chunks join to."""
+    return "".join(",\n    " + line for line in dict_record_lines(*args))
+
+
 @pytest.mark.parametrize("d, n", [(2, 2), (3, 4), (7, 5), (16, 3)])
 def test_round_records_are_the_dict_encoder(monkeypatch, d, n):
-    # round_records fills one % template per block; its lines must be the
-    # dict encoder's byte for byte, on both engines, for seeds None, 0 and
-    # 2^64 - 1, and on rounds whose ok is false: a zero sign in one role
-    # (as in test_protocol_verdicts_are_the_one_round_verdicts) makes the
-    # symbolic rewrite drop k or l, which the dense engine refuses.
+    # round_records fills one NUL-slot byte template per block; its joined
+    # chunk texts must be the dict encoder's records in report layout (each
+    # led by ",\n" and four spaces) byte for byte, on both engines, for
+    # seeds None, 0 and 2^64 - 1, and on rounds whose ok is false: a zero
+    # sign in one role (as in the CLI test
+    # test_protocol_verdicts_are_the_one_round_verdicts) makes the symbolic
+    # rewrite drop k or l, which the dense engine refuses.
     rng = np.random.default_rng(d * n)
 
     def lines_agree(engine, count, names):
@@ -782,10 +790,11 @@ def test_round_records_are_the_dict_encoder(monkeypatch, d, n):
         verdicts = []
         for cat, bells, fields in protocol.round_blocks(d, n, *draw, engine):
             for name, seed in itertools.product(names, (None, 0, 2**64 - 1)):
-                ok, lines = protocol.round_records(d, n, seed, name, cat, bells, fields)
-                lines = list(lines)
-                assert lines == dict_record_lines(d, n, seed, name, cat, bells, fields)
-                assert [json.loads(line)["ok"] for line in lines] == ok.tolist()
+                ok, chunks = protocol.round_records(d, n, seed, name, cat, bells, fields)
+                text = "".join(chunks)
+                assert text == report_layout(d, n, seed, name, cat, bells, fields)
+                records = json.loads("[" + text[1:] + "]")
+                assert [record["ok"] for record in records] == ok.tolist()
             verdicts += ok.tolist()
         assert len(verdicts) == count
         return verdicts
@@ -799,7 +808,7 @@ def test_round_records_are_the_dict_encoder(monkeypatch, d, n):
         verdicts = lines_agree("symbolic", 40, protocol.ENGINES)
         assert not all(verdicts)
     block = next(protocol.round_blocks(d, n, [[0] * n], [[[0, 0]] * n], [[[0, 0]] * n]))
-    record = json.loads(next(protocol.round_records(d, n, 0, "symbolic", *block)[1]))
+    record = json.loads(next(protocol.round_records(d, n, 0, "symbolic", *block)[1])[1:])
     assert len(record["recovered"]["second_per_party"]) == n - 1
     with pytest.raises(ValueError, match="parties but cat labels"):
         protocol.round_records(d, n + 1, 0, "symbolic", *block)
@@ -824,13 +833,13 @@ def test_round_records_fill_edges(monkeypatch):
     fields = steps, announced, key, finals, phase
 
     def lines_agree(engine, cat, bells, fields, seed=0):
-        ok, lines = protocol.round_records(d, n, seed, engine, cat, bells, fields)
-        assert list(lines) == dict_record_lines(d, n, seed, engine, cat, bells, fields)
+        ok, chunks = protocol.round_records(d, n, seed, engine, cat, bells, fields)
+        assert "".join(chunks) == report_layout(d, n, seed, engine, cat, bells, fields)
         return ok.tolist()
 
-    ok, lines = protocol.round_records(d, n, 0, "symbolic", cat[:0], bells[:0],
-                                       tuple(field[:0] for field in fields))
-    assert ok.shape == (0,) and list(lines) == []
+    ok, chunks = protocol.round_records(d, n, 0, "symbolic", cat[:0], bells[:0],
+                                        tuple(field[:0] for field in fields))
+    assert ok.shape == (0,) and list(chunks) == []
     verdicts = [i not in wrong for i in range(count)]
     for shift in (d, -d, d * 10**12, -d * 10**15):
         assert lines_agree("symbolic", cat + shift, bells - shift, fields) == verdicts
