@@ -30,10 +30,10 @@ announcement of a block of rounds; the one-view recoveries and
 transcript_to_json_dict are its one-row calls, and round_records fills
 one template from its rows into the protocol report's records, each
 ",\n", four spaces and its JSON, as the command writes them (and
-transcript_to_json_dict parses one): a chunk of rows is one byte array,
-the template's text with its slots padded by NUL, which no JSON text
-holds, filled by one gather of digits, decoded less the NULs as one text
-of no more bytes than a block of BLOCK_AMPLITUDES complex amplitudes.
+transcript_to_json_dict parses one): a chunk of rows is one byte array, the
+template's text with NUL-padded slots, filled by one gather from the digits
+of range(d) (other values raise ValueError), decoded less the NULs as one
+text of no more bytes than a block of BLOCK_AMPLITUDES complex amplitudes.
 collusion_counts reads the same arrays for a coalition's view of the
 first key dit; collusion_posterior is its one-row call. The symbolic
 engine rewrites a block as label arrays, one row per round under its own
@@ -105,6 +105,8 @@ class ProtocolConfig:
 
     def __post_init__(self):
         _check_parties(self.d, self.n)
+        if not (self.seed is None or is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be None or a non-negative integer, got {self.seed!r}")
         cat, bells = (reduce_labels(self.d, x) for x in (self.cat_labels, self.bell_labels))
         if cat.shape != (self.n,):
             raise ValueError(f"{self.n} parties but {cat.size} cat labels")
@@ -112,6 +114,7 @@ class ProtocolConfig:
             raise ValueError(f"{self.n} parties but Bell labels of shape {bells.shape}")
         object.__setattr__(self, "cat_labels", tuple(cat.tolist()))
         object.__setattr__(self, "bell_labels", tuple(map(tuple, bells.tolist())))
+        object.__setattr__(self, "seed", None if self.seed is None else int(self.seed))
 
 
 @dataclass(frozen=True, slots=True)
@@ -443,7 +446,7 @@ def collusion_counts(d: int, cat, bells, steps, announced, known_parties) -> np.
     u1 - k1 = base + (their sum), where the coalition, a strict subset of
     2..n, knows base = u1 - a1 + v1 + (its own k_i). Counts (R, d), one
     convolution with the uniform k_j per missing party, which flattens any base:
-    uniform on any arrays, rounds or not (oracle_view_counts reads amplitudes).
+    uniform on any arrays, rounds or not (oracle_view_tally reads amplitudes).
     A d that validate_dimension refuses raises ValueError."""
     validate_dimension(d)
     n = _round_shape(cat, bells, steps, announced)
@@ -630,62 +633,53 @@ def round_records(d: int, n: int, seed, engine: str, cat, bells, fields):
     filled as read from one template: each round is ",\n", four spaces and
     json.dumps(record, sort_keys=True) of transcript_to_json_dict's record.
     The template writes the keys in sorted order, with d, n, seed, engine
-    and the party numbers as literal text; one integer row per round fills
-    the rest, and ok goes in as true or false.
+    and the party numbers as literal text; one row of dits in 0..d-1 per
+    round fills the rest (any other value raises ValueError), and ok goes in
+    as true or false.
     """
     steps, announced, key, finals, _ = fields
     if cat.shape[1:] != (n,):
         raise ValueError(f"{n} parties but cat labels of shape {cat.shape}")
     second, first, ok = recover_rounds(d, cat, bells, steps, announced, key, finals)
-    # NUL marks each slot: the rest is json.dumps output, which escapes every
-    # control character (and, ASCII only, every non-ASCII one), and ASCII
-    # literals, so no NUL is text and NUL can pad the slots
-    ints, pairs = ", ".join(["\0"] * n), ", ".join(["[\0, \0]"] * n)
-    outcomes = ", ".join(f'{{"k": \0, "l": \0, "party": {i}}}' for i in range(1, n + 1))
-    template = (f',\n    {{"announced": [{ints}], "bell_labels": [{pairs}], '
-                f'"cat_labels": [{ints}], "d": {d}, "engine": {json.dumps(engine)}, '
-                f'"key": [\0, \0], "n": {n}, "ok": \0, "outcomes": [{outcomes}], '
-                f'"recovered": {{"first_pooled": \0, "second_per_party": [{ints[3:]}]}}, '
-                f'"seed": {json.dumps(seed)}}}')  # ints[3:] holds n - 1 slots
     table = np.column_stack([announced, bells.reshape(-1, 2 * n), cat, *np.divmod(key, d),
                              np.stack(np.divmod(steps, d), axis=-1).reshape(-1, 2 * n),
                              first, second])
-    return ok, _fill_chunks(template.encode(), 4 * n + 2, table, ok)  # ok follows the key
+    if np.any((table < 0) | (table >= d)):
+        raise ValueError(f"record values must be dits in 0..{d - 1}")
+    # NUL pads each dit's slot, len(str(d - 1)) bytes, and SOH ok's 5: the
+    # rest is json.dumps output, which escapes every control character (and,
+    # ASCII only, every non-ASCII one), and ASCII literals, so neither is text
+    dit = "\0" * len(str(d - 1))
+    ints, pairs = ", ".join([dit] * n), ", ".join([f"[{dit}, {dit}]"] * n)
+    outcomes = ", ".join(f'{{"k": {dit}, "l": {dit}, "party": {i}}}' for i in range(1, n + 1))
+    template = (f',\n    {{"announced": [{ints}], "bell_labels": [{pairs}], '
+                f'"cat_labels": [{ints}], "d": {d}, "engine": {json.dumps(engine)}, '
+                f'"key": [{dit}, {dit}], "n": {n}, "ok": \1\1\1\1\1, "outcomes": [{outcomes}], '
+                f'"recovered": {{"first_pooled": {dit}, '
+                f'"second_per_party": [{ints[len(dit) + 2:]}]}}, '  # n - 1 slots
+                f'"seed": {json.dumps(seed)}}}')
+    return ok, _fill_chunks(template.encode(), d, table, ok)
 
 
-def _fill_chunks(template: bytes, cut: int, table, ok):
+def _fill_chunks(template: bytes, d: int, table, ok):
     """An iterator of texts, one per chunk of rows, each the concatenation
-    of template, an ASCII text with one NUL per slot, filled for each row of
-    table (R, slots - 1) and ok (R,): table's columns in order, with ok's
-    true or false after the first cut. Each integer slot is as wide as the
-    widest decimal of the table's range, and ok's is 5 bytes. A chunk of rows
-    is one uint8 array of padded rows, the literal broadcast with one
-    digits-table gather scattered into its slot columns; the NUL pads are
-    dropped from its bytes before they are decoded. A chunk holds at most 16
-    bytes per BLOCK_AMPLITUDES, the bytes of a block of complex amplitudes."""
-    if not table.size:
-        return iter(())
-    lo, hi = int(table.min()), int(table.max())
-    width = max(len(str(lo)), len(str(hi)))
-    if hi - lo < table.size:  # one digits row per value from lo to hi
-        values = range(lo, hi + 1)
-    else:  # a sparse range: one per distinct value, and table indexes them
-        values, table = np.unique(table, return_inverse=True)
-        values, table, lo = values.tolist(), table.reshape(len(ok), -1), 0
-    digits = np.array([str(v).encode() for v in values], dtype=f"S{width}")
-    digits = digits.view(np.uint8).reshape(-1, width)
-    pieces = template.split(b"\0")
-    sizes = [width] * cut + [5] + [width] * (len(pieces) - cut - 2)
-    literal = np.frombuffer(b"".join(piece + b"\0" * size for piece, size
-                                     in zip(pieces, sizes)) + pieces[-1], dtype=np.uint8)
-    slots = np.flatnonzero(literal == 0)
-    start = cut * width
-    columns, words = np.delete(slots, range(start, start + 5)), slots[start:start + 5]
+    of template, an ASCII text with one run of NUL per column of table (R,
+    columns) and one run of five SOH, filled for each row: each NUL run with
+    its column's dit, len(str(d - 1)) bytes from one digits table of
+    range(d), NUL padded, and the SOH run with ok (R,) as true or false. A
+    chunk of rows is one uint8 array, the template tiled with one gather of
+    digits scattered into its slot columns; the NUL pads are dropped from
+    its bytes before they are decoded. A chunk holds at most 16 bytes per
+    BLOCK_AMPLITUDES, the bytes of a block of complex amplitudes."""
+    width = len(str(d - 1))
+    digits = np.array([list(str(v).ljust(width, "\0").encode()) for v in range(d)], np.uint8)
+    literal = np.frombuffer(template, dtype=np.uint8)
+    columns, words = np.flatnonzero(literal == 0), np.flatnonzero(literal == 1)
     truth = np.frombuffer(b"falsetrue\0", dtype=np.uint8).reshape(2, 5)
     rows = max(1, 16 * statevec.BLOCK_AMPLITUDES // len(literal))
 
     def fill(part):  # one chunk's padded rows; its array is freed on return
-        cells = digits[table[part:part + rows] - lo]
+        cells = digits[table[part:part + rows]]
         chunk = np.tile(literal, (len(cells), 1))
         chunk[:, columns] = cells.reshape(len(cells), -1)
         chunk[:, words] = truth[ok[part:part + rows].view(np.uint8)]

@@ -626,7 +626,7 @@ def test_collude_oracle_two_missing_at_d3(capsys):
 
 def test_collude_oracle_builds_no_transcripts(monkeypatch, capsys):
     # collude --oracle tallies the walk's integer blocks through
-    # protocol.oracle_view_counts; no branch becomes a Transcript
+    # protocol.oracle_view_tally; no branch becomes a Transcript
     def no_transcripts(*args):
         raise AssertionError("collude --oracle built Transcripts")
 

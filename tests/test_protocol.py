@@ -162,6 +162,20 @@ def test_run_round_validation():
             list(protocol.round_blocks(2, n, [[0] * 3], [[(0, 0)] * 3], [[(0, 0)] * 3]))
 
 
+
+def test_config_seed_is_none_or_a_non_negative_int():
+    # a numpy integer seed is stored as an int, so its record is JSON; a
+    # bool, a negative or a non-integer seed is refused when the config is
+    # built, not inside a round
+    for seed, stored in ((np.int64(3), 3), (np.uint64(2**64 - 1), 2**64 - 1),
+                         (0, 0), (None, None)):
+        config = zero_config(2, 3, seed=seed)
+        assert config.seed == stored and type(config.seed) is type(stored)
+        assert transcript_to_json_dict(run_round(config))["seed"] == stored
+    for seed in (True, False, -1, np.int64(-1), 3.0, "3"):
+        with pytest.raises(ValueError, match="^seed must be None or a non-negative integer"):
+            zero_config(2, 3, seed=seed)
+
 def test_party_view_shape():
     transcript = run_round(zero_config(2, 3), forced_outcomes=[(1, 1), (0, 1), (1, 0)])
     views = make_party_views(transcript)
@@ -747,6 +761,10 @@ def test_transcript_json_dict_schema():
         "recovered": {"second_per_party": [1, 1], "first_pooled": 1},
         "ok": True,
     }
+    # a hand-built transcript with a value outside 0..d-1 has no record
+    for bad in ({"key": (2, 0)}, {"announced": (0, -1, 0)}):
+        with pytest.raises(ValueError, match="^record values must be dits in 0..1$"):
+            transcript_to_json_dict(dataclasses.replace(transcript, **bad))
 
 
 def dict_record_lines(d, n, seed, engine, cat, bells, fields):
@@ -815,12 +833,12 @@ def test_round_records_are_the_dict_encoder(monkeypatch, d, n):
 
 
 def test_round_records_fill_edges(monkeypatch):
-    # round_records' byte fill against the dict encoder where its slot
-    # widths, its digits table and its chunks change: no rows; cat and Bell
-    # labels left unreduced, shifted by +d, -d (slots of two widths, padded)
-    # and far enough that the table takes only the values present; engine
-    # names holding %, NUL and non-ASCII text; and chunks of one row and of
-    # a few, with ok false on both sides of chunk edges.
+    # round_records' byte fill against the dict encoder where its slots and
+    # chunks change: no rows; d = 16 with every value at most 9, so each
+    # two-byte slot carries a pad; engine names holding %, NUL and non-ASCII
+    # text; and chunks of one row and of a few, with ok false on both sides
+    # of chunk edges. A value outside 0..d-1, negative or at least d, in the
+    # cat labels, the Bell labels or a field (a key code) is refused.
     d, n, count = 3, 3, 40
     rng = np.random.default_rng(25)
     (cat, bells, fields), = protocol.round_blocks(
@@ -832,7 +850,7 @@ def test_round_records_fill_edges(monkeypatch):
     key[wrong] = (key[wrong] + 1) % d**2
     fields = steps, announced, key, finals, phase
 
-    def lines_agree(engine, cat, bells, fields, seed=0):
+    def lines_agree(engine, cat, bells, fields, seed=0, d=d):
         ok, chunks = protocol.round_records(d, n, seed, engine, cat, bells, fields)
         assert "".join(chunks) == report_layout(d, n, seed, engine, cat, bells, fields)
         return ok.tolist()
@@ -841,14 +859,26 @@ def test_round_records_fill_edges(monkeypatch):
                                         tuple(field[:0] for field in fields))
     assert ok.shape == (0,) and list(chunks) == []
     verdicts = [i not in wrong for i in range(count)]
-    for shift in (d, -d, d * 10**12, -d * 10**15):
-        assert lines_agree("symbolic", cat + shift, bells - shift, fields) == verdicts
+    small = protocol.round_blocks(16, n, rng.integers(0, 3, (count, n)) + [2, 0, 0],
+                                  rng.integers(0, 3, (count, n, 2)),
+                                  rng.integers(0, 2, (count, n, 2)))
+    (small_cat, small_bells, small_fields), = small
+    dits = [small_fields[1], *np.divmod(small_fields[2], 16), *np.divmod(small_fields[0], 16)]
+    assert max(int(field.max()) for field in dits) <= 9
+    assert all(lines_agree("symbolic", small_cat, small_bells, small_fields, d=16))
     for engine in ("%d%%s %", "a\x00b\n", "ünï ☃", ""):
         assert lines_agree(engine, cat, bells, fields, None) == verdicts
+    for bad in (-1, d):
+        bad_cat, bad_bells, bad_key = cat.copy(), bells.copy(), key.copy()
+        bad_cat[7, 1], bad_bells[9, 2, 0], bad_key[11] = bad, bad, d * d if bad > 0 else -1
+        for arrays in ((bad_cat, bells, fields), (cat, bad_bells, fields),
+                       (cat, bells, (steps, announced, bad_key, finals, phase))):
+            with pytest.raises(ValueError, match=r"^record values must be dits in 0\.\.2$"):
+                protocol.round_records(d, n, 0, "symbolic", *arrays)
     for budget in (1, 50):  # 16 bytes a unit: chunks of one row, and of a few
         monkeypatch.setattr(statevec, "BLOCK_AMPLITUDES", budget)
         assert lines_agree("statevector", cat, bells, fields) == verdicts
-        assert lines_agree("symbolic", cat - d, bells, fields, 2**64 - 1) == verdicts
+        assert lines_agree("symbolic", cat, bells, fields, 2**64 - 1) == verdicts
 
 
 @pytest.mark.parametrize("rows", [1, 7])
