@@ -25,6 +25,7 @@ them after the rest of the report, so report memory is flat in --rounds.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import secrets
@@ -40,14 +41,18 @@ import numpy as np
 from .core import validate_dimension
 from .protocol import (ENGINES, ProtocolConfig, collusion_counts, oracle_view_tally,
                        recover_rounds, round_blocks, round_records)
-from .statevec import block_rows, checked_size
+from .statevec import BLOCK_AMPLITUDES, block_rows, checked_size
 from .swapcalc import RULES, verify_swap_block
 
 # bounds the oracle's leaf pass, whose integer work grows with the branch
 # count; its dense work grows with d^n. At 2^18 branches, in-process on a
-# 2-CPU host, collude --oracle takes 0.25 s at d=2 n=9, 0.05 s of it in the
-# leaf pass, and 0.8 s at d=8 n=3, mostly in the class pass
+# 2-CPU host, collude --oracle takes about 0.2 s at d=2 n=9, 0.04-0.05 s of
+# it in the leaf pass, and 0.6-0.8 s at d=8 n=3, mostly in the class pass,
+# in a fresh process as in a warm one
 MAX_ORACLE_BRANCHES = 1 << 18
+
+# glibc's mallopt parameters, from its malloc.h
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 # protocol draws labels and outcomes, and rewrites rounds, in blocks of
 # this many rounds. Its time is flat from 64 rounds up at d=7 n=5; a
@@ -454,7 +459,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_heap() -> None:
+    """Keep the dense steps' block arrays in this process's heap.
+
+    glibc maps each array over its mmap threshold afresh, and trims free
+    heap top over its trim threshold, so every dense step faulted its block
+    arrays of BLOCK_AMPLITUDES complex amplitudes (256 KiB, over the 128 KiB
+    default) back in. Setting both turns glibc's dynamic threshold off:
+    arrays up to 128 blocks (32 MiB, glibc's 64-bit ceiling) come from the
+    heap, and up to 256 blocks of free heap top stay mapped. The trim
+    threshold is set only once the mmap one holds; without glibc's mallopt,
+    nothing is. main calls it, so importing the library leaves the process's
+    allocator as it was.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    block = BLOCK_AMPLITUDES * np.dtype(complex).itemsize
+    if mallopt(_M_MMAP_THRESHOLD, 128 * block):
+        mallopt(_M_TRIM_THRESHOLD, 256 * block)
+
+
 def main(argv=None) -> int:
+    _keep_heap()
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -43,10 +43,10 @@ block is only their state: cat labels, amplitudes in register order and
 phase, one row per branch, rewritten under all d^2 outcomes and measured
 by one cat_overlaps pass, residuals in the rewritten register order, which
 reads every probability, outcome, end cat and phase from the amplitudes.
-A block of statevector rounds starts with one branch per round and keeps
-each round's own outcome. The oracle runs the step once per cat-label
-class at each level, since branches with one cat's labels hold one state
-up to a power of zeta, which it checks from the amplitudes
+A block of statevector rounds starts with one branch per round, and its
+step builds only each round's own outcome. The oracle runs the step once
+per cat-label class at each level, since branches with one cat's labels
+hold one state up to a power of zeta, which it checks from the amplitudes
 (_oracle_classes). One integer walk, _oracle_paths, then streams all
 (d^2)^n branches of one round as each branch's class node at every level,
 read through the class tables. Two consumers gather from the nodes:
@@ -95,6 +95,14 @@ def _check_parties(d: int, n) -> None:
         raise ValueError("the protocol needs at least 2 parties")
 
 
+def _checked_seed(seed) -> int | None:
+    """seed as a Python int, or None; ValueError unless None or a
+    non-negative integer (is_integer, so no bool)."""
+    if not (seed is None or is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be None or a non-negative integer, got {seed!r}")
+    return None if seed is None else int(seed)
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     d: int
@@ -105,8 +113,7 @@ class ProtocolConfig:
 
     def __post_init__(self):
         _check_parties(self.d, self.n)
-        if not (self.seed is None or is_integer(self.seed) and self.seed >= 0):
-            raise ValueError(f"seed must be None or a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", _checked_seed(self.seed))
         cat, bells = (reduce_labels(self.d, x) for x in (self.cat_labels, self.bell_labels))
         if cat.shape != (self.n,):
             raise ValueError(f"{self.n} parties but {cat.size} cat labels")
@@ -114,7 +121,6 @@ class ProtocolConfig:
             raise ValueError(f"{self.n} parties but Bell labels of shape {bells.shape}")
         object.__setattr__(self, "cat_labels", tuple(cat.tolist()))
         object.__setattr__(self, "bell_labels", tuple(map(tuple, bells.tolist())))
-        object.__setattr__(self, "seed", None if self.seed is None else int(self.seed))
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,17 +201,19 @@ def _dense_start(d: int, n: int, cat) -> _Block:
                   np.zeros(len(cat), dtype=int))
 
 
-def _dense_step(d: int, n: int, bell, i: int, block: _Block):
+def _dense_step(d: int, n: int, bell, i: int, block: _Block, keep=None):
     """Every outcome of party i's Bell measurement on every branch of a block.
 
     bell holds party i's Bell labels: one pair, or one per row (B, 2).
     _party_rewrite names each outcome's measured Bell state and rewritten
     cat; one cat_overlaps pass over the cat rows tensored with the Bell
     amplitudes gives every residual in that cat's particle order. Each
-    (branch, outcome) probability is checked to be 1/d^2 from the amplitudes,
-    and each branch's d^2 outcomes to name d^2 distinct Bell states. Returns
-    the B * d^2 children in (branch, k, l) order, outcome (k, l) of branch b
-    at row b * d^2 + k * d + l, and each child's measured code u1 * d + u2.
+    (branch, outcome) probability, a sum of squares read from the (B, u1,
+    u2) grid, is checked to be 1/d^2, and each branch's d^2 outcomes to name
+    d^2 distinct Bell states, so they cover the grid. The B * d^2 children
+    are in (branch, k, l) order, outcome (k, l) of branch b at row
+    b * d^2 + k * d + l; returns those at the rows keep (default all), and
+    each one's measured code u1 * d + u2.
     """
     count, bell = len(block.phase), np.reshape(bell, (-1, 1, 2))
     outcomes = np.stack(np.divmod(np.arange(d * d), d), axis=-1)
@@ -215,9 +223,10 @@ def _dense_step(d: int, n: int, bell, i: int, block: _Block):
                             kron_rows(block.amps, cat_amplitudes(d, bell[:, 0])),
                             measurement_pair(n, i), particles)
 
-    rows, u1, u2 = np.arange(count)[:, None], measured[..., 0], measured[..., 1]
-    post = overlaps[rows, u1, u2]
-    probabilities = np.sum(np.abs(post) ** 2, axis=2)
+    u1, u2 = measured[..., 0], measured[..., 1]
+    parts = overlaps.view(float)
+    grid = np.einsum("buvr,buvr->buv", parts, parts)
+    probabilities = grid[np.arange(count)[:, None], u1, u2]
     wrong = np.argwhere(~(np.abs(probabilities - 1.0 / d**2) <= 1e-9))  # NaN fails
     if len(wrong):
         row, code = wrong[0]
@@ -228,10 +237,11 @@ def _dense_step(d: int, n: int, bell, i: int, block: _Block):
     if cells.min() < d**2:
         raise RuntimeError(f"party {i}'s outcomes name {cells.min()} Bell states, not d^2")
 
-    post /= np.sqrt(probabilities)[..., None]
-    size = count * d * d
-    return _Block(particles, residual.reshape(size, -1), post.reshape(size, -1),
-                  ((block.phase[:, None] + delta) % d).reshape(size)), named.reshape(size)
+    rows, codes = np.divmod(np.arange(count * d * d) if keep is None else keep, d * d)
+    post = overlaps[rows, u1[rows, codes], u2[rows, codes]]
+    post /= np.sqrt(probabilities[rows, codes])[:, None]
+    return _Block(particles, residual[rows, codes], post,
+                  (block.phase[rows] + delta[codes]) % d), named[rows, codes]
 
 
 def _finish_block(d: int, block: _Block) -> None:
@@ -251,14 +261,13 @@ def _finish_block(d: int, block: _Block) -> None:
 
 
 def _dense_rounds(d: int, n: int, cat, bells, outcomes):
-    """A block of rounds on the dense step: one branch per round, keeping
-    each round's own outcome (k, l) at every step; certified by
+    """A block of rounds on the dense step: one branch per round, whose step
+    builds only each round's own outcome (k, l) child; certified by
     _finish_block, as the five field arrays _transcripts reads."""
     steps, block, codes = outcomes @ (d, 1), _dense_start(d, n, cat), []
     for i, chosen in enumerate((steps + np.arange(len(cat))[:, None] * d * d).T, 1):
-        children, measured = _dense_step(d, n, bells[:, i - 1], i, block)
-        block = children.rows(chosen)
-        codes.append(measured[chosen])
+        block, measured = _dense_step(d, n, bells[:, i - 1], i, block, chosen)
+        codes.append(measured)
     _finish_block(d, block)
     return steps, block.labels, codes[0], np.stack(codes[1:], axis=1), block.phase
 
@@ -657,7 +666,7 @@ def round_records(d: int, n: int, seed, engine: str, cat, bells, fields):
                 f'"key": [{dit}, {dit}], "n": {n}, "ok": \1\1\1\1\1, "outcomes": [{outcomes}], '
                 f'"recovered": {{"first_pooled": {dit}, '
                 f'"second_per_party": [{ints[len(dit) + 2:]}]}}, '  # n - 1 slots
-                f'"seed": {json.dumps(seed)}}}')
+                f'"seed": {json.dumps(_checked_seed(seed))}}}')
     return ok, _fill_chunks(template.encode(), d, table, ok)
 
 

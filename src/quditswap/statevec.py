@@ -195,8 +195,9 @@ def cat_overlaps(d: int, particles, amps, pair, rest):
     particles; a single state is the B = 1 call. rest orders the particles
     other than the pair, and must list exactly those (else ValueError).
     overlaps[b, u1, u2], of shape (B, d, d, d**len(rest)), is state b's
-    unnormalized residual <Psi(u1, u2)|state_b> over rest. A transpose, a
-    gather and a length-d DFT over j (a matmul) give every outcome, since
+    unnormalized residual <Psi(u1, u2)|state_b> over rest. One gather of the
+    block through a (u2, j, rest) table of places and a length-d DFT over j
+    (a matmul) give every outcome, since
 
         <Psi(u1, u2)|psi> = (1/sqrt(d)) sum_j zeta^(-j*u1) psi[j, j+u2, ...]
     """
@@ -210,9 +211,8 @@ def cat_overlaps(d: int, particles, amps, pair, rest):
     if amps.ndim != 2 or amps.shape[1] != d ** len(particles):
         raise ValueError(f"expected (B, {d ** len(particles)}) amplitudes, "
                          f"got shape {amps.shape}")
-    count = len(amps)
-    t = np.transpose(amps.reshape((count,) + (d,) * len(particles)),
-                     [0] + [1 + particles.index(p) for p in order]).reshape(count, d, d, -1)
+    places = np.arange(amps.shape[1]).reshape((d,) * len(particles)).transpose(
+        [particles.index(p) for p in order]).reshape(d, d, -1)
     j = np.arange(d)
-    gathered = t[:, j, (j + j[:, None]) % d]  # [b, u2, j, rest]
+    gathered = np.take(amps, places[j, (j + j[:, None]) % d], axis=1)  # [b, u2, j, rest]
     return np.swapaxes(hadamard_matrix(d).conj() @ gathered, 1, 2)

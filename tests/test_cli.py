@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -170,6 +171,17 @@ def test_verify_without_seed_reports_a_seed_that_replays(tmp_path):
     assert second.read_bytes() == first.read_bytes()
 
 
+def fresh_run(script, argv):
+    """Run script with argv in a fresh interpreter that imports this
+    quditswap; return the words of its stdout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120).stdout.split()
+
+
 def fresh_verify(argv):
     """Run verify argv in a fresh interpreter; return whether numpy.random
     was loaded after `import numpy` alone and after the run, and the exit code."""
@@ -177,13 +189,7 @@ def fresh_verify(argv):
               "from quditswap.cli import main\n"
               "code = main(['verify', *sys.argv[1:]])\n"
               "print(before, 'numpy.random' in sys.modules, code)")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", script, *argv], env=env,
-                         capture_output=True, text=True, check=True,
-                         timeout=120).stdout
-    before, after, code = out.split()[-3:]
+    before, after, code = fresh_run(script, argv)[-3:]
     return before == "True", after == "True", int(code)
 
 
@@ -195,6 +201,25 @@ def test_exhaustive_verify_leaves_numpy_random_unloaded():
     assert (after, code) == (False, 0)
     assert fresh_verify(["--d", "2", "--n", "3", "--samples", "3",
                          "--seed", "1"])[1:] == (True, 0)
+
+
+def test_dense_protocol_keeps_its_heap():
+    # main raises glibc's mmap and trim thresholds, so the dense step's
+    # block arrays, each above glibc's default mmap threshold, stay in the
+    # heap: a second call in the process faults few pages in (about 3,000
+    # were each block array mapped afresh or trimmed away)
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the heap policy is glibc's mallopt")
+    script = ("import os, resource, sys\n"
+              "from quditswap.cli import main\n"
+              "for _ in range(2):\n"
+              "    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+              "    code = main([*sys.argv[1:], '--json', os.devnull])\n"
+              "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)")
+    code, faults = map(int, fresh_run(script, ["protocol", "--d", "3", "--n", "4",
+                                               "--engine", "statevector", "--rounds",
+                                               "100", "--seed", "1"])[-2:])
+    assert code == 0 and faults < 100
 
 
 def test_verify_refuses_over_cap_before_any_block(monkeypatch, capsys):

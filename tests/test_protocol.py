@@ -166,15 +166,27 @@ def test_run_round_validation():
 def test_config_seed_is_none_or_a_non_negative_int():
     # a numpy integer seed is stored as an int, so its record is JSON; a
     # bool, a negative or a non-integer seed is refused when the config is
-    # built, not inside a round
+    # built, not inside a round. round_records, which takes a seed without
+    # a config, writes and refuses seeds by the same check.
+    (cat, bells, fields), = protocol.round_blocks(2, 3, [(0,) * 3], [((0, 0),) * 3],
+                                                  [((1, 0),) * 3])
+
+    def record_seed(seed):
+        _, texts = protocol.round_records(2, 3, seed, "symbolic", cat, bells, fields)
+        return json.loads(next(texts)[1:])["seed"]
+
     for seed, stored in ((np.int64(3), 3), (np.uint64(2**64 - 1), 2**64 - 1),
                          (0, 0), (None, None)):
         config = zero_config(2, 3, seed=seed)
         assert config.seed == stored and type(config.seed) is type(stored)
         assert transcript_to_json_dict(run_round(config))["seed"] == stored
-    for seed in (True, False, -1, np.int64(-1), 3.0, "3"):
+        assert record_seed(seed) == stored and type(record_seed(seed)) is type(stored)
+    for seed in (True, False, -1, -5, np.int64(-1), 2.5, 3.0, "3"):
         with pytest.raises(ValueError, match="^seed must be None or a non-negative integer"):
             zero_config(2, 3, seed=seed)
+        with pytest.raises(ValueError, match="^seed must be None or a non-negative integer"):
+            record_seed(seed)
+
 
 def test_party_view_shape():
     transcript = run_round(zero_config(2, 3), forced_outcomes=[(1, 1), (0, 1), (1, 0)])
@@ -626,6 +638,27 @@ def test_oracle_is_the_symbolic_engine_under_forced_outcomes(monkeypatch):
             assert enumerate_oracle_branches(config) == expected
 
 
+@pytest.mark.parametrize("d, n", [(2, 3), (3, 3)])
+def test_dense_step_builds_only_the_kept_children(d, n):
+    # The statevector rounds keep one child per branch and build only those:
+    # on multi-row blocks, at every step, the step's children at keep are
+    # the full step's rows at keep, in keep's order, repeats included.
+    rng = np.random.default_rng(d * n)
+    block = protocol._dense_start(d, n, rng.integers(0, d, (4, n)))
+    for i in range(1, n + 1):
+        bell = rng.integers(0, d, (len(block.phase), 2))
+        full, codes = protocol._dense_step(d, n, bell, i, block)
+        keep = rng.integers(0, len(full.phase), len(block.phase) + 1)
+        kept, kept_codes = protocol._dense_step(d, n, bell, i, block, keep)
+        assert kept.particles == full.particles
+        for got, want in ((kept.labels, full.labels), (kept.phase, full.phase),
+                          (kept_codes, codes)):
+            assert np.array_equal(got, want[keep])
+        assert kept.amps.shape == full.amps[keep].shape
+        assert np.max(np.abs(kept.amps - full.amps[keep])) <= 1e-12
+        block = kept
+
+
 def test_class_walk_is_the_per_branch_dense_engine(monkeypatch):
     # The oracle runs the dense step once per cat-label class and reads each
     # branch's fields through integer tables; the statevector rounds run it
@@ -635,9 +668,9 @@ def test_class_walk_is_the_per_branch_dense_engine(monkeypatch):
     step, default = protocol._dense_step, statevec.BLOCK_AMPLITUDES
     received = []
 
-    def counted(d, n, bell, i, block):
+    def counted(d, n, bell, i, block, keep=None):
         received.append(len(block.phase))
-        return step(d, n, bell, i, block)
+        return step(d, n, bell, i, block, keep)
 
     rng = np.random.default_rng(20)
     monkeypatch.setattr(protocol, "_dense_step", counted)
