@@ -5,12 +5,16 @@ Three subcommands:
   verify    rebuild each swap rewrite as its outcome sum on the dense
             engine and report the worst amplitude deviation, on every
             label tuple (drawing nothing: the seed is only reported) or on
-            --samples tuples drawn from the one seeded generator
+            --samples tuples drawn from the seed's dits
   protocol  run secret-sharing rounds, check every recovery identity,
             and tally the key distribution
   collude   exact first-dit posteriors for colluding subsets, with an
             optional exhaustive dense-engine tally, the arrays of
             oracle_view_tally
+
+Every seeded draw, a label, an outcome (k, l) or a sampled tuple and its m,
+comes from _draws: exactly uniform dits read from random.Random(seed)'s
+bytes, so no command loads numpy.random.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage, cap or I/O error;
 over-cap sizes are refused by statevec.checked_size before any work.
@@ -28,7 +32,7 @@ import argparse
 import ctypes
 import json
 import math
-import secrets
+import random
 import shutil
 import sys
 import tempfile
@@ -57,7 +61,8 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 # protocol draws labels and outcomes, and rewrites rounds, in blocks of
 # this many rounds. Its time is flat from 64 rounds up at d=7 n=5; a
 # block's field arrays and report lines live together, so peak memory
-# grows with the size, not with --rounds.
+# grows with the size, not with --rounds. verify --samples draws its
+# tuples in blocks of as many cases.
 PROTOCOL_BLOCK_ROUNDS = 1 << 10
 
 
@@ -126,7 +131,38 @@ def _emit(report: dict, json_target: str | None, human_lines: list[str],
 def _pick_seed(args) -> int:
     if args.seed is not None:
         return args.seed % (1 << 64)
-    return secrets.randbits(64)
+    return random.SystemRandom().getrandbits(64)
+
+
+def _draws(seed: int):
+    """The commands' one seeded source: draw(high, shape), an int array of
+    that shape uniform on 0..high-1, for high in 2..256 (else ValueError).
+
+    draw reads random.Random(seed)'s bytes as one stream, in order: it
+    rejects each byte at or above 256 - 256 % high, the largest multiple of
+    high, and reduces the rest % high, so every dit is exactly uniform and
+    the seed fixes them all. It reads whole 32-bit words, as randbytes drops
+    the unused bits of a partial one, and keeps their unread bytes for the
+    next dits, so the stream does not depend on how the draws are shaped.
+    """
+    randbytes, spare = random.Random(seed).randbytes, b""
+
+    def draw(high: int, shape):
+        nonlocal spare
+        if not 2 <= high <= 256:
+            raise ValueError(f"draw needs high in 2..256, got {high}")
+        out = np.empty(shape, dtype=int)
+        flat, filled = out.reshape(-1), 0
+        while filled < flat.size:
+            want = flat.size - filled
+            spare += randbytes((want - len(spare) + 3) // 4 * 4)  # spare < 4 bytes
+            chunk, spare = np.frombuffer(spare[:want], dtype=np.uint8), spare[want:]
+            kept = chunk[chunk < 256 - 256 % high]
+            flat[filled:filled + len(kept)] = kept
+            filled += len(kept)
+        out %= high
+        return out
+    return draw
 
 
 def _usage_fail(message: str) -> int:
@@ -142,18 +178,25 @@ def _cap_refusal(d: int, qudits: int) -> str | None:
         return f"refusing: {exc}"
 
 
-def _sampled_blocks(rng, d: int, width: int, positions, samples: int,
+def _sampled_blocks(draw, d: int, width: int, positions, samples: int,
                     per_block: int):
-    """Yield (m, rows) blocks of random label tuples, drawn in the order of
-    one tuple then its white-node m (when the rule takes one) per case."""
-    for start in range(0, samples, per_block):
-        groups: dict = {}
-        for _ in range(min(per_block, samples - start)):
-            flat = rng.integers(0, d, width)
-            m = (None if positions[0] is None
-                 else int(rng.integers(2, positions[-1] + 1)))
-            groups.setdefault(m, []).append(flat)
-        yield from groups.items()
+    """Yield (m, rows) blocks of at most per_block random label tuples.
+
+    Cases are drawn in blocks of PROTOCOL_BLOCK_ROUNDS: the block's tuples
+    (count, width), then, when the rule takes one, each tuple's white-node
+    m (count,) from positions. The block's rows go out grouped by m, in
+    order of m, so the draws do not depend on per_block.
+    """
+    for start in range(0, samples, PROTOCOL_BLOCK_ROUNDS):
+        rows = draw(d, (min(PROTOCOL_BLOCK_ROUNDS, samples - start), width))
+        if positions[0] is None:
+            groups = [(None, rows)]
+        else:
+            ms = positions[0] + draw(len(positions), (len(rows),))
+            groups = [(int(m), rows[ms == m]) for m in np.unique(ms)]
+        for m, group in groups:
+            for first in range(0, len(group), per_block):
+                yield m, group[first:first + per_block]
 
 
 def cmd_verify(args) -> int:
@@ -164,10 +207,8 @@ def cmd_verify(args) -> int:
         return _usage_fail(f"{refusal}; lower --d or --n")
 
     seed = _pick_seed(args)
-    # an exhaustive run draws nothing, so it leaves numpy.random unimported
-    rng = None if args.samples is None else np.random.default_rng(seed)
     start = time.perf_counter()
-    checks = []
+    checks, draw = [], _draws(seed)  # an exhaustive run draws nothing
     per_block = block_rows(d, 4)  # a tuple's outcome sum has d^4 nonzero terms
     for rule, width in zip(rules, widths):
         worst, cases = 0.0, 0
@@ -177,7 +218,7 @@ def cmd_verify(args) -> int:
             blocks = ((m, np.arange(first, min(first + per_block, size))[:, None] // places % d)
                       for first in range(0, size, per_block) for m in positions)
         else:
-            blocks = _sampled_blocks(rng, d, width, positions, args.samples,
+            blocks = _sampled_blocks(draw, d, width, positions, args.samples,
                                      per_block)
         for m, block in blocks:  # an int array skips reduce_labels' element check
             deviations = verify_swap_block(rule, d, np.asarray(block), m=m)
@@ -205,17 +246,16 @@ def cmd_verify(args) -> int:
     return _emit(report, args.json, lines, elapsed)
 
 
-def _random_labels(rng, d: int, n: int):
+def _random_labels(draw, d: int, n: int):
     """Uniform label source: count -> (cat labels (count, n), Bell label
     pairs (count, n, 2))."""
-    return lambda count: (rng.integers(0, d, (count, n)),
-                          rng.integers(0, d, (count, n, 2)))
+    return lambda count: (draw(d, (count, n)), draw(d, (count, n, 2)))
 
 
-def _load_labels(args, d: int, n: int, rng):
+def _load_labels(args, d: int, n: int, draw):
     """Label source for the protocol command, as _random_labels gives one."""
     if args.labels == "random":
-        return _random_labels(rng, d, n)
+        return _random_labels(draw, d, n)
     if args.labels == "zero":
         cat, bells = (0,) * n, ((0, 0),) * n
     else:
@@ -235,14 +275,14 @@ def _load_labels(args, d: int, n: int, rng):
                           np.broadcast_to(bells, (count, n, 2)))
 
 
-def _protocol_draws(d: int, n: int, rounds: int, rng, next_labels):
+def _protocol_draws(d: int, n: int, rounds: int, draw, next_labels):
     """Yield the protocol command's blocks of PROTOCOL_BLOCK_ROUNDS rounds as
     (cat, bells, outcomes): each block draws its labels, then its outcomes
     (R, n, 2), which either engine forces."""
     for first in range(0, rounds, PROTOCOL_BLOCK_ROUNDS):
         count = min(PROTOCOL_BLOCK_ROUNDS, rounds - first)
         cat, bells = next_labels(count)
-        yield cat, bells, rng.integers(0, d, (count, n, 2))
+        yield cat, bells, draw(d, (count, n, 2))
 
 
 def cmd_protocol(args) -> int:
@@ -251,9 +291,9 @@ def cmd_protocol(args) -> int:
         return _usage_fail(f"{refusal}; use --engine symbolic")
 
     seed = _pick_seed(args)
-    rng = np.random.default_rng(seed)
+    draw = _draws(seed)
     try:
-        next_labels = _load_labels(args, d, n, rng)
+        next_labels = _load_labels(args, d, n, draw)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         return _usage_fail(f"bad labels source: {exc}")
 
@@ -266,7 +306,7 @@ def cmd_protocol(args) -> int:
         start = time.perf_counter()
         key_counts = np.zeros((d, d), dtype=int)
         recoveries = 0
-        for block in _protocol_draws(d, n, args.rounds, rng, next_labels):
+        for block in _protocol_draws(d, n, args.rounds, draw, next_labels):
             for cat, bells, fields in round_blocks(d, n, *block, args.engine):
                 ok, texts = round_records(d, n, seed, args.engine, cat, bells, fields)
                 recoveries += int(np.count_nonzero(ok))
@@ -333,8 +373,8 @@ def cmd_collude(args) -> int:
     known = sorted(set(range(2, n + 1)) - set(missing))
 
     seed = _pick_seed(args)
-    rng = np.random.default_rng(seed)
-    next_labels = _random_labels(rng, d, n)
+    draw = _draws(seed)
+    next_labels = _random_labels(draw, d, n)
     start = time.perf_counter()
 
     # The protocol command's rounds, as round_blocks' field arrays: a round
@@ -342,7 +382,7 @@ def cmd_collude(args) -> int:
     # (recover_rounds' ok, which collusion_counts' convolution assumes) and
     # each first key dit has the same count for the coalition.
     rounds_ok, posterior = True, None
-    for block in _protocol_draws(d, n, args.rounds, rng, next_labels):
+    for block in _protocol_draws(d, n, args.rounds, draw, next_labels):
         for cat, bells, (steps, announced, key, finals, _) in round_blocks(d, n, *block):
             counts = collusion_counts(d, cat, bells, steps, announced, known)
             ok = recover_rounds(d, cat, bells, steps, announced, key, finals)[2]

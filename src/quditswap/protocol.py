@@ -501,6 +501,7 @@ def _class_step(d: int, n: int, bell, i: int, classes: _Block):
     labels, amps = np.empty((cap, n), dtype=int), np.empty((cap, size), dtype=complex)
     phase, tables = np.empty(cap, dtype=int), np.empty((3, count, d * d), dtype=int)
     roots, found = np.array([zeta(d, t) for t in range(d)]), 0
+    diff = np.empty((min(rows, count) * d * d, size), dtype=complex)  # class check buffer
     for start in range(0, count, rows):
         block = classes.rows(slice(start, start + rows))
         children, measured = _dense_step(d, n, bell, i, block)
@@ -511,10 +512,13 @@ def _class_step(d: int, n: int, bell, i: int, classes: _Block):
         slot[fresh] = np.arange(found, end)
         labels[found:end], amps[found:end] = children.labels[first], children.amps[first]
         phase[found:end], found = children.phase[first], end
-        member = slot[keys]
-        turn = roots[(children.phase - phase[member]) % d][:, None]
-        wrong = np.argwhere(~np.all(np.abs(children.amps - turn * amps[member]) <= 1e-9,
-                                    axis=1))  # NaN fails
+        member = slot[keys]  # every key has its class, so clip never acts
+        here = np.take(amps, member, axis=0, out=diff[:len(member)], mode="clip")
+        # turn * amps in this operand order: numpy's complex product is not
+        # bitwise symmetric
+        np.multiply(roots[(children.phase - phase[member]) % d][:, None], here, out=here)
+        np.subtract(children.amps, here, out=here)
+        wrong = np.argwhere(~np.all(np.abs(here) <= 1e-9, axis=1))  # NaN fails
         if len(wrong):
             code = wrong[0, 0] % (d * d)
             raise RuntimeError(f"party {i} outcome ({code // d},{code % d}) is not its cat "

@@ -5,7 +5,6 @@ import platform
 import subprocess
 import sys
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -29,9 +28,9 @@ from quditswap.protocol import (ProtocolConfig, collusion_posterior, run_round,
 # byte of them is a change of behaviour.
 REPORT_DIGESTS = {
     "protocol-symbolic":
-        "f6cb690ba09e33c232759ffdc622fb1185ad4ad800eeba92cf6168421f83a6da",
+        "456440a0ab366d60da15fff63377529a4ba7e507a6edfc1f15ec888ad17bf9c0",
     "protocol-dense":
-        "c491760b4d76ba1f035232cc4226be296e5af8147c1e43b600f7da6a548e386c",
+        "53fe4713586b2a7ee668a44a0d3897a34a44c5723483184e33d4a976b0668d09",
     "collude-oracle":
         "02b72067d2039f42e5b5f88db214bc771cf6f2cb45748bea169cf2aab721202e",
     "collude-oracle-d3":
@@ -51,9 +50,33 @@ REPORT_DIGESTS = {
 # value for value, across that change of layout.
 CONTENT_DIGESTS = {
     "protocol-symbolic":
-        "30175b196614c412798de75de40c8a47e78aeb3979e5684f7670abed4c93261f",
+        "e9bf1da54e1b47feaf0db0227f8cbc97aa49c450318714f54ee1ebd7348094cc",
     "protocol-dense":
-        "90c3f9386e4522379b45dfdf286fb9d7528f5eb1df873dc9779b5ecb4aece5e9",
+        "4fc68012c74b0216a4146bf04364295422a555f4c46f6b85f8d0f2cd60ac8b05",
+}
+
+
+# The two protocol reports' REPORT and CONTENT digests when the commands drew
+# from np.random.default_rng(seed).integers(0, high, shape) instead of
+# cli._draws: with that source put back, the reports must be these, so the
+# draw source is all that moved them.
+NUMPY_STREAM_DIGESTS = {
+    "protocol-symbolic":
+        ("f6cb690ba09e33c232759ffdc622fb1185ad4ad800eeba92cf6168421f83a6da",
+         "30175b196614c412798de75de40c8a47e78aeb3979e5684f7670abed4c93261f"),
+    "protocol-dense":
+        ("c491760b4d76ba1f035232cc4226be296e5af8147c1e43b600f7da6a548e386c",
+         "90c3f9386e4522379b45dfdf286fb9d7528f5eb1df873dc9779b5ecb4aece5e9"),
+}
+
+# the two protocol benchmark commands, by their digest names
+PROTOCOL_BENCH_ARGV = {
+    "protocol-symbolic": ["protocol", "--d", "7", "--n", "5", "--rounds", "4000",
+                          "--engine", "symbolic", "--labels", "random", "--seed", "401",
+                          "--json", "-"],
+    "protocol-dense": ["protocol", "--d", "3", "--n", "4", "--rounds", "100",
+                       "--engine", "statevector", "--labels", "random", "--seed", "401",
+                       "--json", "-"],
 }
 
 
@@ -128,18 +151,24 @@ def test_verify_report_does_not_depend_on_block_size(monkeypatch, tmp_path, argv
     assert cases == ([16, 32, 64] if "--samples" not in argv else [30, 30, 30])
 
 
-def test_verify_samples_draw_labels_then_m_per_case(monkeypatch):
+def test_verify_samples_draw_labels_then_m_per_block(monkeypatch):
+    # Draw blocks of 10 cases, 25 = 10 + 10 + 5: each draws its tuples, then
+    # on white each tuple's m, and hands its rows over grouped by m, in
+    # verify blocks of at most 4 rows.
+    monkeypatch.setattr(cli, "PROTOCOL_BLOCK_ROUNDS", 10)
+    monkeypatch.setattr(statevec, "BLOCK_AMPLITUDES", 3**4 * 4)
     blocks = spy_blocks(monkeypatch)
     assert run_cli(["verify", "--d", "3", "--n", "4", "--samples", "25",
                     "--seed", "5"]) == 0
-    rng = np.random.default_rng(5)
-    expected = []
+    draw, expected = cli._draws(5), []
     for rule, width in (("bell", 4), ("black", 6), ("white", 6)):
-        for _ in range(25):
-            flat = tuple(int(x) for x in rng.integers(0, 3, width))
-            m = int(rng.integers(2, 5)) if rule == "white" else None
-            expected.append((m, flat))
-    assert Counter((m, row) for m, rows in blocks for row in rows) == Counter(expected)
+        for count in (10, 10, 5):
+            rows = list(map(tuple, draw(3, (count, width)).tolist()))
+            ms = (2 + draw(3, count)).tolist() if rule == "white" else [None] * count
+            for m in sorted(set(ms), key=lambda m: m or 0):
+                group = [row for row, row_m in zip(rows, ms) if row_m == m]
+                expected += [(m, group[i:i + 4]) for i in range(0, len(group), 4)]
+    assert blocks == expected
 
 
 def test_verify_exhaustive_blocks_are_the_tuples_in_order(monkeypatch):
@@ -182,25 +211,25 @@ def fresh_run(script, argv):
                           timeout=120).stdout.split()
 
 
-def fresh_verify(argv):
-    """Run verify argv in a fresh interpreter; return whether numpy.random
-    was loaded after `import numpy` alone and after the run, and the exit code."""
+def test_no_command_loads_numpy_random():
+    # numpy 2.x loads numpy.random on first access to np.random, 1.x at
+    # import. Every command draws from random.Random bytes, and a seedless
+    # run picks its seed from random.SystemRandom, not secrets (which
+    # loads hashlib and OpenSSL's _hashlib).
     script = ("import sys, numpy; before = 'numpy.random' in sys.modules\n"
               "from quditswap.cli import main\n"
-              "code = main(['verify', *sys.argv[1:]])\n"
-              "print(before, 'numpy.random' in sys.modules, code)")
-    before, after, code = fresh_run(script, argv)[-3:]
-    return before == "True", after == "True", int(code)
-
-
-def test_exhaustive_verify_leaves_numpy_random_unloaded():
-    # numpy 2.x loads numpy.random on first access to np.random, 1.x at import
-    before, after, code = fresh_verify(["--d", "2", "--n", "3", "--seed", "1"])
-    if before:
+              "codes = [main(argv.split()) for argv in sys.argv[1:]]\n"
+              "print(before, *codes, *(name in sys.modules for name in "
+              "('numpy.random', 'secrets', 'hashlib')))")
+    commands = ["protocol --d 3 --n 3 --rounds 20 --labels random --seed 1",
+                "protocol --d 3 --n 3 --rounds 20 --labels random --engine statevector",
+                "collude --d 2 --n 3 --missing 2 --oracle --seed 1",
+                "verify --d 2 --n 3 --seed 1",
+                "verify --d 3 --n 4 --samples 30"]
+    before, *rest = fresh_run(script, commands)[-len(commands) - 4:]
+    if before == "True":
         pytest.skip("import numpy alone loads numpy.random")
-    assert (after, code) == (False, 0)
-    assert fresh_verify(["--d", "2", "--n", "3", "--samples", "3",
-                         "--seed", "1"])[1:] == (True, 0)
+    assert rest == ["0"] * len(commands) + ["False"] * 3
 
 
 def test_dense_protocol_keeps_its_heap():
@@ -440,8 +469,8 @@ def test_collude_rounds_are_forced_rounds(monkeypatch):
     assert run_cli(["collude", "--d", "3", "--n", "4", "--missing", "3",
                     "--rounds", "8", "--seed", "17"]) == 0
     assert [len(block[0]) for block in seen] == [3, 3, 2]
-    rng = np.random.default_rng(17)
-    draws = cli._protocol_draws(3, 4, 8, rng, cli._random_labels(rng, 3, 4))
+    draw = cli._draws(17)
+    draws = cli._protocol_draws(3, 4, 8, draw, cli._random_labels(draw, 3, 4))
     rows = []
     for (cat, bells, steps, announced, known, result), draw in zip(seen, draws):
         assert known == [2, 4]
@@ -506,9 +535,7 @@ def test_collude_rounds_report_bytes(capsys):
 
 def test_protocol_bench_sized_symbolic(capsys):
     # the protocol-symbolic benchmark command
-    code = run_cli(["protocol", "--d", "7", "--n", "5", "--rounds", "4000",
-                    "--engine", "symbolic", "--labels", "random", "--seed", "401",
-                    "--json", "-"])
+    code = run_cli(PROTOCOL_BENCH_ARGV["protocol-symbolic"])
     text = capsys.readouterr().out
     report = json.loads(text)
     assert code == 0 and report["ok"] is True
@@ -522,9 +549,7 @@ def test_protocol_bench_sized_symbolic(capsys):
 
 def test_protocol_bench_sized_dense(capsys):
     # the protocol-dense benchmark command
-    code = run_cli(["protocol", "--d", "3", "--n", "4", "--rounds", "100",
-                    "--engine", "statevector", "--labels", "random", "--seed", "401",
-                    "--json", "-"])
+    code = run_cli(PROTOCOL_BENCH_ARGV["protocol-dense"])
     text = capsys.readouterr().out
     report = json.loads(text)
     assert code == 0 and report["ok"] is True
@@ -533,6 +558,68 @@ def test_protocol_bench_sized_dense(capsys):
     assert sha256(text) == REPORT_DIGESTS["protocol-dense"]
     assert (sha256(json.dumps(report, indent=2, sort_keys=True) + "\n")
             == CONTENT_DIGESTS["protocol-dense"])
+
+
+def test_protocol_reports_move_only_with_the_draw_source(monkeypatch, capsys):
+    # With numpy's seeded integers put back as the draw source, both
+    # protocol benchmark reports are byte for byte the ones it gave
+    def numpy_draws(seed):
+        rng = np.random.default_rng(seed)
+        return lambda high, shape: rng.integers(0, high, shape)
+
+    monkeypatch.setattr(cli, "_draws", numpy_draws)
+    for name, argv in PROTOCOL_BENCH_ARGV.items():
+        assert run_cli(argv) == 0
+        text = capsys.readouterr().out
+        content = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        assert (sha256(text), sha256(content)) == NUMPY_STREAM_DIGESTS[name]
+
+
+class ByteSource:
+    """Stands in for random.Random: its randbytes hands out the given bytes
+    in order, once, and fails when asked for more."""
+
+    def __init__(self, data):
+        self.data = bytes(data)
+
+    def __call__(self, seed):
+        return self
+
+    def randbytes(self, count):
+        assert count <= len(self.data), "read past the byte source"
+        head, self.data = self.data[:count], self.data[count:]
+        return head
+
+
+@pytest.mark.parametrize("high", range(2, 22))
+def test_draw_is_exactly_uniform_on_every_byte(monkeypatch, high):
+    # Bytes 255 down to 0, once: the rejected bytes come first, so draw
+    # reads again until it holds 256 - 256 % high dits, ending on byte 0,
+    # and each dit is as many of the kept bytes as any other.
+    kept = 256 - 256 % high
+    source = ByteSource(range(255, -1, -1))
+    monkeypatch.setattr(cli.random, "Random", source)
+    dits = cli._draws(0)(high, (kept // high, high))
+    assert dits.shape == (kept // high, high) and source.data == b""
+    assert np.bincount(dits.ravel(), minlength=high).tolist() == [kept // high] * high
+    assert dits.ravel().tolist() == [b % high for b in range(kept - 1, -1, -1)]
+
+
+def test_draws_are_one_byte_stream_however_shaped():
+    # randbytes drops the unused bits of a partial 32-bit word; draw keeps
+    # whole words, so one draw and many small ones give the same dits
+    for high in (2, 3, 7, 21, 256):
+        whole, pieces = cli._draws(9), cli._draws(9)
+        assert whole(high, (30, 7)).tolist() == [
+            row for _ in range(30) for row in pieces(high, (1, 7)).tolist()]
+
+
+def test_draw_refuses_a_range_outside_one_byte():
+    draw = cli._draws(1)
+    for high in (1, 257):
+        with pytest.raises(ValueError, match="2..256"):
+            draw(high, 3)
+    assert draw(256, (2, 3)).shape == (2, 3) and draw(2, 0).shape == (0,)
 
 
 def test_verify_bench_sized_exhaustive(capsys):
