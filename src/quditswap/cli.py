@@ -49,10 +49,10 @@ from .statevec import BLOCK_AMPLITUDES, block_rows, checked_size
 from .swapcalc import RULES, verify_swap_block
 
 # bounds the oracle's leaf pass, whose integer work grows with the branch
-# count; its dense work grows with d^n. At 2^18 branches, in-process on a
-# 2-CPU host, collude --oracle takes about 0.2 s at d=2 n=9, 0.04-0.05 s of
-# it in the leaf pass, and 0.6-0.8 s at d=8 n=3, mostly in the class pass,
-# in a fresh process as in a warm one
+# count; its dense work grows with d^n. At 2^18 branches, on a 2-CPU host,
+# collude --oracle takes about 0.13 s at d=2 n=9, all but 0.01 s of it in
+# the leaf pass, and 0.08 s at d=8 n=3, 0.05 s of it in the class pass, in
+# a fresh process as in a warm one
 MAX_ORACLE_BRANCHES = 1 << 18
 
 # glibc's mallopt parameters, from its malloc.h
@@ -500,11 +500,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _keep_heap() -> None:
-    """Keep the dense steps' block arrays in this process's heap.
+    """Keep verify's, the records' and the symbolic blocks' arrays in the heap.
 
     glibc maps each array over its mmap threshold afresh, and trims free
-    heap top over its trim threshold, so every dense step faulted its block
-    arrays of BLOCK_AMPLITUDES complex amplitudes (256 KiB, over the 128 KiB
+    heap top over its trim threshold, so each such block faulted its arrays
+    of about BLOCK_AMPLITUDES complex amplitudes (256 KiB, over the 128 KiB
     default) back in. Setting both turns glibc's dynamic threshold off:
     arrays up to 128 blocks (32 MiB, glibc's 64-bit ceiling) come from the
     heap, and up to 256 blocks of free heap top stay mapped. The trim

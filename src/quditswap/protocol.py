@@ -39,23 +39,24 @@ first key dit; collusion_posterior is its one-row call. The symbolic
 engine rewrites a block as label arrays, one row per round under its own
 outcomes, one block call per step. The dense engine runs one step,
 _dense_step, on a block of branches that share one particle order. A
-block is only their state: cat labels, amplitudes in register order and
-phase, one row per branch, rewritten under all d^2 outcomes and measured
-by one cat_overlaps pass, residuals in the rewritten register order, which
-reads every probability, outcome, end cat and phase from the amplitudes.
-A block of statevector rounds starts with one branch per round, and its
-step builds only each round's own outcome. The oracle runs the step once
-per cat-label class at each level, since branches with one cat's labels
-hold one state up to a power of zeta, which it checks from the amplitudes
-(_oracle_classes). One integer walk, _oracle_paths, then streams all
-(d^2)^n branches of one round as each branch's class node at every level,
-read through the class tables. Two consumers gather from the nodes:
-_oracle_blocks the five field arrays that enumerate_oracle_branches turns
-into Transcripts, and oracle_view_tally, which reads only party 1's
-measured code and the final class, a coalition's view classes and their
-first-dit counts as arrays; oracle_view_counts is that tally as a dict.
-The rounds and the oracle size blocks by block_rows, which refuses a
-d^(n+2) step over the amplitude cap before any allocation.
+block is only their state: cat labels, each cat's d nonzero amplitudes
+and their indices in register order, and phase, one row per branch,
+rewritten under all d^2 outcomes and measured by one cat_overlaps pass,
+residuals in the rewritten register order, which reads every probability
+and outcome from the amplitudes; each child built must be the cat of its
+labels times zeta^phase (_check_children). A block of statevector rounds
+starts with one branch per round, and its step builds only each round's
+own outcome. The oracle runs the step once per cat-label class at each
+level (_oracle_classes), since by that check branches with one cat's
+labels hold one state up to a power of zeta. One integer walk,
+_oracle_paths, then streams all (d^2)^n branches of one round as each
+branch's class node at every level, read through the class tables. Two
+consumers gather from the nodes: _oracle_blocks the five field arrays
+that enumerate_oracle_branches turns into Transcripts, and
+oracle_view_tally, which reads only party 1's measured code and the final
+class, a coalition's view classes and their first-dit counts as arrays;
+oracle_view_counts is that tally as a dict. Both refuse a d^(n+2) step
+over the cap before any allocation and size blocks by block_rows(d, 3).
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import statevec
-from .catbell import cat_amplitudes, cat_state, cat_support, is_integer, reduce_labels
+from .catbell import cat_state, cat_support, is_integer, reduce_labels
 from .core import validate_dimension, zeta
 from .statevec import StateVector, block_rows, cat_overlaps, checked_size, kron_rows
 from .swapcalc import bell_measure_block
@@ -173,12 +174,14 @@ def measurement_pair(n: int, i: int) -> tuple[int, int]:
 
 class _Block(NamedTuple):
     """B dense branches, or oracle class representatives, at one depth: the
-    register's cat particles, its labels (B, len), amplitudes (B, d^len) in
-    that particle order, and each branch's power of zeta (B,)."""
+    register's cat particles, its labels (B, len), each row's support, its d
+    nonzero amplitudes' indices (B, d) packed in that particle order and
+    their values (B, d), and each branch's power of zeta (B,)."""
 
     particles: tuple[int, ...]
     labels: np.ndarray
-    amps: np.ndarray
+    index: np.ndarray
+    values: np.ndarray
     phase: np.ndarray
 
     def rows(self, index) -> _Block:
@@ -197,7 +200,7 @@ def _party_rewrite(d: int, n: int, i: int, particles, labels, bell, outcomes):
 
 def _dense_start(d: int, n: int, cat) -> _Block:
     """The block of one branch per row of cat labels (B, n): the cat states."""
-    return _Block(tuple(range(1, n + 1)), cat, cat_amplitudes(d, cat),
+    return _Block(tuple(range(1, n + 1)), cat, *cat_support(d, cat),
                   np.zeros(len(cat), dtype=int))
 
 
@@ -206,26 +209,27 @@ def _dense_step(d: int, n: int, bell, i: int, block: _Block, keep=None):
 
     bell holds party i's Bell labels: one pair, or one per row (B, 2).
     _party_rewrite names each outcome's measured Bell state and rewritten
-    cat; one cat_overlaps pass over the cat rows tensored with the Bell
-    amplitudes gives every residual in that cat's particle order. Each
+    cat; one cat_overlaps pass over the cat rows' support tensored with the
+    Bell pair's gives every residual in that cat's particle order. Each
     (branch, outcome) probability, a sum of squares read from the (B, u1,
     u2) grid, is checked to be 1/d^2, and each branch's d^2 outcomes to name
     d^2 distinct Bell states, so they cover the grid. The B * d^2 children
     are in (branch, k, l) order, outcome (k, l) of branch b at row
-    b * d^2 + k * d + l; returns those at the rows keep (default all), and
-    each one's measured code u1 * d + u2.
+    b * d^2 + k * d + l; returns those at the rows keep (default all),
+    checked by _check_children, and each one's measured code u1 * d + u2.
     """
     count, bell = len(block.phase), np.reshape(bell, (-1, 1, 2))
     outcomes = np.stack(np.divmod(np.arange(d * d), d), axis=-1)
     measured, residual, delta, particles = _party_rewrite(
         d, n, i, block.particles, block.labels[:, None, :], bell, outcomes)
-    overlaps = cat_overlaps(d, block.particles + bell_particles(n, i),
-                            kron_rows(block.amps, cat_amplitudes(d, bell[:, 0])),
-                            measurement_pair(n, i), particles)
+    bell_index, bell_values = cat_support(d, bell[:, 0])
+    index, overlaps = cat_overlaps(
+        d, block.particles + bell_particles(n, i),
+        (block.index[:, :, None] * d * d + bell_index[:, None, :]).reshape(count, -1),
+        kron_rows(block.values, bell_values), measurement_pair(n, i), particles)
 
     u1, u2 = measured[..., 0], measured[..., 1]
-    parts = overlaps.view(float)
-    grid = np.einsum("buvr,buvr->buv", parts, parts)
+    grid = np.sum(overlaps.real ** 2 + overlaps.imag ** 2, axis=-1)
     probabilities = grid[np.arange(count)[:, None], u1, u2]
     wrong = np.argwhere(~(np.abs(probabilities - 1.0 / d**2) <= 1e-9))  # NaN fails
     if len(wrong):
@@ -240,35 +244,37 @@ def _dense_step(d: int, n: int, bell, i: int, block: _Block, keep=None):
     rows, codes = np.divmod(np.arange(count * d * d) if keep is None else keep, d * d)
     post = overlaps[rows, u1[rows, codes], u2[rows, codes]]
     post /= np.sqrt(probabilities[rows, codes])[:, None]
-    return _Block(particles, residual[rows, codes], post,
-                  (block.phase[rows] + delta[codes]) % d), named[rows, codes]
+    children = _Block(particles, residual[rows, codes], index[rows, u2[rows, codes]], post,
+                      (block.phase[rows] + delta[codes]) % d)
+    _check_children(d, i, children, codes)
+    return children, named[rows, codes]
 
 
-def _finish_block(d: int, block: _Block) -> None:
-    """Certify a block of finished branches, or raise RuntimeError.
-
-    One cat_support call reads every announced cat on the dense end state,
-    whose amplitudes are in register order; each overlap, d products, must
-    have modulus 1 and equal zeta^phase_power, both within 1e-9.
-    """
-    index, values = cat_support(d, block.labels)
-    amps = np.sum(values.conj() * np.take_along_axis(block.amps, index, axis=1), axis=1)
-    if not np.all(np.abs(np.abs(amps) - 1.0) <= 1e-9):  # NaN fails
-        raise RuntimeError("dense end state is not the announced cat state")
-    roots = np.array([zeta(d, t) for t in range(d)])
-    if not np.all(np.abs(amps - roots[block.phase]) <= 1e-9):
-        raise RuntimeError("dense global phase disagrees with the register")
+def _check_children(d: int, i: int, children: _Block, codes) -> None:
+    """RuntimeError unless each child of party i's step, of outcome code
+    k * d + l in codes, is the cat of its rewritten labels times zeta^phase:
+    cat_support's indices, sorted, and its values times zeta^phase, each
+    within 1e-9."""
+    index, values = cat_support(d, children.labels)
+    order = np.argsort(index, axis=1)
+    index, values = (np.take_along_axis(x, order, axis=1) for x in (index, values))
+    values *= np.array([zeta(d, t) for t in range(d)])[children.phase][:, None]
+    close = np.abs(children.values - values) <= 1e-9  # NaN fails
+    wrong = np.flatnonzero(~np.all((index == children.index) & close, axis=1))
+    if len(wrong):
+        code = codes[wrong[0]]
+        raise RuntimeError(f"party {i} outcome ({code // d},{code % d}) is not the cat "
+                           f"of its rewritten labels times zeta^phase")
 
 
 def _dense_rounds(d: int, n: int, cat, bells, outcomes):
     """A block of rounds on the dense step: one branch per round, whose step
-    builds only each round's own outcome (k, l) child; certified by
-    _finish_block, as the five field arrays _transcripts reads."""
+    builds and checks only each round's own outcome (k, l) child; the five
+    field arrays _transcripts reads."""
     steps, block, codes = outcomes @ (d, 1), _dense_start(d, n, cat), []
     for i, chosen in enumerate((steps + np.arange(len(cat))[:, None] * d * d).T, 1):
         block, measured = _dense_step(d, n, bells[:, i - 1], i, block, chosen)
         codes.append(measured)
-    _finish_block(d, block)
     return steps, block.labels, codes[0], np.stack(codes[1:], axis=1), block.phase
 
 
@@ -307,10 +313,11 @@ def round_blocks(d: int, n: int, cat, bells, outcomes, engine: str = "symbolic")
     (R, n, 2) and outcomes its (k_i, l_i) per party (R, n, 2), in the
     protocol convention. Yields, per sub-block in round order, its labels
     mod d and the five fields _transcripts reads: (cat, bells, (steps,
-    announced, key, finals, phase)). The statevector engine runs sub-blocks
-    of block_rows(d, n + 2) rounds (so ValueError over the cap), and checks
-    every step of every round, all d^2 outcomes, and each end cat and phase
-    from amplitudes; the symbolic engine runs the block as one.
+    announced, key, finals, phase)). The statevector engine refuses a
+    d^(n+2) step over the cap (ValueError), runs sub-blocks of
+    block_rows(d, 3) rounds, and checks every step of every round, all d^2
+    outcomes, and each kept child's cat and phase from amplitudes; the
+    symbolic engine runs the block as one.
     """
     _check_parties(d, n)
     if engine not in ENGINES:
@@ -319,7 +326,9 @@ def round_blocks(d: int, n: int, cat, bells, outcomes, engine: str = "symbolic")
     if _round_shape(cat, bells) != n or outcomes.shape != bells.shape:
         raise ValueError(f"{n} parties but label shapes {cat.shape} and {bells.shape} "
                          f"and outcome shape {outcomes.shape}")
-    rows, run = ((block_rows(d, n + 2), _dense_rounds) if engine == "statevector"
+    if engine == "statevector":
+        checked_size(d, n + 2)
+    rows, run = ((block_rows(d, 3), _dense_rounds) if engine == "statevector"
                  else (max(1, len(cat)), _symbolic_rounds))
     for start in range(0, len(cat), rows):
         part = slice(start, start + rows)
@@ -485,48 +494,32 @@ def collusion_posterior(d: int, transcript: Transcript, known_parties):
 
 def _class_step(d: int, n: int, bell, i: int, classes: _Block):
     """Party i's step on a level's cat-label classes: _dense_step once per
-    class, in blocks of block_rows(d, n + 2) classes.
+    class, in blocks of block_rows(d, 3) classes.
 
     Each child joins the class of its cat labels; the first child to land in
-    a class is copied out as its representative. Every child must equal its
-    class's representative times zeta^(phase difference), within 1e-9, so by
-    linearity of the step every branch of a class is its representative up
-    to zeta^(phase power). Returns the next level's classes and the (3, C,
+    a class is copied out as its representative. _dense_step checks every
+    child to be the cat of its labels times zeta^phase, so by linearity of
+    the step every branch of a class is its representative up to
+    zeta^(phase power). Returns the next level's classes and the (3, C,
     d^2) tables of each (class, outcome)'s child class, measured Bell code
     u1 * d + u2 and phase delta.
     """
-    rows, count, size = block_rows(d, n + 2), len(classes.phase), d ** n
-    cap, places = min(size, count * d * d), d ** np.arange(n - 1, -1, -1)
-    slot = np.full(size, -1)  # class of each packed cat-label tuple
-    labels, amps = np.empty((cap, n), dtype=int), np.empty((cap, size), dtype=complex)
-    phase, tables = np.empty(cap, dtype=int), np.empty((3, count, d * d), dtype=int)
-    roots, found = np.array([zeta(d, t) for t in range(d)]), 0
-    diff = np.empty((min(rows, count) * d * d, size), dtype=complex)  # class check buffer
-    for start in range(0, count, rows):
+    rows, places = block_rows(d, 3), d ** np.arange(n - 1, -1, -1)
+    slot = np.full(d ** n, -1)  # class of each packed cat-label tuple
+    tables, kept, found = [], [], 0
+    for start in range(0, len(classes.phase), rows):
         block = classes.rows(slice(start, start + rows))
         children, measured = _dense_step(d, n, bell, i, block)
         keys = children.labels % d @ places
         fresh, first = np.unique(keys, return_index=True)
-        new = slot[fresh] < 0
-        fresh, first, end = fresh[new], first[new], found + np.count_nonzero(new)
-        slot[fresh] = np.arange(found, end)
-        labels[found:end], amps[found:end] = children.labels[first], children.amps[first]
-        phase[found:end], found = children.phase[first], end
-        member = slot[keys]  # every key has its class, so clip never acts
-        here = np.take(amps, member, axis=0, out=diff[:len(member)], mode="clip")
-        # turn * amps in this operand order: numpy's complex product is not
-        # bitwise symmetric
-        np.multiply(roots[(children.phase - phase[member]) % d][:, None], here, out=here)
-        np.subtract(children.amps, here, out=here)
-        wrong = np.argwhere(~np.all(np.abs(here) <= 1e-9, axis=1))  # NaN fails
-        if len(wrong):
-            code = wrong[0, 0] % (d * d)
-            raise RuntimeError(f"party {i} outcome ({code // d},{code % d}) is not its cat "
-                               f"label class's state times a power of zeta")
+        first = first[slot[fresh] < 0]  # the first child of each new class
+        slot[keys[first]] = found + np.arange(len(first))
+        kept.append(children.rows(first))
+        found += len(first)
         delta = children.phase - np.repeat(block.phase, d * d)
-        tables[:, start:start + len(block.phase)] = np.reshape(
-            [member, measured, delta % d], (3, -1, d * d))
-    return _Block(children.particles, labels[:found], amps[:found], phase[:found]), tables
+        tables.append(np.reshape([slot[keys], measured, delta % d], (3, -1, d * d)))
+    fields = (np.concatenate(field) for field in zip(*(block[1:] for block in kept)))
+    return _Block(children.particles, *fields), np.concatenate(tables, axis=1)
 
 
 def _oracle_classes(config: ProtocolConfig):
@@ -534,21 +527,19 @@ def _oracle_classes(config: ProtocolConfig):
     classes and the per-step class tables _class_step returns.
 
     The dense step runs once per cat-label class at each party step (at
-    most d^n classes; _class_step, so ValueError over the cap), checking
-    each step's 1/d^2 probabilities on d^2 distinct labels and that every
-    child is its class's state up to a power of zeta; _finish_block then
-    certifies each final class's end cat and phase. That covers every
-    branch: the walk is an exhaustive cross-engine certificate.
+    most d^n classes; _class_step), checking each step's 1/d^2
+    probabilities on d^2 distinct labels and that every child is the cat of
+    its labels times zeta^phase, so every class member is too. That covers
+    every branch: the walk is an exhaustive cross-engine certificate.
     """
     d, n = config.d, config.n
-    # a level holds up to d^n representatives of d^n amplitudes, one per
-    # branch of the round; as n >= 2, this also checks each d^(n+2) step
+    # the oracle refuses more than the amplitude cap of branches, d^(2n);
+    # as n >= 2, this also checks each d^(n+2) step
     checked_size(d, 2 * n)
     classes, tables = _dense_start(d, n, np.array([config.cat_labels])), []
     for i in range(1, n + 1):
         classes, table = _class_step(d, n, config.bell_labels[i - 1], i, classes)
         tables.append(table)
-    _finish_block(d, classes)
     return classes, tables
 
 

@@ -5,10 +5,11 @@ ids, big-endian (the first listed particle is the most significant base-d
 digit, matching left-to-right ket notation). All operations are pure; input
 states are never mutated.
 
-Every dense measurement runs on cat_overlaps, one pass over the whole Bell
-basis of a measured (black, white) pair for a block of states that share
-one particle list, residuals in a given order; every Kronecker product, of
-states or of row blocks, is kron_rows. Nothing here samples outcomes.
+Every dense measurement of the protocol runs on cat_overlaps, one pass
+over the whole Bell basis of a measured (black, white) pair for a block of
+cat-times-Bell states, each given by its d^2 nonzero amplitudes, residuals
+in a given order; every Kronecker product, of states or of row blocks, is
+kron_rows. Nothing here samples outcomes.
 checked_size refuses any array over the cap before it is built; block_rows
 sizes every block of rows.
 """
@@ -188,16 +189,17 @@ def project_onto(state: StateVector, reference: StateVector):
     return probability, post
 
 
-def cat_overlaps(d: int, particles, amps, pair, rest):
-    """Overlaps of a block of states with all d^2 Bell states on a (black, white) pair.
+def cat_overlaps(d: int, particles, index, values, pair, rest):
+    """Overlaps of cat-times-Bell states with all d^2 Bell states on a (black, white) pair.
 
-    amps, of shape (B, d**len(particles)), holds B states over the same
-    particles; a single state is the B = 1 call. rest orders the particles
-    other than the pair, and must list exactly those (else ValueError).
-    overlaps[b, u1, u2], of shape (B, d, d, d**len(rest)), is state b's
-    unnormalized residual <Psi(u1, u2)|state_b> over rest. One gather of the
-    block through a (u2, j, rest) table of places and a length-d DFT over j
-    (a matmul) give every outcome, since
+    index and values (B, d^2) hold B states' nonzero amplitudes, indices
+    packed big-endian over particles. rest orders the other particles and
+    must list exactly those, and each u2 of the pair's digits (j, j + u2)
+    must hold d entries of distinct indices over rest, as a cat times a Bell
+    pair measured on one particle of each does (else ValueError). One sort
+    by (u2, index over rest) gives residuals (B, d, d), each u2's indices
+    ascending, and overlaps (B, d, d, d), <Psi(u1, u2)|state_b> at
+    residuals[b, u2] in overlaps[b, u1, u2], one term of the DFT over j each,
 
         <Psi(u1, u2)|psi> = (1/sqrt(d)) sum_j zeta^(-j*u1) psi[j, j+u2, ...]
     """
@@ -207,12 +209,17 @@ def cat_overlaps(d: int, particles, amps, pair, rest):
     if sorted(order) != sorted(particles):
         raise ValueError(f"pair {pair} and rest {tuple(rest)} do not split "
                          f"the state's particles {particles}")
-    amps = np.asarray(amps)
-    if amps.ndim != 2 or amps.shape[1] != d ** len(particles):
-        raise ValueError(f"expected (B, {d ** len(particles)}) amplitudes, "
-                         f"got shape {amps.shape}")
-    places = np.arange(amps.shape[1]).reshape((d,) * len(particles)).transpose(
-        [particles.index(p) for p in order]).reshape(d, d, -1)
-    j = np.arange(d)
-    gathered = np.take(amps, places[j, (j + j[:, None]) % d], axis=1)  # [b, u2, j, rest]
-    return np.swapaxes(hadamard_matrix(d).conj() @ gathered, 1, 2)
+    index, values = np.asarray(index), np.asarray(values)
+    if index.ndim != 2 or index.shape[1] != d * d or values.shape != index.shape:
+        raise ValueError(f"expected (B, {d * d}) indices and amplitudes, "
+                         f"got shapes {index.shape} and {values.shape}")
+    places = d ** np.arange(len(order) - 1, -1, -1)
+    digits = (index[..., None] // places % d)[..., [particles.index(p) for p in order]]
+    keys = (digits[..., 1] - digits[..., 0]) % d * places[1] + digits[..., 2:] @ places[2:]
+    sort = np.argsort(keys, axis=1)
+    keys, j, values = (np.take_along_axis(x, sort, axis=1)
+                       for x in (keys, digits[..., 0], values))
+    if np.any(keys // places[1] != np.arange(d * d) // d) or np.any(np.diff(keys) <= 0):
+        raise ValueError("each u2 must hold d entries of distinct residual indices")
+    overlaps = hadamard_matrix(d).conj()[np.arange(d)[:, None, None], j.reshape(-1, 1, d, d)]
+    return (keys % places[1]).reshape(-1, d, d), overlaps * values.reshape(-1, 1, d, d)

@@ -69,6 +69,13 @@ NUMPY_STREAM_DIGESTS = {
          "90c3f9386e4522379b45dfdf286fb9d7528f5eb1df873dc9779b5ecb4aece5e9"),
 }
 
+# sha256 of the (rule, m, rows) blocks, as JSON, that the sampled verify
+# report above hands verify_swap_block: the report holds case counts and
+# deviations only, which came out the same under three draw sources, so
+# this pins which tuples are drawn.
+SAMPLED_TUPLES_DIGEST = (
+    "a1ecf3a033da53bff945201d1af68507193e4b3b5327dfe8a2fda3405c9bb4ce")
+
 # the two protocol benchmark commands, by their digest names
 PROTOCOL_BENCH_ARGV = {
     "protocol-symbolic": ["protocol", "--d", "7", "--n", "5", "--rounds", "4000",
@@ -232,11 +239,12 @@ def test_no_command_loads_numpy_random():
     assert rest == ["0"] * len(commands) + ["False"] * 3
 
 
-def test_dense_protocol_keeps_its_heap():
-    # main raises glibc's mmap and trim thresholds, so the dense step's
-    # block arrays, each above glibc's default mmap threshold, stay in the
-    # heap: a second call in the process faults few pages in (about 3,000
-    # were each block array mapped afresh or trimmed away)
+def test_verify_keeps_its_heap():
+    # main raises glibc's mmap and trim thresholds, so verify's support
+    # sums, whose block arrays are each above glibc's default mmap
+    # threshold, stay in the heap: a second call in the process faults few
+    # pages in (1,000 to 3,600 were each block array mapped afresh or
+    # trimmed away)
     if platform.libc_ver()[0] != "glibc":
         pytest.skip("the heap policy is glibc's mallopt")
     script = ("import os, resource, sys\n"
@@ -245,9 +253,8 @@ def test_dense_protocol_keeps_its_heap():
               "    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
               "    code = main([*sys.argv[1:], '--json', os.devnull])\n"
               "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)")
-    code, faults = map(int, fresh_run(script, ["protocol", "--d", "3", "--n", "4",
-                                               "--engine", "statevector", "--rounds",
-                                               "100", "--seed", "1"])[-2:])
+    code, faults = map(int, fresh_run(script, ["verify", "--d", "3", "--n", "4",
+                                               "--seed", "1"])[-2:])
     assert code == 0 and faults < 100
 
 
@@ -358,7 +365,7 @@ def test_protocol_engines_give_the_same_transcripts(tmp_path, d, n):
     pytest.param("symbolic", None, id="symbolic"),
     pytest.param("statevector", None, id="statevector"),
     pytest.param("statevector", lambda d, n: 1, id="statevector-budget1"),
-    pytest.param("statevector", lambda d, n: 2 * d ** (n + 2),
+    pytest.param("statevector", lambda d, n: 2 * d ** 3,
                  id="statevector-budget2rounds"),
 ])
 @pytest.mark.parametrize("d, n", [(2, 2), (3, 2), (3, 4), (7, 5)])
@@ -366,7 +373,8 @@ def test_protocol_blocks_are_forced_rounds(monkeypatch, capsys, engine, budget, 
     # Each transcript the block path reports is run_round replayed under the
     # transcript's own labels and outcomes. Blocks of 3 rounds leave a
     # partial last block. The statevector engine splits each block into
-    # sub-blocks of BLOCK_AMPLITUDES // d^(n+2) rounds, at least one:
+    # sub-blocks of block_rows(d, 3) = BLOCK_AMPLITUDES // d^3 rounds, one
+    # d^3 overlap block per round, at least one:
     # the default budget, a budget of 1 (one round per sub-block), and one
     # of two rounds, which leaves a partial last sub-block.
     monkeypatch.setattr(cli, "PROTOCOL_BLOCK_ROUNDS", 3)
@@ -381,7 +389,7 @@ def test_protocol_blocks_are_forced_rounds(monkeypatch, capsys, engine, budget, 
                     "--json", "-"]) == 0
     transcripts = json.loads(capsys.readouterr().out)["transcripts"]
     assert len(transcripts) == rounds
-    rows = max(1, statevec.BLOCK_AMPLITUDES // d ** (n + 2))
+    rows = statevec.block_rows(d, 3)
     blocks = [min(3, rounds - first) for first in range(0, rounds, 3)]
     assert starts == ([] if engine == "symbolic" else
                       [min(rows, count - s) for count in blocks
@@ -638,6 +646,20 @@ def test_verify_sampled_report_bytes(capsys):
     assert run_cli(["verify", "--d", "3", "--n", "3", "--rule", "all",
                     "--samples", "30", "--seed", "9", "--json", "-"]) == 0
     assert sha256(capsys.readouterr().out) == REPORT_DIGESTS["verify-sampled-d3"]
+
+
+def test_verify_samples_pin_the_drawn_tuples(monkeypatch, capsys):
+    blocks, original = [], cli.verify_swap_block
+
+    def spy(rule, d, rows, m=None):
+        blocks.append([rule, m, np.asarray(rows).tolist()])
+        return original(rule, d, rows, m=m)
+
+    monkeypatch.setattr(cli, "verify_swap_block", spy)
+    assert run_cli(["verify", "--d", "3", "--n", "3", "--rule", "all",
+                    "--samples", "30", "--seed", "9", "--json", "-"]) == 0
+    assert sum(len(rows) for _, _, rows in blocks) == 90
+    assert sha256(json.dumps(blocks)) == SAMPLED_TUPLES_DIGEST
 
 
 def test_protocol_json_stdout_is_pure(capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from quditswap import protocol, statevec
-from quditswap.catbell import cat_amplitudes
+from quditswap.catbell import cat_support
 from quditswap.core import MAX_AMPLITUDES
 from quditswap.protocol import (InsufficientSharesError, PartyView,
                                 ProtocolConfig, collusion_posterior,
@@ -473,10 +473,32 @@ def test_seeded_round_records_its_raw_draws(d, n):
             assert run_round(config, engine, rng=seed).outcomes == draws
 
 
+CHILD = "is not the cat of its rewritten labels times zeta\\^phase"
+
+
+def fault_reference(patch, fault):
+    """Apply fault(values) to the reference cats that _check_children reads
+    from cat_support, and to nothing else: the start cats and the Bell pairs
+    come from cat_support too, outside the check."""
+    check, support = protocol._check_children, protocol.cat_support
+
+    def faulted(d, labels, places=None):
+        index, values = support(d, labels, places)
+        return index, fault(values)
+
+    def checked(*args):
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(protocol, "cat_support", faulted)
+            check(*args)
+
+    patch.setattr(protocol, "_check_children", checked)
+
+
 def test_dense_engine_checks_end_state_and_phase(monkeypatch):
     # The dense engine reads labels and phase from the array rewrite. Each
-    # wrap shifts them by one unit per step, so n steps shift them by n,
-    # which is nonzero mod d because d does not divide n.
+    # wrap shifts them by one unit per step, and every child is checked
+    # against the cat of its rewritten labels times zeta^phase, so the first
+    # step already fails.
     def shift_phase(measured, residual, delta, particles):
         return measured, residual, delta + 1, particles
 
@@ -488,33 +510,26 @@ def test_dense_engine_checks_end_state_and_phase(monkeypatch):
     rewrite = protocol.bell_measure_block
     config = random_config(3, 4, np.random.default_rng(8))
     forced = [(1, 2), (0, 1), (2, 2), (1, 0)]
-    for shift, message in ((shift_phase, "global phase disagrees"),
-                           (shift_residual, "not the announced cat state")):
+    for shift in (shift_phase, shift_residual):
         monkeypatch.setattr(protocol, "bell_measure_block",
                             lambda *args, shift=shift: shift(*rewrite(*args)))
-        with pytest.raises(RuntimeError, match=message):
+        with pytest.raises(RuntimeError, match=rf"party 1 outcome \(1,2\) {CHILD}"):
             run_round(config, engine="statevector", forced_outcomes=forced)
-        with pytest.raises(RuntimeError, match=message):
+        with pytest.raises(RuntimeError, match=rf"party 1 outcome \(0,0\) {CHILD}"):
             enumerate_oracle_branches(zero_config(2, 3))
-        with pytest.raises(RuntimeError, match=message):
+        with pytest.raises(RuntimeError, match=rf"party 1 outcome \(0,0\) {CHILD}"):
             oracle_view_counts(zero_config(2, 3), [2])
         assert run_round(config, engine="symbolic",
                          forced_outcomes=forced).outcomes == tuple(forced)
 
-    # an end phase that is no power of zeta disagrees with the register too
+    # a phase that is no power of zeta on the reference cats fails too
     monkeypatch.setattr(protocol, "bell_measure_block", rewrite)
-    support = protocol.cat_support
-
-    def turned(d, labels, places=None):
-        index, values = support(d, labels, places)
-        return index, values * np.exp(0.1j)
-
-    monkeypatch.setattr(protocol, "cat_support", turned)
-    with pytest.raises(RuntimeError, match="global phase disagrees"):
+    fault_reference(monkeypatch, lambda values: values * np.exp(0.1j))
+    with pytest.raises(RuntimeError, match=rf"party 1 outcome \(1,2\) {CHILD}"):
         run_round(config, engine="statevector", forced_outcomes=forced)
-    with pytest.raises(RuntimeError, match="global phase disagrees"):
+    with pytest.raises(RuntimeError, match=rf"party 1 outcome \(0,0\) {CHILD}"):
         enumerate_oracle_branches(zero_config(2, 3))
-    with pytest.raises(RuntimeError, match="global phase disagrees"):
+    with pytest.raises(RuntimeError, match=rf"party 1 outcome \(0,0\) {CHILD}"):
         oracle_view_counts(zero_config(2, 3), [2])
     assert run_round(config, engine="symbolic",
                      forced_outcomes=forced).outcomes == tuple(forced)
@@ -523,29 +538,31 @@ def test_dense_engine_checks_end_state_and_phase(monkeypatch):
 def test_dense_checks_fail_on_nan(monkeypatch):
     # NaN compares false with everything, so each dense check passes only a
     # value within its tolerance: NaN overlaps fail the step's probability
-    # check, NaN end cats the modulus check and NaN roots the phase check,
-    # or in the oracle first the class check, which reads the roots too.
-    overlap_pass = protocol.cat_overlaps
-    support, root = protocol.cat_support, protocol.zeta
+    # check, NaN reference cats and NaN roots the child check.
+    overlap_pass, root = protocol.cat_overlaps, protocol.zeta
 
     def nan_overlaps(*args):
-        return overlap_pass(*args) * np.nan
+        residuals, overlaps = overlap_pass(*args)
+        return residuals, overlaps * np.nan
 
-    def nan_end_cats(d, labels, places=None):
-        index, values = support(d, labels, places)
-        return index, values * np.nan
+    def nan_reference_cats(patch):
+        fault_reference(patch, lambda values: values * np.nan)
+
+    def nan_roots(patch):
+        patch.setattr(protocol, "zeta", lambda d, t: root(d, t) * np.nan)
 
     config = random_config(3, 3, np.random.default_rng(2))
     forced = [(1, 2), (0, 1), (2, 2)]
     probability = r"party 1 outcome \(0,0\) has probability nan"
-    for name, fault, message, oracle_message in (
-            ("cat_overlaps", nan_overlaps, probability, probability),
-            ("cat_support", nan_end_cats, "not the announced cat state",
-             "not the announced cat state"),
-            ("zeta", lambda d, t: root(d, t) * np.nan, "global phase disagrees",
-             r"party 1 outcome \(0,0\) is not its cat label class's state")):
+    for fault, message, oracle_message in (
+            (lambda patch: patch.setattr(protocol, "cat_overlaps", nan_overlaps),
+             probability, probability),
+            (nan_reference_cats, rf"party 1 outcome \(1,2\) {CHILD}",
+             rf"party 1 outcome \(0,0\) {CHILD}"),
+            (nan_roots, rf"party 1 outcome \(1,2\) {CHILD}",
+             rf"party 1 outcome \(0,0\) {CHILD}")):
         with monkeypatch.context() as patch:
-            patch.setattr(protocol, name, fault)
+            fault(patch)
             with pytest.raises(RuntimeError, match=message):
                 run_round(config, engine="statevector", forced_outcomes=forced)
             with pytest.raises(RuntimeError, match=oracle_message):
@@ -555,16 +572,24 @@ def test_dense_checks_fail_on_nan(monkeypatch):
 
 
 def test_block_checks_read_every_row(monkeypatch):
-    # The budget makes blocks of 3 branches at d=2, n=3. A fault in only the
-    # last row of each multi-row block is caught, whether it sits in a step's
-    # overlaps or rewrite or in the end check's reference cats. The same
-    # faults in the last round of a statevector round_blocks block of 3
-    # rounds are caught too, at party 1, where that block already has 3 rows.
-    def last_row_scaled(d, particles, amps, pair, rest):
-        overlaps = overlap_pass(d, particles, amps, pair, rest)
+    # The budget makes blocks of 3 branches. A fault in only the last row
+    # of each multi-row block is caught, whether it sits in a step's
+    # overlaps, residual indices or rewrite or in the child check's
+    # reference cats. The same faults in the last round of a statevector
+    # round_blocks block of 3 rounds are caught too, at party 1, where that
+    # block already has 3 rows.
+    def last_row_scaled(*args):
+        residuals, overlaps = overlap_pass(*args)
         if len(overlaps) > 1:
             overlaps[-1] *= 1.1
-        return overlaps
+        return residuals, overlaps
+
+    def last_row_reordered(*args):
+        # the residual indices of the last row out of order, its values not
+        residuals, overlaps = overlap_pass(*args)
+        if len(residuals) > 1:
+            residuals[-1] = residuals[-1, :, ::-1]
+        return residuals, overlaps
 
     def last_row_duplicate(*args):
         measured, residual, delta, particles = rewrite(*args)
@@ -573,12 +598,10 @@ def test_block_checks_read_every_row(monkeypatch):
             measured[-1, -1] = measured[-1, 0]
         return measured, residual, delta, particles
 
-    def end_check_scaled(d, labels, places=None):
-        # only the end check reads reference cats through cat_support
-        index, values = support(d, labels, places)
+    def last_reference_scaled(values):
         if len(values) > 1:
             values[-1] *= factor
-        return index, values
+        return values
 
     def rounds():
         rng = np.random.default_rng(4)
@@ -586,16 +609,23 @@ def test_block_checks_read_every_row(monkeypatch):
                                           rng.integers(0, 2, (3, 3, 2)),
                                           rng.integers(0, 2, (3, 3, 2)), "statevector"))
 
-    overlap_pass, support = protocol.cat_overlaps, protocol.cat_support
-    rewrite = protocol.bell_measure_block
+    overlap_pass, rewrite = protocol.cat_overlaps, protocol.bell_measure_block
     config = zero_config(2, 3)
-    monkeypatch.setattr(statevec, "BLOCK_AMPLITUDES", 3 * 2 ** 5)
+    monkeypatch.setattr(statevec, "BLOCK_AMPLITUDES", 3 * 2 ** 3)
+    assert statevec.block_rows(2, 3) == 3
     monkeypatch.setattr(protocol, "cat_overlaps", last_row_scaled)
     with pytest.raises(RuntimeError, match=r"party 2 outcome \(0,0\) has probability"):
         enumerate_oracle_branches(config)
     with pytest.raises(RuntimeError, match=r"party 2 outcome \(0,0\) has probability"):
         oracle_view_counts(config, [3])
     with pytest.raises(RuntimeError, match=r"party 1 outcome \(0,0\) has probability"):
+        rounds()
+    monkeypatch.setattr(protocol, "cat_overlaps", last_row_reordered)
+    with pytest.raises(RuntimeError, match=rf"party 2 outcome \(0,0\) {CHILD}"):
+        enumerate_oracle_branches(config)
+    with pytest.raises(RuntimeError, match=rf"party 2 outcome \(0,0\) {CHILD}"):
+        oracle_view_counts(config, [3])
+    with pytest.raises(RuntimeError, match=rf"party 1 outcome \(1,0\) {CHILD}"):
         rounds()
     monkeypatch.setattr(protocol, "cat_overlaps", overlap_pass)
     monkeypatch.setattr(protocol, "bell_measure_block", last_row_duplicate)
@@ -606,16 +636,15 @@ def test_block_checks_read_every_row(monkeypatch):
     with pytest.raises(RuntimeError, match="party 1's outcomes name 3 Bell states"):
         rounds()
     monkeypatch.setattr(protocol, "bell_measure_block", rewrite)
-    monkeypatch.setattr(protocol, "cat_support", end_check_scaled)
-    for factor, message in ((np.exp(0.1j), "global phase disagrees"),
-                            (1.1, "not the announced cat state")):
-        with pytest.raises(RuntimeError, match=message):
-            enumerate_oracle_branches(config)
-        with pytest.raises(RuntimeError, match=message):
-            oracle_view_counts(config, [3])
-        with pytest.raises(RuntimeError, match=message):
-            rounds()
-    monkeypatch.setattr(protocol, "cat_support", support)
+    with monkeypatch.context() as patch:
+        fault_reference(patch, last_reference_scaled)
+        for factor in (np.exp(0.1j), 1.1):
+            with pytest.raises(RuntimeError, match=rf"party 1 outcome \(1,1\) {CHILD}"):
+                enumerate_oracle_branches(config)
+            with pytest.raises(RuntimeError, match=rf"party 1 outcome \(1,1\) {CHILD}"):
+                oracle_view_counts(config, [3])
+            with pytest.raises(RuntimeError, match=rf"party 1 outcome \(1,0\) {CHILD}"):
+                rounds()
     assert len(enumerate_oracle_branches(config)) == 64
     assert sum(map(sum, oracle_view_counts(config, [3]).values())) == 64
     assert [len(cat) for cat, _, _ in rounds()] == [3]
@@ -654,8 +683,9 @@ def test_dense_step_builds_only_the_kept_children(d, n):
         for got, want in ((kept.labels, full.labels), (kept.phase, full.phase),
                           (kept_codes, codes)):
             assert np.array_equal(got, want[keep])
-        assert kept.amps.shape == full.amps[keep].shape
-        assert np.max(np.abs(kept.amps - full.amps[keep])) <= 1e-12
+        assert np.array_equal(kept.index, full.index[keep])
+        assert kept.values.shape == full.values[keep].shape
+        assert np.max(np.abs(kept.values - full.values[keep])) <= 1e-12
         block = kept
 
 
@@ -700,20 +730,19 @@ def test_class_check_catches_a_phase_on_one_branch(monkeypatch, d, n):
     # A global phase on every child of the last class row at the last step
     # keeps each probability at 1/d^2 and the d^2 outcomes distinct. Those
     # children are no class's representative (each class already has a
-    # member), so the end check, which reads representatives only, never
-    # sees them: only the class check, which compares every child with its
-    # class's representative, catches the fault.
+    # member), so a check of representatives only would never see them:
+    # the child check, which reads every child of every step, catches it.
     overlap_pass = protocol.cat_overlaps
 
-    def last_row_turned(d, particles, amps, pair, rest):
-        overlaps = overlap_pass(d, particles, amps, pair, rest)
+    def last_row_turned(d, particles, index, values, pair, rest):
+        residuals, overlaps = overlap_pass(d, particles, index, values, pair, rest)
         if pair == protocol.measurement_pair(n, n) and len(overlaps) > 1:
             overlaps[-1] *= np.exp(0.1j)
-        return overlaps
+        return residuals, overlaps
 
     config = random_config(d, n, np.random.default_rng(d + n))
     monkeypatch.setattr(protocol, "cat_overlaps", last_row_turned)
-    message = f"party {n} outcome \\(0,0\\) is not its cat label class's state"
+    message = f"party {n} outcome \\(0,0\\) {CHILD}"
     with pytest.raises(RuntimeError, match=message):
         enumerate_oracle_branches(config)
     with pytest.raises(RuntimeError, match=message):
@@ -723,20 +752,27 @@ def test_class_check_catches_a_phase_on_one_branch(monkeypatch, d, n):
 
 
 def test_end_check_reads_the_register_order():
-    # A finished block's amplitudes are in its register order: the end check
-    # passes the block as built and fails the same amplitudes with their
-    # particle axes permuted.
+    # A child's support indices are packed in its register order: the child
+    # check passes a block of cats as built, and fails the same cats with
+    # their indices packed in another particle order.
     d, n, rng = 3, 3, np.random.default_rng(19)
     particles = (1, 8, 10)
     labels, phase = rng.integers(0, d, (5, n)), rng.integers(0, d, 5)
     roots = np.array([protocol.zeta(d, t) for t in range(d)])
-    amps = cat_amplitudes(d, labels) * roots[phase][:, None]
-    permuted = amps.reshape((5,) + (d,) * n).transpose([0, 3, 1, 2]).reshape(5, -1)
-    assert not np.allclose(amps, permuted)
-    block = protocol._Block(particles, labels, amps, phase)
-    protocol._finish_block(d, block)
-    with pytest.raises(RuntimeError, match="not the announced cat state"):
-        protocol._finish_block(d, block._replace(amps=permuted))
+    index, values = cat_support(d, labels)
+    places = d ** np.arange(n - 1, -1, -1)
+    permuted = (index[..., None] // places % d)[..., [2, 0, 1]] @ places
+    assert not np.array_equal(np.sort(index, axis=1), np.sort(permuted, axis=1))
+
+    def block(index):
+        order = np.argsort(index, axis=1)
+        return protocol._Block(particles, labels, np.take_along_axis(index, order, axis=1),
+                               np.take_along_axis(values, order, axis=1)
+                               * roots[phase][:, None], phase)
+
+    protocol._check_children(d, 1, block(index), np.arange(5))
+    with pytest.raises(RuntimeError, match=rf"party 1 outcome \(0,0\) {CHILD}"):
+        protocol._check_children(d, 1, block(permuted), np.arange(5))
 
 
 def test_library_dense_calls_refuse_over_cap_before_building(monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from quditswap.catbell import bell_state, cat_amplitudes, cat_state
+from quditswap.catbell import bell_state, cat_amplitudes, cat_state, cat_support
 from quditswap import statevec
 from quditswap.statevec import (StateVector, apply_controlled_shift,
                                 apply_hadamard, basis_state,
@@ -213,71 +213,102 @@ def test_project_requires_subset_and_unit_reference():
         project_onto(state, bad)
 
 
+def cat_bell_rows(d, cat, bell, rng, rows):
+    """Support rows over cat + bell: a random cat on the particles cat times
+    a random Bell pair on bell, with random values of unit norm put on
+    those d^2 indices, as (index, values), each (rows, d^2)."""
+    cat_index, _ = cat_support(d, rng.integers(0, d, (rows, len(cat))))
+    bell_index, _ = cat_support(d, rng.integers(0, d, (rows, 2)))
+    index = (cat_index[:, :, None] * d * d + bell_index[:, None, :]).reshape(rows, -1)
+    values = rng.normal(size=index.shape) + 1j * rng.normal(size=index.shape)
+    return index, values / np.linalg.norm(values, axis=1, keepdims=True)
+
+
+def scattered(d, qudits, index, values):
+    """Support rows of values (..., S), at index broadcast to their shape,
+    scattered into dense rows (..., d**qudits)."""
+    amps = np.zeros(values.shape[:-1] + (d ** qudits,), dtype=complex)
+    np.put_along_axis(amps, np.broadcast_to(index, values.shape), values, axis=-1)
+    return amps
+
+
 def test_cat_overlaps_match_projections():
     rng = np.random.default_rng(17)
     # the pair is listed out of state order, the black node not leading
-    pair = (1, 3)
+    cat, bell, pair = (3, 7, 1), (5, 8), (8, 7)
+    particles = cat + bell
+    rest = tuple(p for p in particles if p not in pair)
     for d in range(2, 6):
-        state = random_state(d, (3, 7, 1, 5, 8), rng)
-        rest = tuple(p for p in state.particles if p not in pair)
-        overlaps = cat_overlaps(d, state.particles, state.amps[None], pair, rest)
-        assert overlaps.shape == (1, d, d, d ** len(rest))
-        for labels in itertools.product(range(d), repeat=2):
-            probability, post = project_onto(state, cat_state(d, pair, labels))
-            assert post.particles == rest
-            residual = overlaps[(0,) + labels]
-            assert abs(probability - np.vdot(residual, residual).real) < 1e-12
-            assert np.max(np.abs(post.amps * np.sqrt(probability) - residual)) < 1e-12
+        index, values = cat_bell_rows(d, cat, bell, rng, 2)
+        residuals, overlaps = cat_overlaps(d, particles, index, values, pair, rest)
+        assert residuals.shape == (2, d, d) and overlaps.shape == (2, d, d, d)
+        assert np.all(np.diff(residuals, axis=2) > 0)
+        for row in range(2):
+            state = StateVector(d, particles, scattered(d, 5, index[row], values[row]))
+            for u1, u2 in itertools.product(range(d), repeat=2):
+                probability, post = project_onto(state, cat_state(d, pair, (u1, u2)))
+                assert post.particles == rest
+                residual = scattered(d, 3, residuals[row, u2], overlaps[row, u1, u2])
+                assert abs(probability - np.vdot(residual, residual).real) < 1e-12
+                assert np.max(np.abs(post.amps * np.sqrt(probability) - residual)) < 1e-12
 
 
 def test_cat_overlaps_rejects_bad_subsets():
-    state = basis_state(2, (0, 1, 2), (0, 0, 0))
+    index, values = cat_bell_rows(2, (0, 1), (2, 3), np.random.default_rng(3), 1)
     for subset in ((0,), (0, 0), (1, 2, 1), (0, 9)):
-        rest = tuple(p for p in state.particles if p not in subset)
+        rest = tuple(p for p in range(4) if p not in subset)
         with pytest.raises(ValueError):
-            cat_overlaps(2, state.particles, state.amps[None], subset, rest)
+            cat_overlaps(2, range(4), index, values, subset, rest)
 
 
 def test_cat_overlaps_rows_are_single_state_calls():
     rng = np.random.default_rng(23)
     particles, pair = (3, 7, 1, 5), (5, 7)
     for d in range(2, 6):
-        rows = np.array([random_state(d, particles, rng).amps for _ in range(4)])
-        overlaps = cat_overlaps(d, particles, rows, pair, (3, 1))
-        assert overlaps.shape == (4, d, d, d ** 2)
-        for row, expected in zip(rows, overlaps):
-            single = cat_overlaps(d, particles, row[None], pair, (3, 1))
-            assert single[0].tobytes() == expected.tobytes()
+        index, values = cat_bell_rows(d, (3, 7), (1, 5), rng, 4)
+        residuals, overlaps = cat_overlaps(d, particles, index, values, pair, (3, 1))
+        assert overlaps.shape == (4, d, d, d)
+        for row in range(4):
+            single = cat_overlaps(d, particles, index[row:row + 1], values[row:row + 1],
+                                  pair, (3, 1))
+            assert single[0][0].tobytes() == residuals[row].tobytes()
+            assert single[1][0].tobytes() == overlaps[row].tobytes()
 
 
 def test_cat_overlaps_orders_the_residual_by_rest():
     # rest orders the residual axes: any order of the other particles is the
-    # state-order call with its residual axes permuted the same way
+    # state-order call with its scattered residual axes permuted the same way
     rng = np.random.default_rng(29)
     particles, pair = (3, 7, 1, 5, 8), (5, 7)
     base = (3, 1, 8)
     for d in range(2, 5):
-        rows = np.array([random_state(d, particles, rng).amps for _ in range(3)])
-        expected = cat_overlaps(d, particles, rows, pair, base)
+        index, values = cat_bell_rows(d, (3, 7, 1), (5, 8), rng, 3)
+        residuals, overlaps = cat_overlaps(d, particles, index, values, pair, base)
+        expected = scattered(d, 3, residuals[:, None], overlaps)
         for rest in itertools.permutations(base):
             axes = [base.index(p) for p in rest]
             permuted = expected.reshape((3, d, d) + (d,) * 3).transpose(
                 [0, 1, 2] + [3 + a for a in axes]).reshape(expected.shape)
-            overlaps = cat_overlaps(d, particles, rows, pair, rest)
-            assert np.max(np.abs(overlaps - permuted)) < 1e-12
+            residuals, overlaps = cat_overlaps(d, particles, index, values, pair, rest)
+            assert np.max(np.abs(scattered(d, 3, residuals[:, None], overlaps)
+                                 - permuted)) < 1e-12
 
 
 def test_cat_overlaps_rejects_a_rest_that_is_not_the_other_particles():
-    state = basis_state(2, (0, 1, 2, 3), (0, 0, 0, 0))
-    for rest in ((2,), (3,), (2, 2), (2, 3, 3), (2, 3, 4), (2, 3, 0), (1, 3), ()):
+    index, values = cat_bell_rows(2, (0, 1), (2, 3), np.random.default_rng(5), 1)
+    for rest in ((0,), (3,), (0, 0), (0, 3, 3), (0, 3, 4), (0, 3, 1), (2, 3), ()):
         with pytest.raises(ValueError, match="do not split"):
-            cat_overlaps(2, state.particles, state.amps[None], (0, 1), rest)
-    assert cat_overlaps(2, state.particles, state.amps[None], (0, 1), (3, 2)).shape == \
-        (1, 2, 2, 4)
+            cat_overlaps(2, range(4), index, values, (1, 2), rest)
+    residuals, overlaps = cat_overlaps(2, range(4), index, values, (1, 2), (3, 0))
+    assert residuals.shape == (1, 2, 2) and overlaps.shape == (1, 2, 2, 2)
 
 
 def test_cat_overlaps_rejects_a_block_of_the_wrong_shape():
-    state = basis_state(2, (0, 1, 2), (0, 0, 0))
-    for amps in (state.amps, state.amps[None, :4], state.amps.reshape(1, 2, 4)):
+    index, values = cat_bell_rows(2, (0, 1), (2, 3), np.random.default_rng(7), 1)
+    for rows in ((index[0], values[0]), (index[:, :3], values[:, :3]),
+                 (index, values[:, :3]), (index.reshape(1, 2, 2), values.reshape(1, 2, 2))):
         with pytest.raises(ValueError, match="amplitudes"):
-            cat_overlaps(2, state.particles, amps, (0, 1), (2,))
+            cat_overlaps(2, range(4), *rows, (0, 2), (1, 3))
+    # a pair inside the cat puts every entry on one u2
+    with pytest.raises(ValueError, match="each u2 must hold d entries"):
+        cat_overlaps(2, range(4), index, values, (0, 1), (2, 3))
