@@ -51,8 +51,8 @@ from .swapcalc import RULES, verify_swap_block
 # bounds the oracle's leaf pass, whose integer work grows with the branch
 # count; its dense work grows with d^n. At 2^18 branches, on a 2-CPU host,
 # collude --oracle takes about 0.13 s at d=2 n=9, all but 0.01 s of it in
-# the leaf pass, and 0.08 s at d=8 n=3, 0.05 s of it in the class pass, in
-# a fresh process as in a warm one
+# the leaf pass, and 0.09 s at d=8 n=3, 0.05 s of it in the class pass
+# (medians of eight fresh-process runs each)
 MAX_ORACLE_BRANCHES = 1 << 18
 
 # glibc's mallopt parameters, from its malloc.h
@@ -445,6 +445,13 @@ def _at_least(low: int):
     return _int_type(check)
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite float above 0, else exit 2."""
+    if not 0 < (value := float(text)) < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
+    return value
+
+
 _DIMENSION = _int_type(validate_dimension)
 
 
@@ -465,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="all label tuples (default)")
     group.add_argument("--samples", type=_at_least(1), default=None,
                        help="random label tuples instead of all of them")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", metavar="PATH", default=None,
                    help="write a machine report to PATH, or - for stdout")

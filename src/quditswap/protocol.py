@@ -54,9 +54,9 @@ branch's class node at every level, read through the class tables. Two
 consumers gather from the nodes: _oracle_blocks the five field arrays
 that enumerate_oracle_branches turns into Transcripts, and
 oracle_view_tally, which reads only party 1's measured code and the final
-class, a coalition's view classes and their first-dit counts as arrays;
-oracle_view_counts is that tally as a dict. Both refuse a d^(n+2) step
-over the cap before any allocation and size blocks by block_rows(d, 3).
+class, a coalition's view classes, ascending, and first-dit counts as
+arrays; oracle_view_counts is that tally as a dict. Both refuse a d^(n+2)
+step over the cap before any allocation and size blocks by block_rows(d, 3).
 """
 
 from __future__ import annotations
@@ -581,8 +581,8 @@ def enumerate_oracle_branches(config: ProtocolConfig) -> list[Transcript]:
 
 def oracle_view_tally(config: ProtocolConfig, known_parties):
     """Per view class of the coalition known_parties (in 2..n, else
-    ValueError), in walk order, how many oracle branches give each first key
-    dit u1 - k1, as arrays (views, counts).
+    ValueError), in ascending view order, how many oracle branches give
+    each first key dit u1 - k1, as arrays (views, counts).
 
     A class is what the coalition sees: the announced cat and its outcomes
     in party order. views (C, n + 2 * len(known)) holds its digits,
@@ -590,40 +590,32 @@ def oracle_view_tally(config: ProtocolConfig, known_parties):
     dit. After _oracle_classes certifies the walk, each _oracle_paths block
     is tallied on one integer key per branch, those digits in base d: one
     key per final class plus the known parties' outcome codes, and the first
-    dit from party 1's measured code. A class is numbered in the order it
-    first appears; only a block's keys not seen before are merged, by
-    searchsorted, into the sorted keys so far and their numbers."""
+    dit from party 1's measured code. The keys so far stay sorted, a row of
+    counts beside each; a block inserts only the keys not among them."""
     d, n = config.d, config.n
     known = [i - 1 for i in _coalition(n, known_parties)]
     places = d ** np.arange(n + 2 * len(known) - 1, -1, -1)
     classes, tables = _oracle_classes(config)
     finals, key_dit = classes.labels @ places[:n], tables[0][1][0] // d
-    keys, ids, found = np.empty(0, dtype=int), np.empty(0, dtype=int), 0
-    tally = np.zeros((0, d), dtype=int)  # by class number, grown by doubling
+    keys, tally = np.empty(0, dtype=int), np.zeros((0, d), dtype=int)
     for steps, nodes in _oracle_paths(d, n, tables):
         # an outcome code k * d + l at l's place puts k at the place above it
         views = finals[nodes[-1]] + steps[:, known] @ places[n + 1::2]
-        fresh, first, inverse = np.unique(views, return_index=True, return_inverse=True)
+        fresh, inverse = np.unique(views, return_inverse=True)
         at = np.searchsorted(keys, fresh)
-        new = np.append(keys, -1)[at] != fresh
-        number = np.append(ids, -1)[at]
-        count = int(np.count_nonzero(new))
-        number[np.flatnonzero(new)[np.argsort(first[new])]] = found + np.arange(count)
-        keys, ids = np.insert(keys, at[new], fresh[new]), np.insert(ids, at[new], number[new])
-        found += count
-        if found > len(tally):
-            grow = max(found, 2 * len(tally)) - len(tally)
-            tally = np.concatenate([tally, np.zeros((grow, d), dtype=int)])
-        np.add.at(tally, (number[inverse], key_dit[steps[:, 0]]), 1)
-    ordered = np.empty(found, dtype=int)
-    ordered[ids] = keys
-    return ordered[:, None] // places % d, tally[:found]
+        new = at == np.searchsorted(keys, fresh, side="right")
+        if new.any():
+            keys = np.insert(keys, at[new], fresh[new])
+            tally = np.insert(tally, at[new], 0, axis=0)
+            at = np.searchsorted(keys, fresh)
+        np.add.at(tally, (at[inverse], key_dit[steps[:, 0]]), 1)
+    return keys[:, None] // places % d, tally
 
 
 def oracle_view_counts(config: ProtocolConfig, known_parties) -> dict[tuple, list[int]]:
-    """oracle_view_tally as a dict, in walk order: from each view class,
-    (announced, ((k_i, l_i), ...) of the known parties in party order), to
-    its d counts."""
+    """oracle_view_tally as a dict, in ascending view order: from each view
+    class, (announced, ((k_i, l_i), ...) of the known parties in party
+    order), to its d counts."""
     views, counts = oracle_view_tally(config, known_parties)
     n = config.n
     return {(tuple(view[:n]), tuple(zip(view[n::2], view[n + 1::2]))): firsts

@@ -49,7 +49,7 @@ import numpy as np
 
 from .catbell import cat_state, cat_support, reduce_labels
 from .core import validate_dimension, zeta
-from .statevec import StateVector, checked_size, tensor
+from .statevec import StateVector, checked_size, kron_rows, tensor
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -308,10 +308,10 @@ def verify_swap_block(rule: str, d: int, rows, m: int | None = None) -> np.ndarr
     count = len(rows)
     roots = np.array([zeta(d, t) for t in range(d)])[phases]
     scale = float(d) ** -1.0  # two factors of 1/sqrt(d) per Bell measurement
-    rhs = amps_m[..., :, None] * amps_r[..., None, :]  # (R, d^2 outcomes, d, d)
-    rhs *= roots[:, None, None]
+    rhs = kron_rows(amps_m, amps_r)  # (R, d^2 outcomes, d^2)
+    rhs *= roots[:, None]
     rhs *= scale
-    lhs = amps_a[:, :, None] * amps_b[:, None, :]
+    lhs = kron_rows(amps_a, amps_b)
 
     # one slot per nonzero of either side, sorted by (row, index); add.at
     # adds each slot's rhs terms in (k, l) order, then subtracts its lhs

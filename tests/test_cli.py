@@ -904,7 +904,9 @@ def test_out_of_range_arguments_name_their_flag(capsys):
                        (["protocol", "--rounds", "-1"], "--rounds"),
                        (["collude", "--d", "17", "--missing", "2"], "--d"),
                        (["verify", "--n", "-3", "--rule", "bell"], "--n"),
-                       (["verify", "--n", "2"], "--n")):
+                       (["verify", "--n", "2"], "--n"),
+                       *((["verify", "--rule", "bell", "--tol", tol], "--tol")
+                         for tol in ("nan", "inf", "0", "-1"))):
         assert run_cli(argv) == 2
         err = capsys.readouterr().err
         assert flag in err and "usage:" in err

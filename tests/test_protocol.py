@@ -407,7 +407,7 @@ def test_oracle_view_counts_tally_the_branches(d, n):
     # Every strict subset of parties 2..n sees each first key dit equally
     # often in every view class; all of 2..n together see one dit per class,
     # pooled recovery read from the amplitudes. The tally equals, class for
-    # class and in order, a tally of enumerate_oracle_branches' Transcripts.
+    # class, a tally of enumerate_oracle_branches' Transcripts sorted by view.
     config = random_config(d, n, np.random.default_rng(d * n))
     branches = enumerate_oracle_branches(config)
     for size in range(n):
@@ -418,9 +418,9 @@ def test_oracle_view_counts_tally_the_branches(d, n):
                         tuple(branch.outcomes[i - 1] for i in known))
                 classes.setdefault(view, []).append(branch.key[0])
             counts = oracle_view_counts(config, known[::-1])
-            assert list(counts.items()) == [
+            assert list(counts.items()) == sorted(
                 (view, [firsts.count(w) for w in range(d)])
-                for view, firsts in classes.items()]
+                for view, firsts in classes.items())
             assert sum(map(sum, counts.values())) == d ** (2 * n)
             for firsts in counts.values():
                 if size < n - 1:
@@ -955,7 +955,7 @@ def test_oracle_view_counts_merge_across_blocks(monkeypatch, rows):
     # Leaf blocks of one or seven branches make most classes first appear
     # in a later block, where only the new keys merge into the keys so far;
     # the tally must equal the one-block tally, class for class and in
-    # walk order.
+    # ascending view order.
     d, n = 3, 3
     config = random_config(d, n, np.random.default_rng(33))
     coalitions = [known for size in range(n)
@@ -966,12 +966,35 @@ def test_oracle_view_counts_merge_across_blocks(monkeypatch, rows):
             for known in coalitions] == whole
 
 
+def test_oracle_view_tally_inserts_only_new_classes(monkeypatch):
+    # With one branch per leaf block, most blocks add no view class; such a
+    # block must copy nothing, so the sorted keys and their tally rows take
+    # at most two np.insert calls per class, not two per block.
+    d, n = 3, 3
+    config = random_config(d, n, np.random.default_rng(33))
+    monkeypatch.setattr(statevec, "BLOCK_AMPLITUDES", n)
+    calls, insert = [], np.insert
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return insert(*args, **kwargs)
+    monkeypatch.setattr(np, "insert", counted)
+    for size in range(n):
+        for known in itertools.combinations(range(2, n + 1), size):
+            calls.clear()
+            _, counts = protocol.oracle_view_tally(config, known)
+            assert 0 < len(calls) <= 2 * len(counts)
+            if size < n - 1:
+                assert 2 * len(counts) < d ** (2 * n)  # fewer classes than blocks
+            assert counts.sum() == d ** (2 * n)
+
+
 @pytest.mark.parametrize("d, n", [(2, 3), (3, 3), (2, 4)])
 def test_oracle_view_tally_is_the_dict(monkeypatch, d, n):
     # For every coalition, the array tally, decoded here digit by digit, is
-    # oracle_view_counts' dict item for item and in walk order: with the
-    # default leaf blocks and with blocks of one and seven branches, where
-    # most classes first appear in a later block.
+    # oracle_view_counts' dict item for item, its rows strictly ascending as
+    # digit tuples: with the default leaf blocks and with blocks of one and
+    # seven branches, where most classes first appear in a later block.
     config = random_config(d, n, np.random.default_rng(d * n))
     for budget in (statevec.BLOCK_AMPLITUDES, n, 7 * n):
         monkeypatch.setattr(statevec, "BLOCK_AMPLITUDES", budget)
@@ -981,6 +1004,8 @@ def test_oracle_view_tally_is_the_dict(monkeypatch, d, n):
                 assert views.dtype.kind == counts.dtype.kind == "i"
                 assert views.shape == (len(counts), n + 2 * size)
                 assert counts.shape == (len(counts), d)
+                rows = list(map(tuple, views.tolist()))
+                assert all(a < b for a, b in zip(rows, rows[1:]))
                 decoded = [((tuple(view[:n]), tuple((view[n + 2 * j], view[n + 2 * j + 1])
                                                     for j in range(size))), firsts)
                            for view, firsts in zip(views.tolist(), counts.tolist())]
