@@ -57,9 +57,9 @@ def cat_support(d: int, labels, places=None):
 
     labels holds integers in shape (..., n); both results have shape
     (..., d), one entry per j of the closed form. index packs the support
-    digits (j, j+u2, ..., j+un) with the place values places, d**(n-1),
-    ..., d, 1 (big-endian) by default; other place values put the cat's
-    particles at other positions of a larger register.
+    digits (j, j+u2, ..., j+un) with the place values places: by default
+    d**(n-1), ..., d, 1 (big-endian), so each row ascends with j; others
+    put the cat's particles at other positions of a larger register.
     """
     validate_dimension(d)
     labels = reduce_labels(d, labels)
@@ -68,10 +68,8 @@ def cat_support(d: int, labels, places=None):
         raise ValueError("a cat state needs at least 2 particles")
     if places is None:
         places = d ** np.arange(n - 1, -1, -1)
-    offsets = labels.copy()
-    offsets[..., 0] = 0
     j = np.arange(d)
-    index = ((j[:, None] + offsets[..., None, :]) % d) @ places
+    index = j * places[0] + ((j[:, None] + labels[..., None, 1:]) % d) @ places[1:]
     scale = 1.0 / math.sqrt(d)
     roots = np.array([scale * zeta(d, t) for t in range(d)])
     return index, roots[j * labels[..., :1] % d]

@@ -253,11 +253,9 @@ def _dense_step(d: int, n: int, bell, i: int, block: _Block, keep=None):
 def _check_children(d: int, i: int, children: _Block, codes) -> None:
     """RuntimeError unless each child of party i's step, of outcome code
     k * d + l in codes, is the cat of its rewritten labels times zeta^phase:
-    cat_support's indices, sorted, and its values times zeta^phase, each
-    within 1e-9."""
+    cat_support's indices, ascending as the child's are, and its values
+    times zeta^phase, each within 1e-9."""
     index, values = cat_support(d, children.labels)
-    order = np.argsort(index, axis=1)
-    index, values = (np.take_along_axis(x, order, axis=1) for x in (index, values))
     values *= np.array([zeta(d, t) for t in range(d)])[children.phase][:, None]
     close = np.abs(children.values - values) <= 1e-9  # NaN fails
     wrong = np.flatnonzero(~np.all((index == children.index) & close, axis=1))
@@ -510,7 +508,7 @@ def _class_step(d: int, n: int, bell, i: int, classes: _Block):
     for start in range(0, len(classes.phase), rows):
         block = classes.rows(slice(start, start + rows))
         children, measured = _dense_step(d, n, bell, i, block)
-        keys = children.labels % d @ places
+        keys = children.labels @ places
         fresh, first = np.unique(keys, return_index=True)
         first = first[slot[fresh] < 0]  # the first child of each new class
         slot[keys[first]] = found + np.arange(len(first))

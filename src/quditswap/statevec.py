@@ -214,7 +214,7 @@ def cat_overlaps(d: int, particles, index, values, pair, rest):
         raise ValueError(f"expected (B, {d * d}) indices and amplitudes, "
                          f"got shapes {index.shape} and {values.shape}")
     places = d ** np.arange(len(order) - 1, -1, -1)
-    digits = (index[..., None] // places % d)[..., [particles.index(p) for p in order]]
+    digits = index[..., None] // places[[particles.index(p) for p in order]] % d
     keys = (digits[..., 1] - digits[..., 0]) % d * places[1] + digits[..., 2:] @ places[2:]
     sort = np.argsort(keys, axis=1)
     keys, j, values = (np.take_along_axis(x, sort, axis=1)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from quditswap.catbell import (bell_state, cat_amplitudes, cat_state,
+from quditswap.catbell import (bell_state, cat_amplitudes, cat_state, cat_support,
                                cat_via_circuit, expand_basis_in_bell,
                                expand_basis_in_cat, reduce_labels)
 from quditswap.core import pack_index, zeta
@@ -16,19 +16,23 @@ from quditswap.statevec import basis_state, inner_product, permute_to
 from quditswap.swapcalc import CatFragment, Register, bell_measure
 
 
+def closed_form_digits(d, labels):
+    """The closed form's support digits (j, j+u2, ..., j+un), one tuple per j."""
+    return [(j,) + tuple((j + int(u)) % d for u in labels[1:]) for j in range(d)]
+
+
 def closed_form_loop(d, labels):
     """The cat closed form as a d-step loop over j, one amplitude per step."""
     labels = tuple(int(u) % d for u in labels)
     amps = np.zeros(d ** len(labels), dtype=complex)
     scale = 1.0 / math.sqrt(d)
-    for j in range(d):
-        digits = (j,) + tuple((j + u) % d for u in labels[1:])
+    for j, digits in enumerate(closed_form_digits(d, labels)):
         amps[pack_index(d, digits)] = scale * zeta(d, j * labels[0])
     return amps
 
 
 def test_cat_amplitudes_match_cat_state_bit_for_bit():
-    rng = np.random.default_rng(11)
+    rng, shuffle = np.random.default_rng(11), np.random.default_rng(12)
     for d in range(2, 8):
         for n in range(2, 6):
             # all tuples where they are few, else a sample; labels outside 0..d-1 too
@@ -40,6 +44,16 @@ def test_cat_amplitudes_match_cat_state_bit_for_bit():
                 expected = closed_form_loop(d, labels).tobytes()
                 assert amps.tobytes() == expected
                 assert cat_state(d, range(n), labels).amps.tobytes() == expected
+            # the dense step's child check compares supports index for index,
+            # so it relies on this order: ascending under default places,
+            # and one entry per j under the permuted places verify passes
+            index, _ = cat_support(d, tuples)
+            assert np.all(np.diff(index, axis=-1) > 0)
+            places = d ** shuffle.permutation(n)
+            index, _ = cat_support(d, tuples, places)
+            for labels, row in zip(tuples, index):
+                assert row.tolist() == [int(np.dot(digits, places))
+                                        for digits in closed_form_digits(d, labels)]
 
 
 def test_cat_amplitudes_shapes_and_validation():
