@@ -34,8 +34,9 @@ one-row call on a Register.
 
 verify_swap_block checks these rewrites against dense amplitudes for a
 block of label tuples: one bell_measure_block call rewrites every tuple
-under all d^2 outcomes, and both sides of the outcome sum are summed on
-their nonzero amplitudes, which cat_support gives for a block of cats.
+under all d^2 outcomes, each tuple sorts the nonzero amplitudes of both
+sides of its outcome sum (cat_support) by index, equal indices in outcome
+order, and np.bincount adds them in that order, as a dense rebuild does.
 """
 
 from __future__ import annotations
@@ -267,12 +268,13 @@ def verify_swap_block(rule: str, d: int, rows, m: int | None = None) -> np.ndarr
     row, shape (R,).
 
     Each term of the sum is a Bell state times a cat, with d^2 nonzero
-    amplitudes, so the sum runs on their indices only (cat_support): each
-    slot adds its terms in (k, l) order, the float operations of a dense
-    per-state rebuild, where the other terms add exact zeros. A row's
-    deviation is therefore the dense one, bit for bit, and does not depend
-    on the block it is in. The largest array holds R * (d**4 + d**2)
-    entries.
+    amplitudes, so the sum runs on their indices only (cat_support). Each
+    row sorts its terms, rhs then lhs, by index * (d**4 + d**2) + position;
+    np.bincount adds each slot, a run of equal indices, in that (k, l)
+    order, the float operations of a dense per-state rebuild, where the
+    other terms add exact zeros. A row's deviation is therefore the dense
+    one, bit for bit, and does not depend on the block it is in. The
+    largest array holds R * (d**4 + d**2) entries.
 
     The check cannot detect a consistent relabelling of outcomes, such as a
     flipped sign of k or l in _RULE_SIGNS (the deviation stays about 1e-16):
@@ -286,7 +288,7 @@ def verify_swap_block(rule: str, d: int, rows, m: int | None = None) -> np.ndarr
                          f"got shape {rows.shape}")
     fragments, pair = _swap_layout(rule, (rows.shape[1] - 2, 2), m)
     before = sum(fragments, ())
-    size = checked_size(d, len(before))
+    checked_size(d, len(before))
 
     split = len(fragments[0])
     labels = [rows[:, None, :split], rows[:, None, split:]]
@@ -305,27 +307,34 @@ def verify_swap_block(rule: str, d: int, rows, m: int | None = None) -> np.ndarr
     index_b, amps_b = cat_support(d, rows[:, split:], lhs_places[split:])
     index_m, amps_m = cat_support(d, measured, places[:2])
     index_r, amps_r = cat_support(d, residual, places[2:])
-    count = len(rows)
+    count, terms = len(rows), d ** 4 + d ** 2
     roots = np.array([zeta(d, t) for t in range(d)])[phases]
     scale = float(d) ** -1.0  # two factors of 1/sqrt(d) per Bell measurement
     rhs = kron_rows(amps_m, amps_r)  # (R, d^2 outcomes, d^2)
     rhs *= roots[:, None]
     rhs *= scale
-    lhs = kron_rows(amps_a, amps_b)
 
-    # one slot per nonzero of either side, sorted by (row, index); add.at
-    # adds each slot's rhs terms in (k, l) order, then subtracts its lhs
-    # (adding -x is subtracting x, bit for bit)
-    offsets = np.arange(count) * size
-    index = np.concatenate(
+    # a row's terms: the rhs in (k, l) order, then the lhs negated (adding
+    # -x is subtracting x, bit for bit), each keyed index * terms + position
+    values = np.concatenate([rhs.reshape(count, -1), -kron_rows(amps_a, amps_b)],
+                            axis=1).reshape(-1)
+    del rhs
+    keys = np.concatenate(
         [(index_m[..., :, None] + index_r[..., None, :]).reshape(count, -1),
          (index_a[:, :, None] + index_b[:, None, :]).reshape(count, -1)], axis=1)
-    index += offsets[:, None]
-    support, slots = np.unique(index.reshape(-1), return_inverse=True)
-    total = np.zeros(len(support), dtype=complex)
-    np.add.at(total, slots, np.concatenate(
-        [rhs.reshape(count, -1), -lhs.reshape(count, -1)], axis=1).reshape(-1))
-    return np.maximum.reduceat(np.abs(total), np.searchsorted(support, offsets))
+    keys = keys * terms + np.arange(terms)
+    keys.sort(axis=1)  # bincount adds each slot, a run of equal indices, in this order
+    index = keys // terms * terms
+    keys -= index  # each term's position in its row
+    new = np.ones(keys.shape, dtype=bool)  # a slot's first term
+    np.not_equal(index[:, 1:], index[:, :-1], out=new[:, 1:])
+    new[0, 0] = False  # slots count from 0
+    slots = np.cumsum(new, out=index.reshape(-1))
+    keys += np.arange(0, len(values), terms)[:, None]  # each term's place in values
+    total = np.empty(slots[-1] + 1, dtype=complex)
+    total.real = np.bincount(slots, values.real[keys.reshape(-1)])
+    total.imag = np.bincount(slots, values.imag[keys.reshape(-1)])
+    return np.maximum.reduceat(np.abs(total), slots[::terms])
 
 
 def verify_swap_identity(rule: str, d: int, labels, m: int | None = None) -> float:
