@@ -22,8 +22,9 @@ over-cap sizes are refused by statevec.checked_size before any work.
 plus seed reproduce it byte for byte, so no timings go into the JSON. The
 report is indented JSON with sorted keys, except that protocol's
 "transcripts" (its last key) holds one compact record per line: the
-records stream through a temporary spool block by block, and _emit writes
-them after the rest of the report, so report memory is flat in --rounds.
+records stream as bytes through a temporary binary spool block by block,
+and _emit copies them after the rest of the report, so report memory is
+flat in --rounds.
 """
 
 from __future__ import annotations
@@ -94,9 +95,11 @@ def _emit(report: dict, json_target: str | None, human_lines: list[str],
     """Print the human table, closed by the verdict and the elapsed time,
     unless JSON goes to stdout; write JSON if asked.
 
-    spool, a text file of records each led by ",\n    ", becomes the list
-    under report's last key, "transcripts" (report lacks it, and each of its
-    keys sorts before it): it is copied after the indented rest.
+    spool, a binary file of ASCII records each led by ",\n    ", becomes
+    the list under report's last key, "transcripts" (report lacks it, and
+    each of its keys sorts before it): its bytes are copied after the
+    indented rest. The report goes out as bytes, to a file opened "wb" or,
+    for "-", to sys.stdout's buffer once sys.stdout is flushed.
 
     Returns the exit code: 2 when the JSON file cannot be written, else 0
     when the report is ok and 1 when it is not.
@@ -106,14 +109,15 @@ def _emit(report: dict, json_target: str | None, human_lines: list[str],
         head, tail = head[:-2] + ',\n  "transcripts": [', "\n  ]\n}\n"
 
     def write(handle):
-        handle.write(head)
+        handle.write(head.encode())
         if spool is not None:
             spool.seek(1)  # past the first record's comma
             shutil.copyfileobj(spool, handle)
-        handle.write(tail)
+        handle.write(tail.encode())
 
     if json_target == "-":
-        write(sys.stdout)
+        sys.stdout.flush()
+        write(sys.stdout.buffer)
     else:
         for line in human_lines:
             print(line)
@@ -121,7 +125,7 @@ def _emit(report: dict, json_target: str | None, human_lines: list[str],
               f"({elapsed:.2f}s)")
         if json_target:
             try:
-                with open(json_target, "w", encoding="utf-8") as handle:
+                with open(json_target, "wb") as handle:
                     write(handle)
             except OSError as exc:
                 return _usage_fail(f"cannot write --json {json_target}: {exc}")
@@ -300,19 +304,19 @@ def cmd_protocol(args) -> int:
     # Rounds run as protocol.round_blocks' field arrays (the dense engine
     # splits a block into sub-blocks of statevec.block_rows rounds), which
     # give the verdicts, the key tally and the records; records go to the
-    # spool as round_records' texts, chunk by chunk.
+    # spool as round_records' bytes, chunk by chunk.
     spooled = args.json and args.rounds
-    with tempfile.TemporaryFile("w+", encoding="utf-8") if spooled else nullcontext() as spool:
+    with tempfile.TemporaryFile("w+b") if spooled else nullcontext() as spool:
         start = time.perf_counter()
         key_counts = np.zeros((d, d), dtype=int)
         recoveries = 0
         for block in _protocol_draws(d, n, args.rounds, draw, next_labels):
             for cat, bells, fields in round_blocks(d, n, *block, args.engine):
-                ok, texts = round_records(d, n, seed, args.engine, cat, bells, fields)
+                ok, chunks = round_records(d, n, seed, args.engine, cat, bells, fields)
                 recoveries += int(np.count_nonzero(ok))
                 np.add.at(key_counts, np.divmod(fields[2], d), 1)
                 if spool is not None:
-                    spool.writelines(texts)
+                    spool.writelines(chunks)
         elapsed = time.perf_counter() - start
 
         success_rate = recoveries / args.rounds if args.rounds else None

@@ -32,17 +32,22 @@ one template from its rows into the protocol report's records, each
 ",\n", four spaces and its JSON, as the command writes them (and
 transcript_to_json_dict parses one): a chunk of rows is one byte array, the
 template's text with NUL-padded slots, filled by one gather from the digits
-of range(d) (other values raise ValueError), decoded less the NULs as one
-text of no more bytes than a block of BLOCK_AMPLITUDES complex amplitudes.
-collusion_counts reads the same arrays for a coalition's view of the
-first key dit; collusion_posterior is its one-row call. The symbolic
-engine rewrites a block as label arrays, one row per round under its own
-outcomes, one block call per step. The dense engine runs one step,
-_dense_step, on a block of branches that share one particle order. A
-block is only their state: cat labels, each cat's d nonzero amplitudes
-and their indices in register order, and phase, one row per branch,
-rewritten under all d^2 outcomes and measured by one cat_overlaps pass,
-residuals in the rewritten register order, which reads every probability
+of range(d) (other values raise ValueError), whose bytes less the NULs,
+ASCII and no more than a block of BLOCK_AMPLITUDES complex amplitudes, go
+out as they are. collusion_counts reads the same arrays for a coalition's
+view of the first key dit; collusion_posterior is its one-row call.
+
+The symbolic engine is one integer matmul per block: a round's labels are
+linear over Z_d in its inputs, so one matrix, round_matrix(n), maps each
+round's cat labels, Bell pairs and outcomes to its announcement, key and
+final Bell pairs, mod d; the phase is a quadratic form in the outcomes.
+The dense engine and verify, which read amplitudes, are its independent
+checks. The dense engine runs one step, _dense_step, on a block of
+branches that share one particle order. A block is only their state: cat
+labels, each cat's d nonzero amplitudes and their indices in register
+order, and phase, one row per branch, rewritten under all d^2 outcomes
+and measured by one cat_overlaps pass, residuals in the rewritten
+register order, which reads every probability
 and outcome from the amplitudes; each child built must be the cat of its
 labels times zeta^phase (_check_children). A block of statevector rounds
 starts with one branch per round, and its step builds only each round's
@@ -64,6 +69,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product, repeat
 from typing import NamedTuple
 
@@ -73,7 +79,7 @@ from . import statevec
 from .catbell import cat_state, cat_support, is_integer, reduce_labels
 from .core import validate_dimension, zeta
 from .statevec import StateVector, block_rows, cat_overlaps, checked_size, kron_rows
-from .swapcalc import bell_measure_block
+from .swapcalc import _swap_rewrite, bell_measure_block
 
 ENGINES = ("symbolic", "statevector")
 # Signs that read a party's (k_i, l_i) into the black-node rewrite, by role:
@@ -188,14 +194,46 @@ class _Block(NamedTuple):
         return _Block(self.particles, *(field[index] for field in self[1:]))
 
 
-def _party_rewrite(d: int, n: int, i: int, particles, labels, bell, outcomes):
+def _party_rewrite(d: int | None, n: int, i: int, particles, labels, bell, outcomes):
     """Party i's bell_measure_block on the cat (particles, labels) and its
-    Bell pair: black node's fragment first, party i's pair and role signs."""
+    Bell pair: black node's fragment first, party i's pair and role signs.
+    With d None it is _swap_rewrite, the same rewrite unreduced."""
     fragments = [(particles, labels), (bell_particles(n, i), bell)]
     if i > 1:  # party i's Bell pair holds the black node
         fragments.reverse()
-    return bell_measure_block(d, *zip(*fragments), measurement_pair(n, i), outcomes,
-                              _ROLE_SIGNS[i > 1])
+    args = (*zip(*fragments), measurement_pair(n, i), outcomes, _ROLE_SIGNS[i > 1])
+    return _swap_rewrite(*args) if d is None else bell_measure_block(d, *args)
+
+
+def round_matrix(n: int) -> np.ndarray:
+    """The symbolic round as one read-only integer matrix (5n, 3n), the same
+    for every d.
+
+    A round's inputs x, its cat labels, its Bell pairs (v_i, v'_i) and its
+    outcomes (k_i, l_i), flat in party order, give x @ round_matrix(n) % d:
+    the announced cat, the key pair and the final Bell pairs of parties
+    2..n. It is built by running the n _party_rewrite steps, unreduced, on
+    the columns of the identity, so its entries are in {-1, 0, 1}; it is
+    cached per n and role signs."""
+    _check_parties(2, n)  # any d: the matrix does not depend on it
+    return _round_matrix(n, _ROLE_SIGNS)
+
+
+@cache
+def _round_matrix(n: int, signs) -> np.ndarray:
+    """round_matrix under the role signs that _party_rewrite reads, signs
+    (they key the cache only)."""
+    inputs = np.eye(5 * n, dtype=int)
+    labels, particles, pairs = inputs[:, :n], tuple(range(1, n + 1)), []
+    bells, outcomes = (inputs[:, first:first + 2 * n].reshape(5 * n, n, 2)
+                       for first in (n, 3 * n))
+    for i in range(1, n + 1):
+        measured, labels, _, particles = _party_rewrite(
+            None, n, i, particles, labels, bells[:, i - 1], outcomes[:, i - 1])
+        pairs.append(measured)
+    matrix = np.concatenate([labels, *pairs], axis=1)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def _dense_start(d: int, n: int, cat) -> _Block:
@@ -277,16 +315,25 @@ def _dense_rounds(d: int, n: int, cat, bells, outcomes):
 
 
 def _symbolic_rounds(d: int, n: int, cat, bells, outcomes):
-    """A block of rounds on label arrays, one bell_measure_block per step;
-    the fields _dense_rounds returns."""
-    particles, labels = tuple(range(1, n + 1)), cat
-    codes, phase = [], 0
-    for i in range(1, n + 1):
-        measured, labels, delta, particles = _party_rewrite(
-            d, n, i, particles, labels, bells[:, i - 1], outcomes[:, i - 1])
-        codes.append(measured @ (d, 1))
-        phase = phase + delta
-    return outcomes @ (d, 1), labels, codes[0], np.stack(codes[1:], axis=1), phase % d
+    """A block of rounds as one matmul mod d by round_matrix(n); the fields
+    _dense_rounds returns. The phase is the sum of each step's -k * l under
+    its role signs, -(sk * k_i) * (sl * l_i)."""
+    count = len(cat)
+    signs = [sk * sl for sk, sl in (_ROLE_SIGNS[i > 1] for i in range(1, n + 1))]
+    # the fields are allocated before the (R, 5n) inputs and their (R, 3n)
+    # product, so those two are freed from the top of the heap instead of
+    # leaving holes under the fields, which raised the command's peak RSS
+    steps = outcomes @ (d, 1)
+    announced, codes = np.empty((count, n), dtype=int), np.empty((count, n), dtype=int)
+    phase = np.empty(count, dtype=int)
+    inputs = np.concatenate([cat, bells.reshape(count, -1), outcomes.reshape(count, -1)],
+                            axis=1)
+    labels = inputs @ round_matrix(n)
+    labels %= d
+    announced[:] = labels[:, :n]
+    np.matmul(labels[:, n:].reshape(count, n, 2), (d, 1), out=codes)
+    np.remainder(-(outcomes[..., 0] * outcomes[..., 1]) @ signs, d, out=phase)
+    return steps, announced, codes[:, 0], codes[:, 1:], phase
 
 
 def _transcripts(configs, engine: str, d: int, n: int, steps, announced, key, finals,
@@ -623,9 +670,10 @@ def oracle_view_counts(config: ProtocolConfig, known_parties) -> dict[tuple, lis
 def round_records(d: int, n: int, seed, engine: str, cat, bells, fields):
     """A block of rounds' verdicts and JSON records, from round_blocks' arrays.
 
-    Returns recover_rounds' ok (R,) and an iterator of texts, one per chunk,
-    filled as read from one template: each round is ",\n", four spaces and
-    json.dumps(record, sort_keys=True) of transcript_to_json_dict's record.
+    Returns recover_rounds' ok (R,) and an iterator of ASCII bytes, one per
+    chunk, filled as read from one template: each round is ",\n", four
+    spaces and json.dumps(record, sort_keys=True) of
+    transcript_to_json_dict's record.
     The template writes the keys in sorted order, with d, n, seed, engine
     and the party numbers as literal text; one row of dits in 0..d-1 per
     round fills the rest (any other value raises ValueError), and ok goes in
@@ -640,6 +688,7 @@ def round_records(d: int, n: int, seed, engine: str, cat, bells, fields):
                              first, second])
     if np.any((table < 0) | (table >= d)):
         raise ValueError(f"record values must be dits in 0..{d - 1}")
+    table = table.astype(np.uint8)  # held through the fill: as bytes, it lowers peak RSS
     # NUL pads each dit's slot, len(str(d - 1)) bytes, and SOH ok's 5: the
     # rest is json.dumps output, which escapes every control character (and,
     # ASCII only, every non-ASCII one), and ASCII literals, so neither is text
@@ -656,15 +705,15 @@ def round_records(d: int, n: int, seed, engine: str, cat, bells, fields):
 
 
 def _fill_chunks(template: bytes, d: int, table, ok):
-    """An iterator of texts, one per chunk of rows, each the concatenation
-    of template, an ASCII text with one run of NUL per column of table (R,
-    columns) and one run of five SOH, filled for each row: each NUL run with
-    its column's dit, len(str(d - 1)) bytes from one digits table of
-    range(d), NUL padded, and the SOH run with ok (R,) as true or false. A
-    chunk of rows is one uint8 array, the template tiled with one gather of
-    digits scattered into its slot columns; the NUL pads are dropped from
-    its bytes before they are decoded. A chunk holds at most 16 bytes per
-    BLOCK_AMPLITUDES, the bytes of a block of complex amplitudes."""
+    """An iterator of ASCII bytes, one per chunk of rows, each the
+    concatenation of template, an ASCII text with one run of NUL per column
+    of table (R, columns) and one run of five SOH, filled for each row: each
+    NUL run with its column's dit, len(str(d - 1)) bytes from one digits
+    table of range(d), NUL padded, and the SOH run with ok (R,) as true or
+    false. A chunk of rows is one uint8 array, the template tiled with one
+    gather of digits scattered into its slot columns; its bytes are yielded
+    less the NUL pads. A chunk holds at most 16 bytes per BLOCK_AMPLITUDES,
+    the bytes of a block of complex amplitudes."""
     width = len(str(d - 1))
     digits = np.array([list(str(v).ljust(width, "\0").encode()) for v in range(d)], np.uint8)
     literal = np.frombuffer(template, dtype=np.uint8)
@@ -679,7 +728,7 @@ def _fill_chunks(template: bytes, d: int, table, ok):
         chunk[:, words] = truth[ok[part:part + rows].view(np.uint8)]
         return chunk.tobytes()
 
-    return (fill(part).replace(b"\0", b"").decode() for part in range(0, len(table), rows))
+    return (fill(part).replace(b"\0", b"") for part in range(0, len(table), rows))
 
 
 def _row(transcript: Transcript):
@@ -693,13 +742,13 @@ def _row(transcript: Transcript):
 
 def transcript_to_json_dict(transcript: Transcript) -> dict:
     """Flat JSON form of one round, recovery results included: round_records'
-    text for the transcript's one row, parsed past its leading comma, so it
+    bytes for the transcript's one row, parsed past its leading comma, so it
     is the protocol report's record.
 
     ok holds when every recovery gives the key and the announcement is
     (v1 + k1 + ... + kn, v'2 + l2, ..., v'n + ln).
     """
     config = transcript.config
-    _, texts = round_records(config.d, config.n, config.seed, transcript.engine,
-                             *_row(transcript))
-    return json.loads(next(texts)[1:])
+    _, chunks = round_records(config.d, config.n, config.seed, transcript.engine,
+                              *_row(transcript))
+    return json.loads(next(chunks)[1:])

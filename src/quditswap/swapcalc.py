@@ -26,11 +26,15 @@ The measured pair is always (black node, white node) of two distinct
 fragments. Amplitudes stay (1/sqrt(d))^scale * zeta^phase exactly, so the
 engine tracks both as integers and never touches floating point.
 
-bell_measure_block is the one copy of this rewrite, on label arrays: many
-rows on one fragment layout, each row under its own outcome or under a
-table of them, in one numpy pass. Every command rewrites through it: both
-protocol engines, the dense oracle and verify. bell_measure is its
-one-row call on a Register.
+bell_measure_block is this rewrite on label arrays: many rows on one
+fragment layout, each row under its own outcome or under a table of them,
+in one numpy pass. Its integer arithmetic, unreduced, is _swap_rewrite, the
+one copy of the rules; bell_measure_block reduces its result mod d. Every
+command rewrites through them: the dense protocol engine, the dense oracle
+and verify call bell_measure_block, and the symbolic engine applies the
+round matrix that _swap_rewrite builds on coefficient arrays
+(protocol.round_matrix). bell_measure is bell_measure_block's one-row
+call on a Register.
 
 verify_swap_block checks these rewrites against dense amplitudes for a
 block of label tuples: one bell_measure_block call rewrites every tuple
@@ -180,8 +184,21 @@ def bell_measure_block(d: int, fragments, labels, pair, outcomes, signs=None):
     README convention. Returns (measured, residual, phase, particles): the
     measured pair's labels (..., 2), the residual fragment's labels
     (..., len(particles)), the phase delta of each outcome, shape
-    outcomes.shape[:-1], and the residual fragment's particles.
+    outcomes.shape[:-1], and the residual fragment's particles. It is
+    _swap_rewrite on the reduced labels and outcomes, reduced mod d.
     """
+    outcomes = reduce_labels(d, outcomes)
+    measured, residual, phase, particles = _swap_rewrite(
+        fragments, [reduce_labels(d, x) for x in labels], pair, outcomes, signs)
+    return measured % d, residual % d, phase % d, particles
+
+
+def _swap_rewrite(fragments, labels, pair, outcomes, signs=None):
+    """bell_measure_block's layout checks and integer arithmetic, unreduced,
+    on integer arrays: the one copy of the swap rules. The labels are linear
+    in the inputs, so on coefficient arrays, one leading row per input, they
+    give the rewrite's integer matrix (protocol.round_matrix); the phase
+    -k * l is bilinear, so there it is not the phase."""
     (p, q), (parts_p, parts_q) = pair, map(tuple, fragments)
     if set(parts_p) & set(parts_q):
         raise UnsupportedConfigurationError(
@@ -196,10 +213,8 @@ def bell_measure_block(d: int, fragments, labels, pair, outcomes, signs=None):
         raise UnsupportedConfigurationError(
             "measuring across two fragments of 3+ particles is not supported")
     sk, sl = _RULE_SIGNS[len(parts_p) == 2, len(parts_q) == 2] if signs is None else signs
-    outcomes = reduce_labels(d, outcomes)
     k, l = sk * outcomes[..., 0], sl * outcomes[..., 1]
-    a, b = reduce_labels(d, labels[0]), reduce_labels(d, labels[1])
-    m = parts_q.index(q)
+    (a, b), m = labels, parts_q.index(q)
     cut = m + len(parts_p) - 1  # p's survivors fill slots m..cut-1
     particles = parts_q[:m] + parts_p[1:] + parts_q[m + 1:]
     lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1], k.shape)
@@ -211,7 +226,7 @@ def bell_measure_block(d: int, fragments, labels, pair, outcomes, signs=None):
     residual[..., 0] += k
     residual[..., m:cut] = a[..., 1:] - l[..., None]
     residual[..., cut:] = b[..., m + 1:]
-    return measured % d, residual % d, (-k * l) % d, particles
+    return measured, residual, -k * l, particles
 
 
 def to_statevector(register: Register) -> StateVector:

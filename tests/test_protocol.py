@@ -856,15 +856,16 @@ def dict_record_lines(d, n, seed, engine, cat, bells, fields):
 
 def report_layout(*args):
     """dict_record_lines as the protocol report lays its records out, each
-    led by ",\n" and four spaces: the text round_records' chunks join to."""
+    led by ",\n" and four spaces: the text round_records' ASCII chunks join
+    to."""
     return "".join(",\n    " + line for line in dict_record_lines(*args))
 
 
 @pytest.mark.parametrize("d, n", [(2, 2), (3, 4), (7, 5), (16, 3)])
 def test_round_records_are_the_dict_encoder(monkeypatch, d, n):
     # round_records fills one NUL-slot byte template per block; its joined
-    # chunk texts must be the dict encoder's records in report layout (each
-    # led by ",\n" and four spaces) byte for byte, on both engines, for
+    # chunks must be ASCII and the dict encoder's records in report layout
+    # (each led by ",\n" and four spaces) byte for byte, on both engines, for
     # seeds None, 0 and 2^64 - 1, and on rounds whose ok is false: a zero
     # sign in one role (as in the CLI test
     # test_protocol_verdicts_are_the_one_round_verdicts) makes the symbolic
@@ -878,7 +879,7 @@ def test_round_records_are_the_dict_encoder(monkeypatch, d, n):
         for cat, bells, fields in protocol.round_blocks(d, n, *draw, engine):
             for name, seed in itertools.product(names, (None, 0, 2**64 - 1)):
                 ok, chunks = protocol.round_records(d, n, seed, name, cat, bells, fields)
-                text = "".join(chunks)
+                text = b"".join(chunks).decode("ascii")
                 assert text == report_layout(d, n, seed, name, cat, bells, fields)
                 records = json.loads("[" + text[1:] + "]")
                 assert [record["ok"] for record in records] == ok.tolist()
@@ -921,7 +922,8 @@ def test_round_records_fill_edges(monkeypatch):
 
     def lines_agree(engine, cat, bells, fields, seed=0, d=d):
         ok, chunks = protocol.round_records(d, n, seed, engine, cat, bells, fields)
-        assert "".join(chunks) == report_layout(d, n, seed, engine, cat, bells, fields)
+        text = b"".join(chunks).decode("ascii")
+        assert text == report_layout(d, n, seed, engine, cat, bells, fields)
         return ok.tolist()
 
     ok, chunks = protocol.round_records(d, n, 0, "symbolic", cat[:0], bells[:0],
@@ -1010,3 +1012,72 @@ def test_oracle_view_tally_is_the_dict(monkeypatch, d, n):
                                                     for j in range(size))), firsts)
                            for view, firsts in zip(views.tolist(), counts.tolist())]
                 assert decoded == list(oracle_view_counts(config, known).items())
+
+
+def split_inputs(inputs, n):
+    """Rows of round inputs (R, 5n) as (cat (R, n), bells (R, n, 2),
+    outcomes (R, n, 2)), round_matrix's row order."""
+    return (inputs[:, :n], inputs[:, n:3 * n].reshape(-1, n, 2),
+            inputs[:, 3 * n:].reshape(-1, n, 2))
+
+
+def stepwise_rounds(d, n, cat, bells, outcomes):
+    """The symbolic engine from before round_matrix, kept as the reference:
+    one reduced _party_rewrite per step, its labels and phase deltas
+    summed; the five field arrays round_blocks yields."""
+    particles, labels, codes, phase = tuple(range(1, n + 1)), cat, [], 0
+    for i in range(1, n + 1):
+        measured, labels, delta, particles = protocol._party_rewrite(
+            d, n, i, particles, labels, bells[:, i - 1], outcomes[:, i - 1])
+        codes.append(measured @ (d, 1))
+        phase = phase + delta
+    return outcomes @ (d, 1), labels, codes[0], np.stack(codes[1:], axis=1), phase % d
+
+
+def test_round_matrix_entries_are_signs():
+    # One read-only integer matrix per n, cached, with entries in {-1, 0, 1}.
+    for n in range(2, 12):
+        matrix = protocol.round_matrix(n)
+        assert matrix.shape == (5 * n, 3 * n) and matrix.dtype.kind == "i"
+        assert set(np.unique(matrix).tolist()) <= {-1, 0, 1}
+        assert not matrix.flags.writeable and protocol.round_matrix(n) is matrix
+    for bad in (1, 2.0, True):
+        with pytest.raises(ValueError, match="at least 2 parties"):
+            protocol.round_matrix(bad)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 9])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 16])
+def test_round_matrix_is_the_stepwise_rewrite(d, n):
+    # x @ round_matrix(n) % d is the announced cat, key and final Bell pairs
+    # that the n reduced steps give, and round_blocks' symbolic fields,
+    # phase included, are the steps' fields, on seeded rounds plus the
+    # all-zero and all-(d - 1) rounds.
+    rng = np.random.default_rng(100 * d + n)
+    inputs = np.vstack([rng.integers(0, d, (300, 5 * n)), np.zeros(5 * n, dtype=int),
+                        np.full(5 * n, d - 1)])
+    fields = stepwise_rounds(d, n, *split_inputs(inputs, n))
+    labels = inputs @ protocol.round_matrix(n) % d
+    pairs = labels[:, n:].reshape(-1, n, 2) @ (d, 1)
+    assert np.array_equal(labels[:, :n], fields[1])
+    assert np.array_equal(pairs[:, 0], fields[2]) and np.array_equal(pairs[:, 1:], fields[3])
+    (_, _, engine), = protocol.round_blocks(d, n, *split_inputs(inputs, n))
+    for got, want in zip(engine, fields, strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", range(2, 33))
+def test_round_matrix_recovers_every_input(n):
+    # recover_rounds' checks are linear in a round's inputs and outputs, so
+    # on x @ M each is an integer form in x. ok on the zero input and on
+    # every unit input at d = 16 puts each form's coefficients at 0 mod 16;
+    # they are small integers, so they are 0 over Z, and every recovery
+    # identity holds for every input at every d.
+    d = 16
+    inputs = np.vstack([np.zeros(5 * n, dtype=int), np.eye(5 * n, dtype=int)])
+    labels = inputs @ protocol.round_matrix(n) % d
+    cat, bells, outcomes = split_inputs(inputs, n)
+    pairs = labels[:, n:].reshape(-1, n, 2) @ (d, 1)
+    ok = protocol.recover_rounds(d, cat, bells, outcomes @ (d, 1), labels[:, :n],
+                                 pairs[:, 0], pairs[:, 1:])[2]
+    assert ok.all()
