@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .core import validate_dimension, zeta
+from .core import floor_mod, validate_dimension, zeta
 from .statevec import (StateVector, apply_controlled_shift, apply_hadamard,
                        basis_state, checked_size)
 
@@ -45,7 +45,7 @@ def reduce_labels(d: int, labels) -> np.ndarray:
     (numpy infers [2**63 + 1, -1] as float64 and [True, 2] as integers),
     which refuses a float, complex, bool or string label with ValueError."""
     if isinstance(labels, np.ndarray) and labels.dtype.kind == "i":
-        return labels % d
+        return floor_mod(labels, d)
     values = np.asarray(labels, dtype=object)
     if not all(map(is_integer, values.flat)):
         raise ValueError(f"labels must be integers, got {labels!r}")
@@ -69,10 +69,10 @@ def cat_support(d: int, labels, places=None):
     if places is None:
         places = d ** np.arange(n - 1, -1, -1)
     j = np.arange(d)
-    index = j * places[0] + ((j[:, None] + labels[..., None, 1:]) % d) @ places[1:]
+    index = j * places[0] + floor_mod(j[:, None] + labels[..., None, 1:], d) @ places[1:]
     scale = 1.0 / math.sqrt(d)
     roots = np.array([scale * zeta(d, t) for t in range(d)])
-    return index, roots[j * labels[..., :1] % d]
+    return index, roots[floor_mod(j * labels[..., :1], d)]
 
 
 def cat_amplitudes(d: int, labels) -> np.ndarray:

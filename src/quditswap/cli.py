@@ -43,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import validate_dimension
+from .core import base_digits, floor_mod, validate_dimension
 from .protocol import (ENGINES, ProtocolConfig, collusion_counts, oracle_view_tally,
                        recover_rounds, round_blocks, round_records)
 from .statevec import BLOCK_AMPLITUDES, block_rows, checked_size
@@ -164,8 +164,7 @@ def _draws(seed: int):
             kept = chunk[chunk < 256 - 256 % high]
             flat[filled:filled + len(kept)] = kept
             filled += len(kept)
-        out %= high
-        return out
+        return floor_mod(out, high)
     return draw
 
 
@@ -218,8 +217,9 @@ def cmd_verify(args) -> int:
         worst, cases = 0.0, 0
         positions = tuple(range(2, n + 1)) if rule == "white" else (None,)
         if args.samples is None:  # tuple i is the width base-d digits of i
-            places, size = d ** np.arange(width - 1, -1, -1), d ** width
-            blocks = ((m, np.arange(first, min(first + per_block, size))[:, None] // places % d)
+            size = d ** width
+            blocks = ((m, base_digits(np.arange(first, min(first + per_block, size)),
+                                      d, width))
                       for first in range(0, size, per_block) for m in positions)
         else:
             blocks = _sampled_blocks(draw, d, width, positions, args.samples,
@@ -314,7 +314,7 @@ def cmd_protocol(args) -> int:
             for cat, bells, fields in round_blocks(d, n, *block, args.engine):
                 ok, chunks = round_records(d, n, seed, args.engine, cat, bells, fields)
                 recoveries += int(np.count_nonzero(ok))
-                np.add.at(key_counts, np.divmod(fields[2], d), 1)
+                key_counts += np.bincount(fields[2], minlength=d * d).reshape(d, d)
                 if spool is not None:
                     spool.writelines(chunks)
         elapsed = time.perf_counter() - start

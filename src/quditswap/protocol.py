@@ -77,7 +77,7 @@ import numpy as np
 
 from . import statevec
 from .catbell import cat_state, cat_support, is_integer, reduce_labels
-from .core import validate_dimension, zeta
+from .core import base_digits, floor_divmod, floor_mod, validate_dimension, zeta
 from .statevec import StateVector, block_rows, cat_overlaps, checked_size, kron_rows
 from .swapcalc import _swap_rewrite, bell_measure_block
 
@@ -257,7 +257,7 @@ def _dense_step(d: int, n: int, bell, i: int, block: _Block, keep=None):
     checked by _check_children, and each one's measured code u1 * d + u2.
     """
     count, bell = len(block.phase), np.reshape(bell, (-1, 1, 2))
-    outcomes = np.stack(np.divmod(np.arange(d * d), d), axis=-1)
+    outcomes = np.stack(floor_divmod(np.arange(d * d), d), axis=-1)
     measured, residual, delta, particles = _party_rewrite(
         d, n, i, block.particles, block.labels[:, None, :], bell, outcomes)
     bell_index, bell_values = cat_support(d, bell[:, 0])
@@ -279,11 +279,11 @@ def _dense_step(d: int, n: int, bell, i: int, block: _Block, keep=None):
     if cells.min() < d**2:
         raise RuntimeError(f"party {i}'s outcomes name {cells.min()} Bell states, not d^2")
 
-    rows, codes = np.divmod(np.arange(count * d * d) if keep is None else keep, d * d)
+    rows, codes = floor_divmod(np.arange(count * d * d) if keep is None else keep, d * d)
     post = overlaps[rows, u1[rows, codes], u2[rows, codes]]
     post /= np.sqrt(probabilities[rows, codes])[:, None]
     children = _Block(particles, residual[rows, codes], index[rows, u2[rows, codes]], post,
-                      (block.phase[rows] + delta[codes]) % d)
+                      floor_mod(block.phase[rows] + delta[codes], d))
     _check_children(d, i, children, codes)
     return children, named[rows, codes]
 
@@ -321,18 +321,18 @@ def _symbolic_rounds(d: int, n: int, cat, bells, outcomes):
     count = len(cat)
     signs = [sk * sl for sk, sl in (_ROLE_SIGNS[i > 1] for i in range(1, n + 1))]
     # the fields are allocated before the (R, 5n) inputs and their (R, 3n)
-    # product, so those two are freed from the top of the heap instead of
-    # leaving holes under the fields, which raised the command's peak RSS
+    # product and its reduction, so those are freed from the top of the heap
+    # instead of leaving holes under the fields, which raised the command's
+    # peak RSS
     steps = outcomes @ (d, 1)
     announced, codes = np.empty((count, n), dtype=int), np.empty((count, n), dtype=int)
     phase = np.empty(count, dtype=int)
     inputs = np.concatenate([cat, bells.reshape(count, -1), outcomes.reshape(count, -1)],
                             axis=1)
-    labels = inputs @ round_matrix(n)
-    labels %= d
+    labels = floor_mod(inputs @ round_matrix(n), d)
     announced[:] = labels[:, :n]
     np.matmul(labels[:, n:].reshape(count, n, 2), (d, 1), out=codes)
-    np.remainder(-(outcomes[..., 0] * outcomes[..., 1]) @ signs, d, out=phase)
+    phase[:] = floor_mod(-(outcomes[..., 0] * outcomes[..., 1]) @ signs, d)
     return steps, announced, codes[:, 0], codes[:, 1:], phase
 
 
@@ -436,14 +436,15 @@ def recover_rounds(d: int, cat, bells, steps, announced, key, finals):
     """
     validate_dimension(d)
     _round_shape(cat, bells, steps, announced, key, finals)
-    (k, l), (final_k, final_l) = np.divmod(steps, d), np.divmod(finals, d)
+    (k, l), (final_k, final_l) = floor_divmod(steps, d), floor_divmod(finals, d)
     v, vp = bells[..., 0], bells[..., 1]
-    second = (vp[:, :1] + cat[:, 1:] - (announced[:, 1:] - vp[:, 1:]) - final_l) % d
+    second = floor_mod(vp[:, :1] + cat[:, 1:] - (announced[:, 1:] - vp[:, 1:]) - final_l, d)
     k_1 = announced[:, 0] - v[:, 0] - np.sum(v[:, 1:] - final_k, axis=1)
-    first = (cat[:, 0] - k_1) % d
-    expected = np.concatenate([v[:, :1] + np.sum(k, axis=1, keepdims=True),
-                               vp[:, 1:] + l[:, 1:]], axis=1) % d
-    ok = ((first == key // d) & np.all(second == (key % d)[:, None], axis=1)
+    first = floor_mod(cat[:, 0] - k_1, d)
+    expected = floor_mod(np.concatenate([v[:, :1] + np.sum(k, axis=1, keepdims=True),
+                                         vp[:, 1:] + l[:, 1:]], axis=1), d)
+    key_first, key_second = floor_divmod(key, d)
+    ok = ((first == key_first) & np.all(second == key_second[:, None], axis=1)
           & np.all(announced == expected, axis=1))
     return second, first, ok
 
@@ -561,8 +562,8 @@ def _class_step(d: int, n: int, bell, i: int, classes: _Block):
         slot[keys[first]] = found + np.arange(len(first))
         kept.append(children.rows(first))
         found += len(first)
-        delta = children.phase - np.repeat(block.phase, d * d)
-        tables.append(np.reshape([slot[keys], measured, delta % d], (3, -1, d * d)))
+        delta = floor_mod(children.phase - np.repeat(block.phase, d * d), d)
+        tables.append(np.reshape([slot[keys], measured, delta], (3, -1, d * d)))
     fields = (np.concatenate(field) for field in zip(*(block[1:] for block in kept)))
     return _Block(children.particles, *fields), np.concatenate(tables, axis=1)
 
@@ -596,9 +597,8 @@ def _oracle_paths(d: int, n: int, tables):
     BLOCK_AMPLITUDES integers per (rows, n) array, so memory stays flat."""
     width, rows = d * d, block_rows(n, 1)  # rows of n integers
     for start in range(0, width ** n, rows):
-        leaves = np.arange(start, min(start + rows, width ** n))
-        steps = leaves[:, None] // width ** np.arange(n - 1, -1, -1) % width
-        nodes = [np.zeros(len(leaves), dtype=int)]
+        steps = base_digits(np.arange(start, min(start + rows, width ** n)), width, n)
+        nodes = [np.zeros(len(steps), dtype=int)]
         for (child, _, _), step in zip(tables, steps.T):
             nodes.append(child[nodes[-1], step])
         yield steps, nodes
@@ -653,8 +653,9 @@ def oracle_view_tally(config: ProtocolConfig, known_parties):
             keys = np.insert(keys, at[new], fresh[new])
             tally = np.insert(tally, at[new], 0, axis=0)
             at = np.searchsorted(keys, fresh)
-        np.add.at(tally, (at[inverse], key_dit[steps[:, 0]]), 1)
-    return keys[:, None] // places % d, tally
+        tally += np.bincount(at[inverse] * d + key_dit[steps[:, 0]],
+                             minlength=tally.size).reshape(tally.shape)
+    return base_digits(keys, d, len(places)), tally
 
 
 def oracle_view_counts(config: ProtocolConfig, known_parties) -> dict[tuple, list[int]]:
@@ -683,8 +684,8 @@ def round_records(d: int, n: int, seed, engine: str, cat, bells, fields):
     if cat.shape[1:] != (n,):
         raise ValueError(f"{n} parties but cat labels of shape {cat.shape}")
     second, first, ok = recover_rounds(d, cat, bells, steps, announced, key, finals)
-    table = np.column_stack([announced, bells.reshape(-1, 2 * n), cat, *np.divmod(key, d),
-                             np.stack(np.divmod(steps, d), axis=-1).reshape(-1, 2 * n),
+    table = np.column_stack([announced, bells.reshape(-1, 2 * n), cat, *floor_divmod(key, d),
+                             np.stack(floor_divmod(steps, d), axis=-1).reshape(-1, 2 * n),
                              first, second])
     if np.any((table < 0) | (table >= d)):
         raise ValueError(f"record values must be dits in 0..{d - 1}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_AMPLITUDES, pack_index, validate_dimension
+from .core import MAX_AMPLITUDES, floor_divmod, floor_mod, pack_index, validate_dimension
 
 # project_onto flags outcomes below this probability as absent post-states
 # (avoids renormalizing an orthogonal branch).
@@ -214,12 +214,15 @@ def cat_overlaps(d: int, particles, index, values, pair, rest):
         raise ValueError(f"expected (B, {d * d}) indices and amplitudes, "
                          f"got shapes {index.shape} and {values.shape}")
     places = d ** np.arange(len(order) - 1, -1, -1)
-    digits = index[..., None] // places[[particles.index(p) for p in order]] % d
-    keys = (digits[..., 1] - digits[..., 0]) % d * places[1] + digits[..., 2:] @ places[2:]
+    order_places = places[[particles.index(p) for p in order]]
+    digits = floor_mod(index[..., None] // order_places, d)
+    keys = (floor_mod(digits[..., 1] - digits[..., 0], d) * places[1]
+            + digits[..., 2:] @ places[2:])
     sort = np.argsort(keys, axis=1)
     keys, j, values = (np.take_along_axis(x, sort, axis=1)
                        for x in (keys, digits[..., 0], values))
-    if np.any(keys // places[1] != np.arange(d * d) // d) or np.any(np.diff(keys) <= 0):
+    u2, residuals = floor_divmod(keys, places[1])
+    if np.any(u2 != np.arange(d * d) // d) or np.any(np.diff(keys) <= 0):
         raise ValueError("each u2 must hold d entries of distinct residual indices")
     overlaps = hadamard_matrix(d).conj()[np.arange(d)[:, None, None], j.reshape(-1, 1, d, d)]
-    return (keys % places[1]).reshape(-1, d, d), overlaps * values.reshape(-1, 1, d, d)
+    return residuals.reshape(-1, d, d), overlaps * values.reshape(-1, 1, d, d)

@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .catbell import cat_state, cat_support, reduce_labels
-from .core import validate_dimension, zeta
+from .core import floor_mod, validate_dimension, zeta
 from .statevec import StateVector, checked_size, kron_rows, tensor
 
 
@@ -190,7 +190,7 @@ def bell_measure_block(d: int, fragments, labels, pair, outcomes, signs=None):
     outcomes = reduce_labels(d, outcomes)
     measured, residual, phase, particles = _swap_rewrite(
         fragments, [reduce_labels(d, x) for x in labels], pair, outcomes, signs)
-    return measured % d, residual % d, phase % d, particles
+    return floor_mod(measured, d), floor_mod(residual, d), floor_mod(phase, d), particles
 
 
 def _swap_rewrite(fragments, labels, pair, outcomes, signs=None):

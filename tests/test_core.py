@@ -3,11 +3,25 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditswap.core import (MAX_DIMENSION, pack_index, phase_exponent,
-                            validate_dimension, zeta)
+from quditswap.core import (MAX_DIMENSION, base_digits, floor_divmod, floor_mod,
+                            pack_index, phase_exponent, validate_dimension, zeta)
+
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+# int64 values, with the ends of the range and their neighbours drawn often
+INT64 = st.integers(INT64_MIN, INT64_MAX) | st.sampled_from(
+    [INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1, INT64_MAX])
+
+
+@st.composite
+def divisors(draw, limit=INT64_MAX):
+    """A dimension d in 2..MAX_DIMENSION or one of its place values d**k
+    up to limit."""
+    d = draw(st.integers(2, MAX_DIMENSION))
+    top = max(k for k in range(1, 200) if d ** k <= limit)
+    return d ** draw(st.integers(1, top))
 
 
 def test_zeta_fixed_points():
@@ -83,3 +97,57 @@ def test_phase_exponent_rejects_non_phases():
         phase_exponent(4, 0.5)
     with pytest.raises(ValueError):
         phase_exponent(3, cmath.exp(0.3j))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(INT64, min_size=1, max_size=40), divisors())
+def test_floor_mod_and_divmod_on_int64_arrays(values, divisor):
+    # numpy's // floors; past int64 the product q * d wraps, modulo 2**64 as
+    # the sum that follows, so every remainder is exact, near -2**63 too
+    x = np.array(values, dtype=np.int64)
+    (q, r), alone = floor_divmod(x, divisor), floor_mod(x, divisor)
+    assert q.dtype == r.dtype == alone.dtype == np.int64
+    assert q.tolist() == [v // divisor for v in values]
+    assert r.tolist() == alone.tolist() == [v % divisor for v in values]
+    assert x.tolist() == values  # the operand is left as it was
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-2**100, 2**100), min_size=1, max_size=20),
+       divisors(limit=2**100))
+def test_floor_mod_and_divmod_on_object_arrays(values, divisor):
+    # integers past int64, as reduce_labels holds them, in an object array
+    x = np.array(values, dtype=object)
+    (q, r), alone = floor_divmod(x, divisor), floor_mod(x, divisor)
+    assert q.dtype == r.dtype == alone.dtype == object
+    assert q.tolist() == [v // divisor for v in values]
+    assert r.tolist() == alone.tolist() == [v % divisor for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(INT64, st.integers(-2**100, 2**100), divisors())
+def test_floor_mod_and_divmod_on_scalars(value, big, divisor):
+    # a Python int of any size, a numpy int64 and a 0-d int64 array, whose
+    # results numpy hands back as numpy scalars. numpy checks scalar
+    # arithmetic for overflow, and warns of the wrap of q * d within d of
+    # -2**63, which the remainder survives; the check is off here only
+    assert floor_divmod(big, divisor) == divmod(big, divisor)
+    assert floor_mod(big, divisor) == big % divisor
+    for x in (np.int64(value), np.array(value, dtype=np.int64)):
+        with np.errstate(over="ignore"):
+            (q, r), alone = floor_divmod(x, divisor), floor_mod(x, divisor)
+        assert type(q) is type(r) is type(alone) is np.int64
+        assert (int(q), int(r)) == divmod(value, divisor) and alone == r
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 256), st.integers(1, 8), st.data())
+def test_base_digits_are_the_big_endian_digits(base, count, data):
+    # bases up to 256 cover the oracle's outcome codes, base d^2 at d = 16
+    top = min(base ** count, 2**63) - 1
+    values = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=30))
+    digits = base_digits(np.array(values, dtype=np.int64), base, count)
+    assert digits.shape == (len(values), count) and digits.dtype == np.int64
+    for value, row in zip(values, digits.tolist()):
+        assert all(0 <= digit < base for digit in row)
+        assert sum(digit * base ** (count - 1 - i) for i, digit in enumerate(row)) == value

@@ -991,6 +991,29 @@ def test_oracle_view_tally_inserts_only_new_classes(monkeypatch):
             assert counts.sum() == d ** (2 * n)
 
 
+@pytest.mark.parametrize("d, n, blocks", [(2, 3, 1), (3, 2, 1), (2, 7, 8)])
+def test_oracle_paths_yield_every_outcome_row_once_in_order(d, n, blocks):
+    # Each block's outcome codes are the base-d^2 digits of its leaf
+    # numbers. Concatenated, the blocks must hold every row of
+    # range(d^2)^n exactly once, in lexicographic order; at d = 2, n = 7
+    # block_rows(7, 1) cuts the 16,384 leaves into blocks of 2,340. Each
+    # level's nodes follow the child table from the root's zeros.
+    config = random_config(d, n, np.random.default_rng(d + n))
+    _, tables = protocol._oracle_classes(config)
+    parts = list(protocol._oracle_paths(d, n, tables))
+    rows, total = statevec.block_rows(n, 1), (d * d) ** n
+    assert [len(steps) for steps, _ in parts] == [
+        min(rows, total - start) for start in range(0, total, rows)]
+    assert len(parts) == blocks
+    steps = np.concatenate([steps for steps, _ in parts])
+    assert steps.dtype == np.int64
+    assert steps.tolist() == [list(row) for row in itertools.product(range(d * d), repeat=n)]
+    for steps, nodes in parts:
+        assert len(nodes) == n + 1 and not nodes[0].any()
+        for (child, _, _), step, node, after in zip(tables, steps.T, nodes, nodes[1:]):
+            assert np.array_equal(after, child[node, step])
+
+
 @pytest.mark.parametrize("d, n", [(2, 3), (3, 3), (2, 4)])
 def test_oracle_view_tally_is_the_dict(monkeypatch, d, n):
     # For every coalition, the array tally, decoded here digit by digit, is
