@@ -37,10 +37,10 @@ ASCII and no more than a block of BLOCK_AMPLITUDES complex amplitudes, go
 out as they are. collusion_counts reads the same arrays for a coalition's
 view of the first key dit; collusion_posterior is its one-row call.
 
-The symbolic engine is one integer matmul per block: a round's labels are
-linear over Z_d in its inputs, so one matrix, round_matrix(n), maps each
-round's cat labels, Bell pairs and outcomes to its announcement, key and
-final Bell pairs, mod d; the phase is a quadratic form in the outcomes.
+The symbolic engine runs a block's n _party_rewrite steps unreduced on
+its label arrays, summing their phase deltas, and reduces mod d once
+(_round_labels); round_matrix(n) is those steps run on the identity, as
+a round's labels are linear over Z_d in its inputs.
 The dense engine and verify, which read amplitudes, are its independent
 checks. The dense engine runs one step, _dense_step, on a block of
 branches that share one particle order. A block is only their state: cat
@@ -69,7 +69,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import product, repeat
 from typing import NamedTuple
 
@@ -205,6 +204,21 @@ def _party_rewrite(d: int | None, n: int, i: int, particles, labels, bell, outco
     return _swap_rewrite(*args) if d is None else bell_measure_block(d, *args)
 
 
+def _round_labels(n: int, cat, bells, outcomes):
+    """The n _party_rewrite steps of R rounds, unreduced, on their cat
+    labels (R, n), Bell pairs (R, n, 2) and outcomes (R, n, 2). Returns
+    the announced cats (R, n), each party's measured pair (R, n, 2), party
+    1's the key and the others' their final Bell pairs, and the phase (R,),
+    the sum of each step's -k * l under its role signs."""
+    particles, labels, pairs, phase = tuple(range(1, n + 1)), cat, [], 0
+    for i in range(1, n + 1):
+        measured, labels, delta, particles = _party_rewrite(
+            None, n, i, particles, labels, bells[:, i - 1], outcomes[:, i - 1])
+        pairs.append(measured)
+        phase = phase + delta
+    return labels, np.stack(pairs, axis=1), phase
+
+
 def round_matrix(n: int) -> np.ndarray:
     """The symbolic round as one read-only integer matrix (5n, 3n), the same
     for every d.
@@ -212,26 +226,13 @@ def round_matrix(n: int) -> np.ndarray:
     A round's inputs x, its cat labels, its Bell pairs (v_i, v'_i) and its
     outcomes (k_i, l_i), flat in party order, give x @ round_matrix(n) % d:
     the announced cat, the key pair and the final Bell pairs of parties
-    2..n. It is built by running the n _party_rewrite steps, unreduced, on
-    the columns of the identity, so its entries are in {-1, 0, 1}; it is
-    cached per n and role signs."""
+    2..n. The labels are linear in the inputs, so it is _round_labels on
+    the rows of the identity, and its entries are in {-1, 0, 1}."""
     _check_parties(2, n)  # any d: the matrix does not depend on it
-    return _round_matrix(n, _ROLE_SIGNS)
-
-
-@cache
-def _round_matrix(n: int, signs) -> np.ndarray:
-    """round_matrix under the role signs that _party_rewrite reads, signs
-    (they key the cache only)."""
     inputs = np.eye(5 * n, dtype=int)
-    labels, particles, pairs = inputs[:, :n], tuple(range(1, n + 1)), []
-    bells, outcomes = (inputs[:, first:first + 2 * n].reshape(5 * n, n, 2)
-                       for first in (n, 3 * n))
-    for i in range(1, n + 1):
-        measured, labels, _, particles = _party_rewrite(
-            None, n, i, particles, labels, bells[:, i - 1], outcomes[:, i - 1])
-        pairs.append(measured)
-    matrix = np.concatenate([labels, *pairs], axis=1)
+    labels, pairs, _ = _round_labels(n, inputs[:, :n], inputs[:, n:3 * n].reshape(-1, n, 2),
+                                     inputs[:, 3 * n:].reshape(-1, n, 2))
+    matrix = np.concatenate([labels, pairs.reshape(5 * n, -1)], axis=1)
     matrix.flags.writeable = False
     return matrix
 
@@ -315,25 +316,12 @@ def _dense_rounds(d: int, n: int, cat, bells, outcomes):
 
 
 def _symbolic_rounds(d: int, n: int, cat, bells, outcomes):
-    """A block of rounds as one matmul mod d by round_matrix(n); the fields
-    _dense_rounds returns. The phase is the sum of each step's -k * l under
-    its role signs, -(sk * k_i) * (sl * l_i)."""
-    count = len(cat)
-    signs = [sk * sl for sk, sl in (_ROLE_SIGNS[i > 1] for i in range(1, n + 1))]
-    # the fields are allocated before the (R, 5n) inputs and their (R, 3n)
-    # product and its reduction, so those are freed from the top of the heap
-    # instead of leaving holes under the fields, which raised the command's
-    # peak RSS
-    steps = outcomes @ (d, 1)
-    announced, codes = np.empty((count, n), dtype=int), np.empty((count, n), dtype=int)
-    phase = np.empty(count, dtype=int)
-    inputs = np.concatenate([cat, bells.reshape(count, -1), outcomes.reshape(count, -1)],
-                            axis=1)
-    labels = floor_mod(inputs @ round_matrix(n), d)
-    announced[:] = labels[:, :n]
-    np.matmul(labels[:, n:].reshape(count, n, 2), (d, 1), out=codes)
-    phase[:] = floor_mod(-(outcomes[..., 0] * outcomes[..., 1]) @ signs, d)
-    return steps, announced, codes[:, 0], codes[:, 1:], phase
+    """A block of rounds as _round_labels reduced mod d; the fields
+    _dense_rounds returns."""
+    labels, pairs, phase = _round_labels(n, cat, bells, outcomes)
+    codes = floor_mod(pairs, d) @ (d, 1)
+    return (outcomes @ (d, 1), floor_mod(labels, d), codes[:, 0], codes[:, 1:],
+            floor_mod(phase, d))
 
 
 def _transcripts(configs, engine: str, d: int, n: int, steps, announced, key, finals,

@@ -31,9 +31,9 @@ fragment layout, each row under its own outcome or under a table of them,
 in one numpy pass. Its integer arithmetic, unreduced, is _swap_rewrite, the
 one copy of the rules; bell_measure_block reduces its result mod d. Every
 command rewrites through them: the dense protocol engine, the dense oracle
-and verify call bell_measure_block, and the symbolic engine applies the
-round matrix that _swap_rewrite builds on coefficient arrays
-(protocol.round_matrix). bell_measure is bell_measure_block's one-row
+and verify call bell_measure_block, and the symbolic engine runs
+_swap_rewrite on its rounds' labels and reduces once
+(protocol._round_labels). bell_measure is bell_measure_block's one-row
 call on a Register.
 
 verify_swap_block checks these rewrites against dense amplitudes for a

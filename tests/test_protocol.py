@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -1057,16 +1058,30 @@ def stepwise_rounds(d, n, cat, bells, outcomes):
     return outcomes @ (d, 1), labels, codes[0], np.stack(codes[1:], axis=1), phase % d
 
 
-def test_round_matrix_entries_are_signs():
-    # One read-only integer matrix per n, cached, with entries in {-1, 0, 1}.
+def test_round_matrix_entries_are_signs(monkeypatch):
+    # One read-only integer matrix per n, with entries in {-1, 0, 1}.
     for n in range(2, 12):
         matrix = protocol.round_matrix(n)
         assert matrix.shape == (5 * n, 3 * n) and matrix.dtype.kind == "i"
         assert set(np.unique(matrix).tolist()) <= {-1, 0, 1}
-        assert not matrix.flags.writeable and protocol.round_matrix(n) is matrix
+        assert not matrix.flags.writeable
     for bad in (1, 2.0, True):
         with pytest.raises(ValueError, match="at least 2 parties"):
             protocol.round_matrix(bad)
+    # Nothing keeps a matrix or round built under other role signs: a zero
+    # sign changes round_matrix(n) and the symbolic fields at once.
+    d, n = 5, 4
+    rng = np.random.default_rng(1060)
+    inputs = split_inputs(rng.integers(0, d, (40, 5 * n)), n)
+    before = protocol.round_matrix(n), next(protocol.round_blocks(d, n, *inputs))[2]
+    roles = protocol._ROLE_SIGNS
+    for role, signs in ((0, (0, 1)), (1, (1, 0))):
+        monkeypatch.setattr(protocol, "_ROLE_SIGNS", roles[:role] + (signs,) + roles[role + 1:])
+        assert not np.array_equal(protocol.round_matrix(n), before[0])
+        after = next(protocol.round_blocks(d, n, *inputs))[2]
+        assert not all(map(np.array_equal, after, before[1]))
+        fields = stepwise_rounds(d, n, *inputs)
+        assert all(map(np.array_equal, after, fields))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 9])
@@ -1104,3 +1119,34 @@ def test_round_matrix_recovers_every_input(n):
     ok = protocol.recover_rounds(d, cat, bells, outcomes @ (d, 1), labels[:, :n],
                                  pairs[:, 0], pairs[:, 1:])[2]
     assert ok.all()
+
+
+def test_symbolic_engine_holds_no_square_of_the_party_count():
+    # At n = 400 a (5n, 3n) matrix alone is 19 MiB of int64; ten rounds of
+    # labels, measured pairs and phases take a few hundred KiB.
+    d, n = 7, 400
+    rng = np.random.default_rng(400)
+    inputs = split_inputs(rng.integers(0, d, (10, 5 * n)), n)
+    fields = stepwise_rounds(d, n, *inputs)
+    tracemalloc.start()
+    try:
+        (_, _, engine), = protocol.round_blocks(d, n, *inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, f"peak {peak} bytes"
+    for got, want in zip(engine, fields, strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d, n", [(2, 20), (3, 12), (4, 9), (16, 4)])
+def test_engines_agree_at_larger_party_counts(d, n):
+    # Forced rounds whose dense steps reach up to the amplitude cap's
+    # d^(n+2); every field, phase included, is the symbolic engine's.
+    rng = np.random.default_rng(10 * d + n)
+    inputs = split_inputs(rng.integers(0, d, (40, 5 * n)), n)
+    (_, _, symbolic), = protocol.round_blocks(d, n, *inputs)
+    dense = [np.concatenate(field) for field in zip(*(
+        fields for _, _, fields in protocol.round_blocks(d, n, *inputs, "statevector")))]
+    for got, want in zip(dense, symbolic, strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
