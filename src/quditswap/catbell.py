@@ -10,7 +10,9 @@ state is the n = 2 case. For each n the d^n label tuples form an
 orthonormal basis.
 
 cat_support evaluates the closed form for a whole block of label tuples:
-the d nonzero amplitudes of each cat and their indices. cat_amplitudes
+the d nonzero amplitudes of each cat and their indices, computed with the
+block's rows innermost in memory and returned as views in the block's
+shape. cat_amplitudes
 scatters them into dense rows, and cat_state is its one-row call wrapped
 as a StateVector.
 """
@@ -60,19 +62,26 @@ def cat_support(d: int, labels, places=None):
     digits (j, j+u2, ..., j+un) with the place values places: by default
     d**(n-1), ..., d, 1 (big-endian), so each row ascends with j; others
     put the cat's particles at other positions of a larger register.
+
+    The sums and the root gather run with the rows innermost in memory, on
+    the label axes reversed: (n, ...) in, (d, ...) out, so each numpy loop
+    runs over the block's rows, not over d or n entries. The results are
+    views of that layout with the axes reversed back: their .T is C-ordered.
     """
     validate_dimension(d)
-    labels = reduce_labels(d, labels)
-    n = labels.shape[-1]
+    labels = np.ascontiguousarray(reduce_labels(d, labels).T)
+    n = labels.shape[0]
     if n < 2:
         raise ValueError("a cat state needs at least 2 particles")
-    if places is None:
-        places = d ** np.arange(n - 1, -1, -1)
-    j = np.arange(d)
-    index = j * places[0] + floor_mod(j[:, None] + labels[..., None, 1:], d) @ places[1:]
+    places = d ** np.arange(n - 1, -1, -1) if places is None else np.asarray(places)
+    j = np.arange(d).reshape((d,) + (1,) * (labels.ndim - 1))
+    digits = floor_mod(j[:, None] + labels[1:], d)  # (d, n - 1, ...)
+    digits *= places[1:].reshape((-1,) + j.shape[1:])
+    index = digits.sum(axis=1)
+    index += j * places[0]
     scale = 1.0 / math.sqrt(d)
     roots = np.array([scale * zeta(d, t) for t in range(d)])
-    return index, roots[floor_mod(j * labels[..., :1], d)]
+    return index.T, roots[floor_mod(j * labels[0], d)].T
 
 
 def cat_amplitudes(d: int, labels) -> np.ndarray:

@@ -67,26 +67,36 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 PROTOCOL_BLOCK_ROUNDS = 1 << 10
 
 
-def chi_square_survival(x: float, dof: int) -> float:
-    """Exact upper tail Q = P(X > x), x > 0, of chi-square with integer dof.
+def chi_square_tail(dof: int):
+    """The exact upper tail x -> Q = P(X > x), x > 0, of chi-square with
+    integer dof.
 
     Q at dof 1 or 2 (Abramowitz & Stegun 26.4.4-5), stepped up by 2 with
-    Q(k + 2) = Q(k) + (x/2)^(k/2) exp(-x/2) / Gamma(k/2 + 1).
+    Q(k + 2) = Q(k) + (x/2)^(k/2) exp(-x/2) / Gamma(k/2 + 1): each
+    lgamma(k/2 + 1) is taken once per dof, x/2 and log(x/2) once per x.
     """
-    q = math.erfc(math.sqrt(x / 2)) if dof % 2 else math.exp(-x / 2)
-    for k in range(dof % 2 or 2, dof, 2):
-        q += math.exp(k / 2 * math.log(x / 2) - x / 2 - math.lgamma(k / 2 + 1))
-    return q
+    steps = [(k / 2, math.lgamma(k / 2 + 1)) for k in range(dof % 2 or 2, dof, 2)]
+
+    def tail(x: float) -> float:
+        half = x / 2
+        q = math.erfc(math.sqrt(half)) if dof % 2 else math.exp(-half)
+        if steps:
+            log_half = math.log(half)
+            for power, log_gamma in steps:
+                q += math.exp(power * log_half - half - log_gamma)
+        return q
+
+    return tail
 
 
 def chi_square_critical(dof: int, alpha: float) -> float:
     """Upper-tail chi-square critical value, by bisection on the exact tail
     until the midpoint is an end, as no float lies between them."""
-    lo, hi = 0.0, float(dof)
-    while chi_square_survival(hi, dof) > alpha:
+    tail, lo, hi = chi_square_tail(dof), 0.0, float(dof)
+    while tail(hi) > alpha:
         lo, hi = hi, 2 * hi
     while lo < (mid := (lo + hi) / 2) < hi:
-        lo, hi = (mid, hi) if chi_square_survival(mid, dof) > alpha else (lo, mid)
+        lo, hi = (mid, hi) if tail(mid) > alpha else (lo, mid)
     return (lo + hi) / 2
 
 

@@ -67,6 +67,7 @@ step over the cap before any allocation and size blocks by block_rows(d, 3).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, repeat
@@ -672,12 +673,16 @@ def round_records(d: int, n: int, seed, engine: str, cat, bells, fields):
     if cat.shape[1:] != (n,):
         raise ValueError(f"{n} parties but cat labels of shape {cat.shape}")
     second, first, ok = recover_rounds(d, cat, bells, steps, announced, key, finals)
-    table = np.column_stack([announced, bells.reshape(-1, 2 * n), cat, *floor_divmod(key, d),
-                             np.stack(floor_divmod(steps, d), axis=-1).reshape(-1, 2 * n),
-                             first, second])
-    if np.any((table < 0) | (table >= d)):
-        raise ValueError(f"record values must be dits in 0..{d - 1}")
-    table = table.astype(np.uint8)  # held through the fill: as bytes, it lowers peak RSS
+    # held through the fill as bytes, one dit a byte, and filled column by
+    # column from the integers, so no integer copy of the whole table is made
+    table, start = np.empty((len(ok), 7 * n + 2), dtype=np.uint8), 0
+    for column in (announced, bells, cat, *floor_divmod(key, d),
+                   np.stack(floor_divmod(steps, d), axis=-1), first, second):
+        if column.min(initial=0) < 0 or column.max(initial=0) >= d:
+            raise ValueError(f"record values must be dits in 0..{d - 1}")
+        width = math.prod(column.shape[1:])
+        table[:, start:start + width] = column.reshape(-1, width)
+        start += width
     # NUL pads each dit's slot, len(str(d - 1)) bytes, and SOH ok's 5: the
     # rest is json.dumps output, which escapes every control character (and,
     # ASCII only, every non-ASCII one), and ASCII literals, so neither is text

@@ -219,10 +219,10 @@ def cat_overlaps(d: int, particles, index, values, pair, rest):
     keys = (floor_mod(digits[..., 1] - digits[..., 0], d) * places[1]
             + digits[..., 2:] @ places[2:])
     sort = np.argsort(keys, axis=1)
-    keys, j, values = (np.take_along_axis(x, sort, axis=1)
-                       for x in (keys, digits[..., 0], values))
+    sort += np.arange(0, sort.size, d * d)[:, None]  # flat positions: one take per array
+    keys, j, values = keys.take(sort), digits[..., 0].take(sort), values.take(sort)
     u2, residuals = floor_divmod(keys, places[1])
-    if np.any(u2 != np.arange(d * d) // d) or np.any(np.diff(keys) <= 0):
+    if np.any(u2 != np.arange(d * d) // d) or np.any(keys[:, 1:] <= keys[:, :-1]):
         raise ValueError("each u2 must hold d entries of distinct residual indices")
     overlaps = hadamard_matrix(d).conj()[np.arange(d)[:, None, None], j.reshape(-1, 1, d, d)]
     return residuals.reshape(-1, d, d), overlaps * values.reshape(-1, 1, d, d)

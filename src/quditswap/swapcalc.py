@@ -41,6 +41,9 @@ block of label tuples: one bell_measure_block call rewrites every tuple
 under all d^2 outcomes, each tuple sorts the nonzero amplitudes of both
 sides of its outcome sum (cat_support) by index, equal indices in outcome
 order, and np.bincount adds them in that order, as a dense rebuild does.
+The products and index sums run with the block's rows innermost in
+memory, the layout cat_support returns; the keys are transposed once, into
+the rows the sort needs.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import numpy as np
 
 from .catbell import cat_state, cat_support, reduce_labels
 from .core import floor_mod, validate_dimension, zeta
-from .statevec import StateVector, checked_size, kron_rows, tensor
+from .statevec import StateVector, checked_size, tensor
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -288,8 +291,11 @@ def verify_swap_block(rule: str, d: int, rows, m: int | None = None) -> np.ndarr
     np.bincount adds each slot, a run of equal indices, in that (k, l)
     order, the float operations of a dense per-state rebuild, where the
     other terms add exact zeros. A row's deviation is therefore the dense
-    one, bit for bit, and does not depend on the block it is in. The
-    largest array holds R * (d**4 + d**2) entries.
+    one, bit for bit, and does not depend on the block it is in or on the
+    memory order of rows. The terms are built as (d**4 + d**2, R) arrays,
+    the rows innermost, as cat_support lays its results out (_outer_terms),
+    and only the keys are transposed into (R, d**4 + d**2) rows to sort.
+    The largest array holds R * (d**4 + d**2) entries.
 
     The check cannot detect a consistent relabelling of outcomes, such as a
     flipped sign of k or l in _RULE_SIGNS (the deviation stays about 1e-16):
@@ -322,22 +328,21 @@ def verify_swap_block(rule: str, d: int, rows, m: int | None = None) -> np.ndarr
     index_b, amps_b = cat_support(d, rows[:, split:], lhs_places[split:])
     index_m, amps_m = cat_support(d, measured, places[:2])
     index_r, amps_r = cat_support(d, residual, places[2:])
-    count, terms = len(rows), d ** 4 + d ** 2
-    roots = np.array([zeta(d, t) for t in range(d)])[phases]
+    roots = np.array([zeta(d, t) for t in range(d)])[phases]  # one per (k, l)
     scale = float(d) ** -1.0  # two factors of 1/sqrt(d) per Bell measurement
-    rhs = kron_rows(amps_m, amps_r)  # (R, d^2 outcomes, d^2)
-    rhs *= roots[:, None]
-    rhs *= scale
 
     # a row's terms: the rhs in (k, l) order, then the lhs negated (adding
     # -x is subtracting x, bit for bit), each keyed index * terms + position
-    values = np.concatenate([rhs.reshape(count, -1), -kron_rows(amps_a, amps_b)],
-                            axis=1).reshape(-1)
-    del rhs
-    keys = np.concatenate(
-        [(index_m[..., :, None] + index_r[..., None, :]).reshape(count, -1),
-         (index_a[:, :, None] + index_b[:, None, :]).reshape(count, -1)], axis=1)
-    keys = keys * terms + np.arange(terms)
+    count, terms = len(rows), d ** 4 + d ** 2
+    values = _outer_terms(np.multiply, (amps_m, amps_r), (amps_a, amps_b))
+    keys = _outer_terms(np.add, (index_m, index_r), (index_a, index_b))
+    rhs = values[:d ** 4].reshape(d * d, d * d, count)
+    rhs *= roots[:, None, None]
+    rhs *= scale
+    np.negative(values[d ** 4:], out=values[d ** 4:])
+    keys *= terms
+    keys += np.arange(terms)[:, None]
+    keys = np.ascontiguousarray(keys.T)  # a row's terms, to sort
     keys.sort(axis=1)  # bincount adds each slot, a run of equal indices, in this order
     index = keys // terms * terms
     keys -= index  # each term's position in its row
@@ -345,11 +350,28 @@ def verify_swap_block(rule: str, d: int, rows, m: int | None = None) -> np.ndarr
     np.not_equal(index[:, 1:], index[:, :-1], out=new[:, 1:])
     new[0, 0] = False  # slots count from 0
     slots = np.cumsum(new, out=index.reshape(-1))
-    keys += np.arange(0, len(values), terms)[:, None]  # each term's place in values
+    keys *= count
+    keys += np.arange(count)[:, None]  # each term's place in values
+    values = values.reshape(-1)
     total = np.empty(slots[-1] + 1, dtype=complex)
     total.real = np.bincount(slots, values.real[keys.reshape(-1)])
     total.imag = np.bincount(slots, values.imag[keys.reshape(-1)])
     return np.maximum.reduceat(np.abs(total), slots[::terms])
+
+
+def _outer_terms(ufunc, rhs, lhs):
+    """ufunc's outer products of verify_swap_block's cats, one row per term,
+    the rows of the block innermost, as cat_support lays them out: rhs,
+    the measured and residual cats (R, d^2 outcomes, d), in (k, l) order,
+    then lhs, the two input cats (R, d). Returns shape (d^4 + d^2, R)."""
+    m, r = (np.moveaxis(x, 0, -1) for x in rhs)  # (d^2 outcomes, d, R)
+    a, b = (x.T for x in lhs)  # (d, R)
+    outcomes, d, count = m.shape
+    split = outcomes * d * d
+    out = np.empty((split + d * d, count), np.result_type(m, a))
+    ufunc(m[:, :, None], r[:, None], out=out[:split].reshape(outcomes, d, d, count))
+    ufunc(a[:, None], b, out=out[split:].reshape(d, d, count))
+    return out
 
 
 def verify_swap_identity(rule: str, d: int, labels, m: int | None = None) -> float:

@@ -56,6 +56,39 @@ def test_cat_amplitudes_match_cat_state_bit_for_bit():
                                         for digits in closed_form_digits(d, labels)]
 
 
+def cat_support_label_axis_innermost(d, labels, places=None):
+    """The closed form on numpy's plain broadcast, the label axis innermost
+    and the j axis beside it: the reference cat_support's layout must match."""
+    labels = np.asarray(labels) % d
+    n = labels.shape[-1]
+    if places is None:
+        places = d ** np.arange(n - 1, -1, -1)
+    j = np.arange(d)
+    index = j * places[0] + (j[:, None] + labels[..., None, 1:]) % d @ places[1:]
+    scale = 1.0 / math.sqrt(d)
+    roots = np.array([scale * zeta(d, t) for t in range(d)])
+    return index, roots[(j * labels[..., :1]) % d]
+
+
+def test_cat_support_matches_the_label_innermost_formula_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for d in range(2, 17):
+        for lead in ((5,), (3, 4), (2, 3, 2)):
+            n = int(rng.integers(2, 6))
+            labels = rng.integers(-2 * d, 3 * d, lead + (n,))
+            custom = d ** rng.permutation(n + 2)[:n]  # places in a larger register
+            for places in (None, custom):
+                expected = cat_support_label_axis_innermost(d, labels, places)
+                # C-ordered labels and labels whose memory is transposed
+                for layout in (labels, np.asfortranarray(labels)):
+                    index, values = cat_support(d, layout, places)
+                    assert index.shape == values.shape == lead + (d,)
+                    assert index.tobytes() == expected[0].tobytes()
+                    assert values.tobytes() == expected[1].tobytes()
+                    # the rows innermost in memory: the reversed axes are C-ordered
+                    assert index.T.flags.c_contiguous and values.T.flags.c_contiguous
+
+
 def test_cat_amplitudes_shapes_and_validation():
     labels = np.arange(24).reshape(2, 4, 3) % 3
     block = cat_amplitudes(3, labels)

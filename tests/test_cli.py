@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import platform
 import subprocess
@@ -869,16 +870,31 @@ def test_chi_square_critical_close_to_exact():
     assert chi_square_critical(48, 0.001) == pytest.approx(84.037134, abs=1e-4)
 
 
+def test_chi_square_tail_is_the_per_term_sum_bit_for_bit():
+    # the tail takes x/2, log(x/2) and each lgamma once; every term keeps
+    # the float operations of the sum written out per term
+    def per_term(x, dof):
+        q = math.erfc(math.sqrt(x / 2)) if dof % 2 else math.exp(-x / 2)
+        for k in range(dof % 2 or 2, dof, 2):
+            q += math.exp(k / 2 * math.log(x / 2) - x / 2 - math.lgamma(k / 2 + 1))
+        return q
+
+    for dof in range(1, 300):
+        tail = cli.chi_square_tail(dof)
+        for x in (0.01, 0.5, float(dof), 2.0 * dof + 7.3, 300.0):
+            assert tail(x) == per_term(x, dof), (dof, x)
+
+
 def test_chi_square_critical_stops_where_100_steps_settle():
     # the bisection stops once its midpoint is an end, where 100 fixed
     # steps, the reference here, have settled: both give the same float
     def hundred_steps(dof, alpha):
-        lo, hi = 0.0, float(dof)
-        while cli.chi_square_survival(hi, dof) > alpha:
+        tail, lo, hi = cli.chi_square_tail(dof), 0.0, float(dof)
+        while tail(hi) > alpha:
             lo, hi = hi, 2 * hi
         for _ in range(100):
             mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if cli.chi_square_survival(mid, dof) > alpha else (lo, mid)
+            lo, hi = (mid, hi) if tail(mid) > alpha else (lo, mid)
         return (lo + hi) / 2
 
     for alpha in (0.001, 0.05):

@@ -943,8 +943,12 @@ def test_round_records_fill_edges(monkeypatch):
     for bad in (-1, d):
         bad_cat, bad_bells, bad_key = cat.copy(), bells.copy(), key.copy()
         bad_cat[7, 1], bad_bells[9, 2, 0], bad_key[11] = bad, bad, d * d if bad > 0 else -1
+        bad_steps, bad_announced = steps.copy(), announced.copy()
+        bad_steps[3, 1], bad_announced[5, 0] = bad_key[11], bad
         for arrays in ((bad_cat, bells, fields), (cat, bad_bells, fields),
-                       (cat, bells, (steps, announced, bad_key, finals, phase))):
+                       (cat, bells, (steps, announced, bad_key, finals, phase)),
+                       (cat, bells, (bad_steps, announced, key, finals, phase)),
+                       (cat, bells, (steps, bad_announced, key, finals, phase))):
             with pytest.raises(ValueError, match=r"^record values must be dits in 0\.\.2$"):
                 protocol.round_records(d, n, 0, "symbolic", *arrays)
     for budget in (1, 50):  # 16 bytes a unit: chunks of one row, and of a few

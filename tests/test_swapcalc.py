@@ -224,6 +224,21 @@ def test_verify_block_equals_reference_random_d5_n4(rows, m):
             reference_deviation(rule, 5, row, position) for row in block]
 
 
+def test_verify_block_bytes_do_not_depend_on_row_layout():
+    # cat_support and the outcome sums lay the rows out themselves, so the
+    # rows' memory order must not move a bit of any deviation
+    rng = np.random.default_rng(14)
+    for rule, d, n, m in (("bell", 3, 2, None), ("black", 4, 3, None),
+                          ("white", 3, 4, 2), ("white", 5, 3, 3)):
+        width = 4 if rule == "bell" else n + 2
+        wide = rng.integers(-d, 2 * d, (60, width + 3))
+        strided = wide[::2, 1:width + 1]
+        rows = np.ascontiguousarray(strided)
+        expected = verify_swap_block(rule, d, rows, m=m).tobytes()
+        for layout in (np.asfortranarray(rows), strided):
+            assert verify_swap_block(rule, d, layout, m=m).tobytes() == expected
+
+
 def test_verify_block_reduces_labels_past_int64():
     for rule, d, row, m in (("bell", 2, [2**70, 1, 0, -2**70], None),
                             ("bell", 3, [2**63 + 1, -1, 0, 1], None),
